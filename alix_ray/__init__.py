@@ -11,7 +11,7 @@ lexical analysis; see SURVEY.md).  Architecture is Ray-Data-first:
   doc-id range) followed by a *compressed* merge shuffle keyed by
   ``hash(term) % P`` — raw tokens never cross the wire,
 - delta + variable-byte posting compression with 128-entry blocks and
-  block-max metadata for block-max-WAND top-k,
+  block-max metadata for block-max pruned top-k,
 - BM25 scoring pinned to the reference formula
   (``IdfTermScorer.java:208-267``).
 """

@@ -9,7 +9,7 @@ explicit artifact, SURVEY.md §1.3):
   recoverable from the byte stream alone.
 - Doc ids are delta-encoded **per block** of ``BLOCK`` entries; the
   first doc id of every block is absolute, so blocks decode
-  independently (needed for block-max-WAND skipping and for
+  independently (needed for block-max skipping and for
   concatenating posting shards built on disjoint doc ranges).
 - Term frequencies are plain VByte (no delta).
 
@@ -136,7 +136,7 @@ def encode_posting(doc_ids: np.ndarray, tfs: np.ndarray):
     where the offsets are byte offsets of each block start inside the two
     streams (blocks decode independently thanks to per-block delta
     restarts), and ``block_last_doc`` is the max doc id per block —
-    the skip list of block-max WAND.
+    the skip list of block-max pruning.
     """
     d = np.ascontiguousarray(doc_ids, dtype=np.int64)
     t = np.ascontiguousarray(tfs, dtype=np.int64)

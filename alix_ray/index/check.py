@@ -9,7 +9,7 @@ invariants the serving engine relies on:
   stream (``block_last`` = true last doc per block, byte offsets land
   on block starts — implied by a clean decode) and ``block_max`` is a
   SAFE upper bound of ``tf/(tf+norm)`` under the generation's own
-  avgdl (the block-max WAND contract: an under-bound silently skips
+  avgdl (the block-max pruning contract: an under-bound silently skips
   true top-k docs, the worst silent corruption this index can have);
 - **term_stats** — per-term df/cf summed over postings shards equal
   the lexicon row, term_ids are dense ranks in sorted term order;

@@ -13,14 +13,19 @@ the ``TopArray`` tie rule (score desc, doc_id asc; TopArray.java:12-14)
 — so scores and ranks are bit-stable across runs and parallelism
 levels.
 
-Two scorers that must agree exactly (tests enforce it):
+Scorers that must agree exactly (tests enforce it):
 
 - :meth:`BM25Index.search_exact` — term-at-a-time dense accumulator
   (the oracle);
-- :meth:`BM25Index.search_wand` — block-max WAND over the compressed
-  posting blocks (the serving path); a pivot is skipped only when its
-  block upper bound is *strictly* below the heap threshold, so
-  tie-breaks stay rank-identical to the exact scorer.
+- :meth:`BM25Index.search_block_window` — block-max pruning over
+  doc-range windows for multi-term queries; a window is skipped only
+  when its summed block upper bound is *strictly* below the top-k
+  threshold, so tie-breaks stay rank-identical to the exact scorer;
+- :meth:`BM25Index.search_wand` — memoized O(df) posting scan for a
+  single-term query (more terms go to the block-window scorer).
+
+:meth:`BM25Index.search_terms` is the serving path: it routes one
+distinct term to ``search_wand`` and more to ``search_block_window``.
 
 The index handle is immutable after load — share freely across query
 actors (reference: frozen ``LuceneIndex`` handle, SURVEY.md §3.2).
@@ -36,7 +41,6 @@ the row groups holding its candidate docs.
 
 from __future__ import annotations
 
-import heapq
 import json
 import os
 
@@ -47,7 +51,6 @@ import pyarrow.parquet as pq
 from ..codec import decode_block, decode_posting, vb_decode
 from ..stages.store import resolve_stage
 
-_DONE = 1 << 62
 BLOCK = 128
 
 
@@ -704,95 +707,6 @@ class TermStatsMap:
         return [self.lex[int(i)] for i in idx]
 
 
-class _Cursor:
-    """Posting cursor over one term's shard list, one block at a time."""
-
-    __slots__ = ("term_order", "shards", "w", "max_score", "norms",
-                 "si", "bi", "pos", "bdocs", "btfs", "doc")
-
-    def __init__(self, term_order, shards, idf, k1, norms):
-        self.term_order = term_order
-        self.shards = shards
-        self.w = float(idf) * (k1 + 1.0)
-        self.max_score = self.w * max(
-            (float(s.block_max.max()) for s in shards if len(s.block_max)),
-            default=0.0,
-        )
-        self.norms = norms
-        self.si = 0
-        self.bi = 0
-        self.pos = 0
-        self.bdocs = None
-        self.btfs = None
-        self.doc = -1
-        self._load_block_or_advance_shard()
-
-    def _load_block_or_advance_shard(self):
-        """Load (si, bi) if valid, else move forward to next shard."""
-        while self.si < len(self.shards):
-            s = self.shards[self.si]
-            if self.bi < s.n_blocks():
-                self.bdocs, self.btfs = decode_block(
-                    s.docs_buf, s.tfs_buf, self.bi, s.n, s.off_docs, s.off_tfs
-                )
-                self.pos = 0
-                self.doc = int(self.bdocs[0])
-                return
-            self.si += 1
-            self.bi = 0
-        self.doc = _DONE
-
-    def next(self):
-        self.pos += 1
-        if self.pos < len(self.bdocs):
-            self.doc = int(self.bdocs[self.pos])
-        else:
-            self.bi += 1
-            self._load_block_or_advance_shard()
-
-    def advance_to(self, target: int):
-        """First posting with doc >= target, skipping whole blocks."""
-        if self.doc >= target or self.doc == _DONE:
-            return
-        s = self.shards[self.si]
-        if int(s.block_last[self.bi]) < target:
-            # leave current block: binary-search block skip list(s)
-            while self.si < len(self.shards):
-                s = self.shards[self.si]
-                j = int(np.searchsorted(s.block_last, target, side="left"))
-                if j < s.n_blocks():
-                    self.bi = j
-                    self.bdocs, self.btfs = decode_block(
-                        s.docs_buf, s.tfs_buf, j, s.n, s.off_docs, s.off_tfs
-                    )
-                    self.pos = 0
-                    break
-                self.si += 1
-                self.bi = 0
-            else:
-                self.doc = _DONE
-                return
-        idx = int(np.searchsorted(self.bdocs, target, side="left"))
-        if idx >= len(self.bdocs):  # defensive; block_last guarantees hit
-            self.bi += 1
-            self._load_block_or_advance_shard()
-            if self.doc != _DONE:
-                self.advance_to(target)
-            return
-        self.pos = idx
-        self.doc = int(self.bdocs[idx])
-
-    def block_upper(self) -> float:
-        return self.w * float(self.shards[self.si].block_max[self.bi])
-
-    def block_last_doc(self) -> int:
-        return int(self.shards[self.si].block_last[self.bi])
-
-    def score_current(self) -> float:
-        tf = float(self.btfs[self.pos])
-        return self.w * (tf / (tf + self.norms[self.doc]))
-
-
 class BM25Index:
     """In-memory handle over the index artifacts in ``out_dir``."""
 
@@ -840,8 +754,8 @@ class BM25Index:
         # — n_docs (→ idf) included (CollectionStatistics semantics).
         # Live-N with stale per-term df would drive idf NEGATIVE when
         # df > live N (a hot term after mass deletes), flipping
-        # _Cursor.max_score / block upper bounds from upper to lower
-        # bounds and breaking WAND/window pruning correctness.
+        # block upper bounds from upper to lower bounds and breaking
+        # block-window pruning correctness.
         self.deleted = _load_tombstones(out_dir)
         self.n_docs = n_docs_raw
         self.n_live = n_docs_raw - len(self.deleted)
@@ -1024,12 +938,6 @@ class BM25Index:
         pos[pos == len(self.deleted)] = 0
         return self.deleted[pos] == d
 
-    def _is_deleted(self, doc: int) -> bool:
-        if not len(self.deleted):
-            return False
-        i = int(np.searchsorted(self.deleted, doc))
-        return i < len(self.deleted) and int(self.deleted[i]) == doc
-
     # -- exact term-at-a-time (the oracle) ----------------------------
     def search_exact(self, terms, k: int = 10, mode: str = "or",
                      scorer: str = "bm25", filter_mask=None):
@@ -1108,11 +1016,10 @@ class BM25Index:
         hits strictly after the cursor ``after = (doc_id, score)`` —
         the last hit of the previous page — in the TopArray total
         order (score desc, doc asc).  The cursor is the previous
-        page's own float, so the equality compare is exact.  This
-        oracle path rescans the accumulator; the serving-path
-        equivalent threads ``after``'s score into the WAND/block-max
-        threshold so later pages PRUNE MORE, not less — deep paging
-        gets cheaper per page, the inverse of offset-based paging."""
+        page's own float, so the equality compare is exact.  Each page
+        rescans the full exact accumulator (``search_exact`` over all
+        docs), so a page costs the same at any depth; no pruned path
+        exists for paging."""
         a_d, a_s = after
         res = self.search_exact(terms, k=self.n_docs, scorer=scorer)
         out = [(d, s) for d, s in res
@@ -1338,98 +1245,40 @@ class BM25Index:
             top_d = all_d[order]
         return [(int(d), float(s)) for d, s in zip(top_d, top_s)]
 
-    # -- block-max WAND (canonical cursor algorithm) ------------------
+    # -- single-term top-k (memoized posting scan) -------------------
     def search_wand(self, terms, k: int = 10):
+        """Top-k for a single distinct query term: a vectorized O(df)
+        scan of its posting list — no accumulator, memory ∝ df, not N,
+        rank-identical to :meth:`search_exact`.  Memoized per
+        (term, k): the index is immutable and real query mixes repeat
+        the Zipf head constantly, so a serving replica caches
+        single-term top-k like any result cache.  More than one
+        distinct term goes to :meth:`search_block_window`."""
         qs = self._query_terms(terms)
         if not qs:
             return []
-        if len(qs) == 1:
-            # single term: no accumulator needed — vectorized O(df) scan
-            # of the posting list (memory ∝ df, not N; rank-identical).
-            # Memoized per (term, k): the index is immutable and real
-            # query mixes repeat the Zipf head constantly, so a serving
-            # replica caches single-term top-k like any result cache.
-            term = qs[0]
-            ck = (term, k)
-            hit = self._topk_cache.pop(ck, None)
-            if hit is not None:
-                self._topk_cache[ck] = hit  # refresh LRU position
-                return list(hit)
-            d, c = self._term_contrib(term, "bm25")
-            k2 = min(k, len(d))
-            if len(d) > 4 * k2:
-                part = np.argpartition(-c, k2 - 1)[:k2]
-                theta = c[part].min()
-                cand = np.nonzero(c >= theta)[0]
-            else:
-                cand = np.arange(len(d))
-            order = cand[np.lexsort((d[cand], -c[cand]))][:k2]
-            out = [(int(d[i]), float(c[i])) for i in order]
-            if len(self._topk_cache) >= self._TOPK_CACHE_MAX:
-                self._topk_cache.pop(next(iter(self._topk_cache)))
-            self._topk_cache[ck] = tuple(out)
-            return out
-        cursors = [
-            _Cursor(i, self.postings[t], self.idf(t), self.k1, self.norms)
-            for i, t in enumerate(qs)
-        ]
-        cursors = [c for c in cursors if c.doc != _DONE]
-        heap: list[tuple[float, int]] = []  # (score, -doc); root = weakest
-        while cursors:
-            cursors.sort(key=lambda c: c.doc)
-            full = len(heap) >= k
-            theta = heap[0][0] if full else -1.0
-            acc_ub = 0.0
-            pivot = -1
-            for i, c in enumerate(cursors):
-                acc_ub += c.max_score
-                if not full or acc_ub >= theta:
-                    pivot = i
-                    break
-            if pivot == -1:
-                break  # no remaining doc can enter the top-k
-            pivot_doc = cursors[pivot].doc
-            if cursors[0].doc == pivot_doc:
-                j = pivot
-                while j + 1 < len(cursors) and cursors[j + 1].doc == pivot_doc:
-                    j += 1
-                group = cursors[: j + 1]
-                if full:
-                    ub = sum(c.block_upper() for c in group)
-                    if ub < theta:
-                        # docs in (pivot_doc, boundary] are bounded by the
-                        # group's block maxes only if no other cursor can
-                        # reach them: cap by the next cursor's doc too
-                        boundary = min(c.block_last_doc() for c in group)
-                        if j + 1 < len(cursors):
-                            boundary = min(boundary, cursors[j + 1].doc - 1)
-                        for c in group:
-                            c.advance_to(boundary + 1)
-                        cursors = [c for c in cursors if c.doc != _DONE]
-                        continue
-                if len(self.deleted) and self._is_deleted(pivot_doc):
-                    # tombstoned doc: consume without scoring
-                    for c in group:
-                        c.next()
-                    cursors = [c for c in cursors if c.doc != _DONE]
-                    continue
-                # full evaluation, float64 sum in term order
-                score = 0.0
-                for c in sorted(group, key=lambda c: c.term_order):
-                    score += c.score_current()
-                for c in group:
-                    c.next()
-                cand = (score, -pivot_doc)
-                if not full:
-                    heapq.heappush(heap, cand)
-                elif cand > heap[0]:
-                    heapq.heapreplace(heap, cand)
-            else:
-                for c in cursors[:pivot]:
-                    c.advance_to(pivot_doc)
-            cursors = [c for c in cursors if c.doc != _DONE]
-        out = sorted(heap, key=lambda x: (-x[0], -x[1]))
-        return [(-nd, s) for s, nd in out]
+        if len(qs) > 1:
+            return self.search_block_window(qs, k)
+        term = qs[0]
+        ck = (term, k)
+        hit = self._topk_cache.pop(ck, None)
+        if hit is not None:
+            self._topk_cache[ck] = hit  # refresh LRU position
+            return list(hit)
+        d, c = self._term_contrib(term, "bm25")
+        k2 = min(k, len(d))
+        if len(d) > 4 * k2:
+            part = np.argpartition(-c, k2 - 1)[:k2]
+            theta = c[part].min()
+            cand = np.nonzero(c >= theta)[0]
+        else:
+            cand = np.arange(len(d))
+        order = cand[np.lexsort((d[cand], -c[cand]))][:k2]
+        out = [(int(d[i]), float(c[i])) for i in order]
+        if len(self._topk_cache) >= self._TOPK_CACHE_MAX:
+            self._topk_cache.pop(next(iter(self._topk_cache)))
+        self._topk_cache[ck] = tuple(out)
+        return out
 
     # -- span / proximity search over the rail artifact ---------------
     def rail(self) -> Rail:
@@ -1763,12 +1612,12 @@ class BM25Index:
                 self._analyzer = FrenchAnalyzer()
         return self._analyzer
 
-    # serving strategy: the block-max WINDOWED scorer is the default —
-    # measured better p95 than the dense-accumulator TAAT at both 235k
-    # and 940k docs (block-max pruning trims hot-term tails) AND its
-    # memory is O(window), so the same path serves at any corpus size.
-    # Single-term queries use the vectorized posting scan inside
-    # search_wand (O(df), no windows needed).  search_exact remains
+    # serving strategy: the block-max WINDOWED scorer serves multi-term
+    # queries — measured better p95 than the dense-accumulator TAAT at
+    # both 235k and 940k docs (block-max pruning trims hot-term tails)
+    # AND its memory is O(window), so the same path serves at any
+    # corpus size.  Single-term queries use the memoized posting scan
+    # of search_wand (O(df), no windows needed).  search_exact remains
     # the oracle; all paths are rank-identical by test.
     def search_terms(self, terms, k: int = 10):
         if len(set(terms)) <= 1:
@@ -1874,14 +1723,11 @@ class BM25Index:
                     break
         return self._root_dict
 
-    def search(self, query: str, k: int = 10, exact: bool = False,
-               wand: bool = False):
+    def search(self, query: str, k: int = 10, exact: bool = False):
         from ..query.parser import parse_query
 
         terms = parse_query(query, self.analyzer(), self.lexicon,
                             root_dict=self.root_dict(), df=self.df)
         if exact:
             return self.search_exact(terms, k)
-        if wand:
-            return self.search_wand(terms, k)
         return self.search_terms(terms, k)

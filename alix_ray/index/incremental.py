@@ -10,7 +10,7 @@ Re-expression of Lucene's ``IndexWriter`` segment protocol
   of the index; delta generations stamp doc ids ABOVE every existing
   generation's max id, so doc-id ranges never interleave and per-term
   shard lists across generations stay disjoint + sorted — the serving
-  cursors (WAND / block-max window) work unchanged;
+  scorers (single-term scan / block-max window) work unchanged;
 - ``generations.json`` is the ``segments_N`` analog: ONE atomically
   swapped file holding the live generation list, the live tombstone
   file list, AND the next-generation counter.  Every mutation is a

@@ -12,10 +12,12 @@ Scale shape: the registry is the SMALL side — thousands of standing
 queries vs billions of streaming docs — so it broadcasts once and
 each actor compiles it once in ``__init__`` (term → query inverted
 map + per-query term counts; Lucene Monitor's "QueryIndex" idea).
-Per batch the work is one analyzer pass + one vectorized
+Per batch the work is one Python loop over the docs (regex tokenize,
+keep the distinct tokens found in the registry) + one vectorized
 (doc-token × registered-term) merge + one groupby — no per-query
-loop, no per-doc Python.  Matching cost scales with tokens that HIT
-the registry, not with |registry| × |batch|.
+loop.  The merge and groupby scale with tokens that HIT the registry,
+not with |registry| × |batch|; the per-doc loop is linear in the
+batch's text.
 """
 
 from __future__ import annotations

@@ -51,40 +51,6 @@ from .dedup import (_mix64, _num_parts, _partition_key, _token_hashes,
                     md5_lower64)
 
 
-def _fast_hashes(strings: list[str]) -> np.ndarray:
-    """Production 64-bit content hashes, length-routed: short strings
-    (urls, tokens — max ≤ 256 B in the batch) go through the
-    byte-position-vectorized FNV (:func:`_token_hashes`, whose inner
-    loop runs max(len) iterations over the WHOLE batch — great for
-    tokens, pathological for page-sized texts), long strings through
-    per-string blake2b-64 (C speed, O(total bytes) — faster than the
-    md5 oracle path and with the same collision geometry).  Only hash
-    EQUALITY matters downstream, so the router never changes any
-    status/count output."""
-    import hashlib
-
-    if strings and max(len(t) for t in strings) > 256:
-        out = np.empty(len(strings), np.uint64)
-        for i, t in enumerate(strings):
-            out[i] = int.from_bytes(
-                hashlib.blake2b(t.encode("utf-8"),
-                                digest_size=8).digest(), "little")
-        return out
-    return _token_hashes(strings)
-
-
-def _hash_fn(hash: str):
-    """md5 (default) keeps the exact DuckDB ``md5_number_lower``
-    oracle; fnv is the production path (same ``hash=`` semantics as
-    ``tfidf_cosine_pairs`` / ``fingerprint``), length-routed between
-    the vectorized token FNV and per-string blake2b-64 for
-    content-sized payloads (:func:`_fast_hashes`).  Status/count
-    outputs are identical on both paths — only hash EQUALITY matters
-    downstream — asserted by unit test."""
-    if hash not in ("md5", "fnv"):
-        raise ValueError(f"hash must be 'md5' or 'fnv', got {hash!r}")
-    return md5_lower64 if hash == "md5" else _fast_hashes
-
 # RE2 patterns shared VERBATIM with the SQL oracles (DuckDB regexp_*
 # is RE2 too — one pattern string, two engines, provable parity).
 # Tracking params are NOT a regex: an unanchored pattern corrupts any
@@ -109,8 +75,7 @@ P_DOMAIN_SQL = r"^https?://([^/:?#]+)"  # DuckDB wants a numbered group
 
 def snapshot_diff(old: ray.data.Dataset, new: ray.data.Dataset,
                   key_col: str = "doc_id",
-                  text_col: str = "text",
-                  hash: str = "md5") -> ray.data.Dataset:
+                  text_col: str = "text") -> ray.data.Dataset:
     """Per-key change status between two crawl snapshots:
     ``new`` (only in the new snapshot) / ``deleted`` (only in the
     old) / ``changed`` (both, content hash differs) / ``same``.
@@ -119,14 +84,12 @@ def snapshot_diff(old: ray.data.Dataset, new: ray.data.Dataset,
     one row per url per snapshot); duplicate keys within a side fold
     to their min hash, making the op deterministic under violations.
     Keys may be integers (partitioned by value hash) or strings (url
-    keys — partitioned by content hash).  ``hash="md5"`` (default)
-    uses :func:`md5_lower64` so the status column has an exact DuckDB
-    oracle (``md5_number_lower``); ``hash="fnv"`` is the vectorized
-    production path (identical statuses — only hash equality matters —
-    asserted by unit test).  Only (key, side, hash) rows ever shuffle.
+    keys — partitioned by content hash).  Content and string keys
+    hash with :func:`md5_lower64`, so the status column has an exact
+    DuckDB oracle (``md5_number_lower``).  Only (key, side, hash) rows
+    ever shuffle.
     """
     pk_parts = _num_parts()
-    hfn = _hash_fn(hash)
 
     def slim(side: int):
         def fn(batch: pa.Table) -> pa.Table:
@@ -138,8 +101,8 @@ def snapshot_diff(old: ray.data.Dataset, new: ray.data.Dataset,
                     np.uint64)
             else:  # string url keys: partition by content hash
                 keys = pc.cast(karr, pa.string()).combine_chunks()
-                kh = hfn(keys.to_pylist())
-            h = hfn(batch[text_col].to_pylist()).view(np.int64)
+                kh = md5_lower64(keys.to_pylist())
+            h = md5_lower64(batch[text_col].to_pylist()).view(np.int64)
             return pa.table({
                 key_col: keys,
                 "side": pa.array(np.full(len(batch), side, np.int8)),
@@ -248,8 +211,7 @@ def normalize_urls(ds: ray.data.Dataset,
 
 
 def domain_stats(ds: ray.data.Dataset, url_col: str = "url",
-                 chars_col: str | None = "n_chars",
-                 hash: str = "md5") -> ray.data.Dataset:
+                 chars_col: str | None = "n_chars") -> ray.data.Dataset:
     """Per registered domain: page count, distinct canonical urls,
     total chars.  Combine-before-shuffle: each batch emits one partial
     row per domain (pages/chars) plus one row per distinct
@@ -264,11 +226,8 @@ def domain_stats(ds: ray.data.Dataset, url_col: str = "url",
     The partial stays columnar end-to-end (``pa.Table.group_by`` for
     the per-domain fold and the distinct (domain, url) pairs); only
     the distinct urls — already deduplicated — cross into Python for
-    hashing, and only on the ``hash="md5"`` oracle-parity path
-    (``hash="fnv"`` is the vectorized production path; identical
-    counts, asserted by unit test)."""
+    :func:`md5_lower64` hashing (the oracle's ``md5_number_lower``)."""
     pk_parts = _num_parts()
-    hfn = _hash_fn(hash)
 
     def partial(batch: pa.Table) -> pa.Table:
         u, dom = normalize_batch(batch[url_col].combine_chunks())
@@ -283,7 +242,7 @@ def domain_stats(ds: ray.data.Dataset, url_col: str = "url",
         g = t.group_by("domain").aggregate(
             [("url_norm", "count"), ("chars", "sum")])
         d2 = t.group_by(["domain", "url_norm"]).aggregate([])
-        uh = hfn(d2["url_norm"].to_pylist()).view(np.int64)
+        uh = md5_lower64(d2["url_norm"].to_pylist()).view(np.int64)
         ub = _partition_key(uh.view(np.uint64), pk_parts)
         part = pa.table({
             "domain": pc.cast(g["domain"], pa.string()),
@@ -1259,6 +1218,90 @@ def connected_components_partitioned(edges: ray.data.Dataset,
 # ---------------------------------------------------------------------
 
 
+TRIANGLE_WEDGE_CAP = 10_000_000  # pooled wedges per membership probe
+
+
+def _edge_key_csr(keys: np.ndarray, n_nodes: int
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, tails): CSR adjacency in both directions of the sorted
+    canonical edge keys ``a·n+b`` (a<b), neighbors sorted per node."""
+    a = keys // n_nodes
+    b = keys % n_nodes
+    heads = np.concatenate([a, b])
+    tails = np.concatenate([b, a])
+    # one lexsort gives the final (head-major, neighbor-sorted) CSR
+    # layout directly; indptr counts are order-independent
+    order = np.lexsort((tails, heads))
+    heads, tails = heads[order], tails[order]
+    indptr = np.zeros(n_nodes + 1, np.int64)
+    np.add.at(indptr, heads + 1, 1)
+    return np.cumsum(indptr), tails
+
+
+def _triangle_batch(nodes: np.ndarray, keys: np.ndarray,
+                    indptr: np.ndarray, tails: np.ndarray, n_nodes: int,
+                    cap: int = TRIANGLE_WEDGE_CAP
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """(triangles, degree) per apex in ``nodes`` — the per-batch kernel
+    of :func:`triangle_counts` over the CSR adjacency
+    (``indptr``/``tails``) and the sorted canonical edge keys.
+
+    An apex of degree d has d(d−1)/2 wedges: row r of
+    ``np.triu_indices(d, 1)`` pairs neighbor r with neighbors r+1..d−1.
+    Wedges pool as ``u·n+w`` keys in one buffer of ``cap`` entries
+    (at least one row); each full pool closes against ``keys`` in ONE
+    ``searchsorted``.  A hub's rows split across flushes, so memory is
+    O(cap + max degree) however large one apex's d²/2 gets."""
+    deg = indptr[nodes + 1] - indptr[nodes]
+    tri = np.zeros(len(nodes), np.int64)
+    n_wedges = int((deg * (deg - 1) // 2).sum())
+    if n_wedges == 0:
+        return tri, deg
+    buf = np.empty(min(max(cap, int(deg.max()) - 1), n_wedges), np.int64)
+    owners: list[int] = []  # per pooled chunk: its apex index
+    sizes: list[int] = []  # and its wedge count
+    fill = 0
+
+    def flush():
+        nonlocal fill
+        cand = buf[:fill]
+        pos = np.minimum(np.searchsorted(keys, cand), len(keys) - 1)
+        hits = (keys[pos] == cand).astype(np.int64)
+        starts = np.cumsum([0] + sizes[:-1])
+        np.add.at(tri, owners, np.add.reduceat(hits, starts))
+        owners.clear()
+        sizes.clear()
+        fill = 0
+
+    for idx in np.flatnonzero(deg >= 2):
+        v = nodes[idx]
+        nb = tails[indptr[v]:indptr[v + 1]]
+        per_row = np.arange(len(nb) - 1, 0, -1)  # wedges in row r
+        done = np.cumsum(per_row)  # wedges in rows 0..r
+        r = 0
+        while r < len(per_row):
+            base = int(done[r - 1]) if r else 0
+            r1 = int(np.searchsorted(done, base + len(buf) - fill,
+                                     side="right"))
+            if r1 == r:  # the next row does not fit: probe the pool
+                flush()
+                continue
+            cnt = per_row[r:r1]
+            m = int(done[r1 - 1]) - base
+            i = np.repeat(np.arange(r, r1), cnt)
+            j = i + 1 + np.arange(m) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+            cand = buf[fill:fill + m]
+            np.take(nb, i, out=cand)
+            cand *= n_nodes
+            cand += nb[j]
+            owners.append(int(idx))
+            sizes.append(m)
+            fill += m
+            r = r1
+    flush()
+    return tri, deg
+
+
 def triangle_counts(edges: ray.data.Dataset, n_nodes: int,
                     src_col: str = "src", dst_col: str = "dst",
                     max_broadcast_edges: int = 500_000_000
@@ -1283,10 +1326,12 @@ def triangle_counts(edges: ray.data.Dataset, n_nodes: int,
     ``max_broadcast_edges`` — 8 B/edge); wedge enumeration then runs
     DISTRIBUTED over the node range (``ray.data.range`` →
     ``map_batches``): per apex the neighbor pairs come from
-    ``np.triu_indices`` (numpy per apex — the O(d²) wedge cost is
+    ``np.triu_indices`` rows (numpy per apex — the O(d²) wedge cost is
     intrinsic, not an implementation loop) and the batch's pooled
-    candidate pairs close against the broadcast key set in ONE
-    vectorized ``searchsorted``.  Beyond the broadcast bound the
+    candidate pairs close against the broadcast key set in one
+    vectorized ``searchsorted`` per ``TRIANGLE_WEDGE_CAP`` pairs
+    (:func:`_triangle_batch` — a hub's wedges split across probes, so
+    one high-degree apex cannot hold d²/2 pairs in memory).  Beyond the broadcast bound the
     standard escalation is degree-oriented wedge-join MapReduce
     (Suri & Vassilvitskii 2011): orient edges low→high degree, ship
     wedges to the edge's hash partition — O(E^{3/2}) total work,
@@ -1316,52 +1361,16 @@ def triangle_counts(edges: ray.data.Dataset, n_nodes: int,
             "max_broadcast_edges use the degree-oriented wedge-join "
             "(Suri & Vassilvitskii 2011) escalation")
 
-    # CSR adjacency (both directions) from the canonical keys
-    a = keys // n_nodes
-    b = keys % n_nodes
-    heads = np.concatenate([a, b])
-    tails = np.concatenate([b, a])
-    # one lexsort gives the final (head-major, neighbor-sorted) CSR
-    # layout directly; indptr counts are order-independent
-    order = np.lexsort((tails, heads))
-    heads, tails = heads[order], tails[order]
-    indptr = np.zeros(n_nodes + 1, np.int64)
-    np.add.at(indptr, heads + 1, 1)
-    indptr = np.cumsum(indptr)
-
+    indptr, tails = _edge_key_csr(keys, n_nodes)
     keys_ref = ray.put(keys)
     indptr_ref = ray.put(indptr)
     tails_ref = ray.put(tails)
 
     def count(batch) -> pa.Table:
-        ks = ray.get(keys_ref)
-        ip = ray.get(indptr_ref)
-        tl = ray.get(tails_ref)
         nodes = batch["id"].astype(np.int64)
-        deg = ip[nodes + 1] - ip[nodes]
-        apex, us, ws = [], [], []
-        for v in nodes:
-            nb = tl[ip[v]:ip[v + 1]]
-            d = len(nb)
-            if d < 2:
-                continue
-            i, j = np.triu_indices(d, k=1)
-            apex.append(np.full(len(i), v, np.int64))
-            us.append(nb[i])
-            ws.append(nb[j])
-        if not apex:
-            return pa.table({"node": pa.array(nodes),
-                             "triangles": pa.array(
-                                 np.zeros(len(nodes), np.int64)),
-                             "degree": pa.array(deg)})
-        av = np.concatenate(apex)
-        cand = np.concatenate(us) * n_nodes + np.concatenate(ws)
-        pos = np.searchsorted(ks, cand)
-        hit = (pos < len(ks)) & (ks[np.minimum(pos, len(ks) - 1)]
-                                 == cand)
-        tri = np.zeros(len(nodes), np.int64)
-        vidx = np.searchsorted(nodes, av[hit])
-        np.add.at(tri, vidx, 1)
+        tri, deg = _triangle_batch(nodes, ray.get(keys_ref),
+                                   ray.get(indptr_ref), ray.get(tails_ref),
+                                   n_nodes)
         return pa.table({"node": pa.array(nodes),
                          "triangles": pa.array(tri),
                          "degree": pa.array(deg)})
@@ -1508,7 +1517,8 @@ def robots_filter(pages: ray.data.Dataset,
     includes query and fragment, pinned identically in the SQL
     oracle).  Longest-match Allow/Disallow resolution (RFC 9309 §2.2)
     is the documented extension — Disallow-only covers the
-    compliance-gating use.
+    compliance-gating use.  An empty prefix is skipped: an empty
+    ``Disallow:`` line means "allow everything" (RFC 9309 §2.2.2).
 
     Zero-shuffle: the (tiny) rule table broadcasts once via
     ``ray.put``; per batch, ONE RE2 domain extract + ONE authority
@@ -1516,7 +1526,8 @@ def robots_filter(pages: ray.data.Dataset,
     ``regexp_extract`` / ``regexp_replace`` — both RE2), then one
     vectorized ``starts_with`` pass per (domain, prefix) rule —
     O(rules) column kernels, no Python per row."""
-    rules_ref = ray.put({d: tuple(ps) for d, ps in rules.items()})
+    rules_ref = ray.put({d: tuple(p for p in ps if p)
+                         for d, ps in rules.items()})
 
     def fn(batch: pa.Table) -> pa.Table:
         rl = ray.get(rules_ref)

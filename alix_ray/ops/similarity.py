@@ -179,7 +179,7 @@ class LshIndexedSearch:
 
 def tfidf_cosine_pairs(ds: ray.data.Dataset, threshold: float = 0.5,
                        df_cap: int = 100, text_col: str = "text",
-                       id_col: str = "doc_id", hash: str = "md5",
+                       id_col: str = "doc_id",
                        _prefilter: bool = True) -> ray.data.Dataset:
     """All document pairs with tf-idf cosine ≥ ``threshold`` — sparse
     lexical near-dup/similarity over DISTINCTIVE vocabulary (terms with
@@ -208,27 +208,18 @@ def tfidf_cosine_pairs(ds: ray.data.Dataset, threshold: float = 0.5,
     4. pair-pkey groupby: sum partials, threshold.
 
     Every shuffled row is (ids, term, one float) — token payloads never
-    move; text leaves a worker only as per-(doc,term) counts.
-
-    ``hash`` picks the term→partition hash feeding the tpk routing
-    key: ``"md5"`` (default, matches the historical oracle runs) or
-    ``"fnv"`` (fully vectorized, the production path).  The hash is
-    ONLY a routing key — every row of a term lands in one partition
-    under either — so the returned pairs are identical (unit-tested);
-    only the per-batch hashing cost differs."""
+    move; text leaves a worker only as per-(doc,term) counts.  The
+    term→partition routing key (tpk) is :func:`md5_lower64` of the
+    term."""
     import pandas as pd
     import pyarrow.compute as pc
 
     from ..analysis import SimpleAnalyzer
     from ._util import broadcast_cached
-    from .dedup import (_num_parts, _partition_key, _token_hashes,
-                        md5_lower64)
+    from .dedup import _num_parts, _partition_key, md5_lower64
 
     pk_parts = _num_parts()  # driver-resolved; captured by the UDF closures
 
-    if hash not in ("md5", "fnv"):
-        raise ValueError(f"hash must be 'md5' or 'fnv', got {hash!r}")
-    hash_fn = md5_lower64 if hash == "md5" else _token_hashes
     n_docs = float(ds.count())
 
     def tf_rows(batch: pa.Table) -> pa.Table:
@@ -245,7 +236,7 @@ def tfidf_cosine_pairs(ds: ray.data.Dataset, threshold: float = 0.5,
             "doc_id": g["doc_id"],
             "term": g["term"],
             "tf": pc.cast(g["term_count"], pa.float64()),
-            "tpk": pa.array(_partition_key(hash_fn(terms), pk_parts)),
+            "tpk": pa.array(_partition_key(md5_lower64(terms), pk_parts)),
         })
 
     # the slim (doc,term,tf) counts table is read twice (stage-0 df

@@ -11,7 +11,7 @@ partitions, and engines.  That order-independence is what makes the
 sketch fully ORACLE-CHECKABLE here: both engines compute bit-identical
 integer registers (the estimate is one closed-form float at the end).
 
-Scale shape: per batch one vectorized hash + register partial — at
+Scale shape: per batch one hash pass + register partial — at
 most m rows per (group, batch) regardless of batch size — then ONE
 ``groupby((group, register)).max`` exchange bounded by
 O(groups · m), never O(keys).  Registers for a billion-url domain are
@@ -26,7 +26,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from .dedup import _token_hashes, md5_lower64
+from .dedup import md5_lower64
 from .textstats import round_half_away
 
 HLL_P = 10                 # 2^10 = 1024 registers
@@ -47,7 +47,6 @@ def _rho40(w: np.ndarray) -> np.ndarray:
 
 def hll_distinct(ds: ray.data.Dataset, key_col: str,
                  group_col: str, p: int = HLL_P,
-                 hash: str = "md5",
                  round_decimals: int = 6) -> ray.data.Dataset:
     """Per-group HyperLogLog distinct-count estimate.  Returns one row
     per group: ``(group, est, n_zero, sum_rho)`` — ``n_zero`` (empty
@@ -58,12 +57,9 @@ def hll_distinct(ds: ray.data.Dataset, key_col: str,
     Estimator: raw HLL ``α_m·m²/Σ2^−M_j`` with the standard
     linear-counting fallback ``m·ln(m/V)`` when ``E ≤ 2.5m`` and
     zero registers remain (Flajolet 2007 §4; the 64-bit-hash variant
-    needs no large-range correction).  ``hash="md5"`` keeps the exact
-    ``md5_number_lower`` oracle; ``"fnv"`` is the vectorized
-    production path."""
-    if hash not in ("md5", "fnv"):
-        raise ValueError(f"hash must be 'md5' or 'fnv', got {hash!r}")
-    hfn = md5_lower64 if hash == "md5" else _token_hashes
+    needs no large-range correction).  Keys hash with
+    :func:`md5_lower64`, the DuckDB ``md5_number_lower`` oracle's
+    hash."""
     m = 1 << p
     mask_q = (np.uint64(1) << np.uint64(HLL_Q)) - np.uint64(1)
 
@@ -78,7 +74,7 @@ def hll_distinct(ds: ray.data.Dataset, key_col: str,
         if not pairs:
             return pa.schema([("g", pa.string()), ("b", pa.int64()),
                               ("r", pa.int64())]).empty_table()
-        h = hfn([k for _, k in pairs])
+        h = md5_lower64([k for _, k in pairs])
         bucket = (h % np.uint64(m)).astype(np.int64)
         w = (h >> np.uint64(p)) & mask_q
         rho = _rho40(w)
@@ -130,7 +126,6 @@ CMS_D = 4
 def cms_heavy_hitters(tokens: ray.data.Dataset, key_col: str,
                       phi: float = 0.01, w: int = CMS_W,
                       d: int = CMS_D,
-                      hash: str = "md5",
                       candidates: str = "distinct"
                       ) -> ray.data.Dataset:
     """Heavy hitters by Count-Min sketch (Cormode & Muthukrishnan
@@ -156,13 +151,10 @@ def cms_heavy_hitters(tokens: ray.data.Dataset, key_col: str,
     modes can differ only on collision-inflated FALSE positives
     (asserted by test), which is why "local" is not the oracle
     default."""
-    if hash not in ("md5", "fnv"):
-        raise ValueError(f"hash must be 'md5' or 'fnv', got {hash!r}")
     if candidates not in ("distinct", "local"):
         raise ValueError(
             f"candidates must be 'distinct' or 'local', "
             f"got {candidates!r}")
-    hfn = md5_lower64 if hash == "md5" else _token_hashes
 
     def counter_partial(batch: pa.Table) -> pa.Table:
         # null keys are excluded (astype(str) would mint a literal
@@ -173,7 +165,7 @@ def cms_heavy_hitters(tokens: ray.data.Dataset, key_col: str,
         cnts = local.to_numpy(np.int64)
         js, cols, outc = [], [], []
         for j in range(d):
-            col = (hfn([f"{t}#{j}" for t in terms])
+            col = (md5_lower64([f"{t}#{j}" for t in terms])
                    % np.uint64(w)).astype(np.int64)
             cj = pd.DataFrame({"col": col, "c": cnts}).groupby(
                 "col", as_index=False)["c"].sum()
@@ -220,7 +212,7 @@ def cms_heavy_hitters(tokens: ray.data.Dataset, key_col: str,
                  if t is not None]
         est = np.full(len(terms), np.iinfo(np.int64).max, np.int64)
         for j in range(d):
-            col = (hfn([f"{t}#{j}" for t in terms])
+            col = (md5_lower64([f"{t}#{j}" for t in terms])
                    % np.uint64(w)).astype(np.int64)
             est = np.minimum(est, cm[j, col])
         keep = est >= thresh

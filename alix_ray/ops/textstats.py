@@ -113,7 +113,7 @@ def quality_metrics(ds: ray.data.Dataset, text_col="text") -> ray.data.Dataset:
 
 
 def fingerprint(ds: ray.data.Dataset, text_col="text", window: int = 4,
-                k: int = 3, hash: str = "md5"):
+                k: int = 3):
     """Winnowing document fingerprints (Schleimer et al. 2003 shape):
     token ``k``-grams → gram hash → min over every full sliding
     ``window`` → DISTINCT selected hashes per doc, emitted as rows
@@ -122,22 +122,10 @@ def fingerprint(ds: ray.data.Dataset, text_col="text", window: int = 4,
     Docs with fewer than ``k`` tokens fall back to their single-token
     hashes (the minhash-shingle convention); empty docs emit no rows.
 
-    ``hash`` picks the gram hash:
-
-    * ``"md5"`` (default, the ORACLE contract): md5_number_lower of
-      the space-joined gram — per-gram Python md5 is the deliberate
-      DuckDB-parity tax (the oracle is an exact SQL window-min).
-    * ``"fnv"`` (production): the vectorized FNV-1a token hashes
-      rolled into k-shingles — no gram string ever materializes, the
-      whole gram-hash step is numpy.  Same winnowing semantics,
-      different fp VALUES (not oracle-comparable; pinned out of the
-      registered query).
-
-    The window min is vectorized (sliding_window_view) either way."""
-    from .dedup import _shingles_from, _token_hashes, md5_lower64
-
-    if hash not in ("md5", "fnv"):
-        raise ValueError(f"hash must be 'md5' or 'fnv', got {hash!r}")
+    The gram hash is md5_number_lower of the space-joined gram — the
+    hash of the exact SQL window-min oracle.  The window min is
+    vectorized (sliding_window_view)."""
+    from .dedup import md5_lower64
 
     def fp(batch: pa.Table) -> pa.Table:
         sa = SimpleAnalyzer()
@@ -147,9 +135,7 @@ def fingerprint(ds: ray.data.Dataset, text_col="text", window: int = 4,
             toks = sa.terms(t or "")
             if not toks:
                 continue
-            if hash == "fnv":
-                sh = _shingles_from(_token_hashes(toks), k)
-            elif len(toks) < k:
+            if len(toks) < k:
                 sh = md5_lower64(toks)
             else:
                 sh = md5_lower64([

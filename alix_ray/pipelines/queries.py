@@ -1164,25 +1164,26 @@ def q_ann_ivf(sf_dir: str) -> pd.DataFrame:
 
 
 def q_wand_consistency(sf_dir: str) -> pd.DataFrame:
-    """Block-max WAND top-10 for a fixed query battery, oracle-checked
-    against DuckDB BM25.  Rank identity WAND == exact == block-window is
-    ALSO asserted inline (raises on divergence), plus a seeded 50-query
-    random audit — so the oracle covers scores and the audit covers the
-    skip logic."""
+    """Serving-path top-10 (``search_terms``) for a fixed query
+    battery, oracle-checked against DuckDB BM25.  Rank identity
+    ``search_terms == search_block_window == search_exact`` is ALSO
+    asserted inline (raises on divergence), plus a seeded 50-query
+    random audit — so the oracle covers scores and the audit covers
+    the block-max skip logic."""
     ix = _index(sf_dir)
     rng = np.random.default_rng(42)
     terms = list(ix.lexicon)
     for _ in range(50):
         qs = [terms[i] for i in rng.choice(len(terms), rng.integers(1, 4))]
         exact = ix.search_exact(qs, 10)
-        if not (exact == ix.search_wand(qs, 10)
+        if not (exact == ix.search_terms(qs, 10)
                 == ix.search_block_window(qs, 10)):
-            raise AssertionError(f"WAND rank divergence on {qs!r}")
+            raise AssertionError(f"scorer rank divergence on {qs!r}")
     rows = []
     for qid, qs in enumerate(WAND_BATTERY):
-        res = ix.search_wand(list(qs), 10)
+        res = ix.search_terms(list(qs), 10)
         if res != ix.search_exact(list(qs), 10):
-            raise AssertionError(f"WAND rank divergence on {qs!r}")
+            raise AssertionError(f"scorer rank divergence on {qs!r}")
         for rank, (doc, score) in enumerate(res):
             rows.append((qid, rank, doc, round(score, 6)))
     return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score"])
@@ -3139,7 +3140,7 @@ ORACLES.update({"quantiles_by_source": SQL_QUANTILES_BY_SOURCE})
 # ---------------------------------------------------------------------
 
 
-def q_crawl_diff(sf_dir: str, hash: str = "md5") -> pd.DataFrame:
+def q_crawl_diff(sf_dir: str) -> pd.DataFrame:
     """Two deterministic snapshot views of the documents table (old =
     doc_id%3≠0, new = doc_id%5≠0 with every %7==0 text edited) diffed
     into new/deleted/changed/same per url key (ops/crawl.py:
@@ -3166,7 +3167,7 @@ def q_crawl_diff(sf_dir: str, hash: str = "md5") -> pd.DataFrame:
                                 "text", pa.array(out, pa.string()))
 
     new = docs.map_batches(edit, batch_format="pyarrow")
-    df = snapshot_diff(old, new, hash=hash).to_pandas()
+    df = snapshot_diff(old, new).to_pandas()
     df["doc_id"] = df["doc_id"].astype("int64")
     return df.sort_values("doc_id").reset_index(drop=True)
 
@@ -4016,9 +4017,9 @@ ORACLES.update({"more_like_this": SQL_MLT})
 def q_search_page2(sf_dir: str) -> pd.DataFrame:
     """Lucene searchAfter deep paging: page 2 (hits 11-20) of the
     standard BM25 query, fetched with the page-1 tail as the cursor
-    (index/engine.py:search_after — the serving path threads the
-    cursor score into the WAND threshold, so deeper pages prune MORE;
-    oracle = the same ordered list with LIMIT/OFFSET)."""
+    (index/engine.py:search_after — filters the full exact ranking
+    to the hits after the cursor; oracle = the same ordered list with
+    LIMIT/OFFSET)."""
     from ..ops.textstats import round_half_away
 
     ix = _index(sf_dir)
@@ -4379,7 +4380,7 @@ x AS (SELECT doc_id, url,
       FROM urls)
 SELECT doc_id, url FROM x
 WHERE NOT EXISTS (SELECT 1 FROM rules r
-                  WHERE r.domain = x.dom
+                  WHERE r.domain = x.dom AND r.pfx <> ''
                     AND starts_with(x.path, r.pfx))
 ORDER BY doc_id
 """

@@ -183,7 +183,7 @@ def _empty_postings_table() -> pa.Table:
 # The cache key includes the doc_stats publish mtime: rebuilding into
 # the same out_dir within one Ray session republishes doc_stats at the
 # same path, and reused worker processes must not serve the previous
-# build's norm slices (stale block_max would under-bound WAND skips).
+# build's norm slices (stale block_max would under-bound block-max skips).
 _NORM_CACHE: dict = {}
 _NORM_CACHE_MAX = 64
 

@@ -159,8 +159,8 @@ def run_bench() -> dict:
         ix.search_terms(qs, 10)  # serving path (auto strategy)
         lat.append(time.perf_counter() - t0)
         t0 = time.perf_counter()
-        # the memory-bounded scale path (block-max windowed; cursor
-        # WAND identity is covered by tests)
+        # the memory-bounded scale path: block-max windowed for
+        # several terms, the single-term posting scan for one
         ix.search_block_window(qs, 10) if len(set(qs)) > 1 else ix.search_wand(qs, 10)
         lat_wand.append(time.perf_counter() - t0)
     lat.sort()
@@ -222,32 +222,6 @@ def run_bench() -> dict:
         t0 = time.time()
         q.QUERIES[name](SF_DIR)
         pipeline_secs[name] = round(time.time() - t0, 3)
-
-    # production-hash variant (hash="fnv" routing key — identical
-    # pairs by unit test; the delta vs tfidf_pairs is the md5
-    # oracle-parity tax)
-    import pyarrow.parquet as _pq
-
-    from alix_ray.ops.similarity import tfidf_cosine_pairs
-    from alix_ray.pipelines.queries import (
-        TFIDF_DF_CAP,
-        TFIDF_PAIR_THRESHOLD,
-        _docs_text,
-    )
-    n_sf_docs = _pq.read_metadata(
-        os.path.join(SF_DIR, "documents.parquet")).num_rows
-    t0 = time.time()
-    tfidf_cosine_pairs(_docs_text(SF_DIR),
-                       threshold=TFIDF_PAIR_THRESHOLD,
-                       df_cap=max(TFIDF_DF_CAP, n_sf_docs // 5),
-                       hash="fnv").to_pandas()
-    pipeline_secs["tfidf_pairs_fnv"] = round(time.time() - t0, 3)
-
-    # the crawl-diff production hash path (md5 battery entry above is
-    # the oracle-parity default; this is the vectorized fnv variant)
-    t0 = time.time()
-    q.q_crawl_diff(SF_DIR, hash="fnv")
-    pipeline_secs["crawl_diff_fnv"] = round(time.time() - t0, 3)
 
     # incremental update path: a 10% delta generation onto the built
     # index (cost must scale with the DELTA, not the corpus), then a

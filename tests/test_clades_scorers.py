@@ -67,7 +67,7 @@ class TestDocScorers:
 
     def test_bm25_default_unchanged(self, index):
         r1 = index.search_exact(["cat", "dog"], 5)
-        r2 = index.search_wand(["cat", "dog"], 5)
+        r2 = index.search_terms(["cat", "dog"], 5)
         assert r1 == r2
 
 

@@ -218,33 +218,46 @@ class TestReviewRegressions:
                                         "new"]})
         pd.testing.assert_frame_equal(got, want)
 
-    def test_fnv_path_identical_outputs(self, ray_session):
-        """hash="fnv" (vectorized production path) must produce the
-        exact same status/count tables as the md5 oracle-parity
-        default — only hash EQUALITY matters downstream."""
+    def test_batch_composition_identical_outputs(self, ray_session):
+        """snapshot_diff and domain_stats give the same tables whether
+        the rows arrive as one block or as five: a row's hash must not
+        depend on its batch-mates.  Texts and urls mix lengths below
+        and above 256 bytes."""
         from alix_ray.ops.crawl import domain_stats, snapshot_diff
 
-        old = _ds({"url": [f"u{i}" for i in range(40)],
-                   "text": [f"t{i}" for i in range(40)]})
-        new = _ds({"url": [f"u{i}" for i in range(5, 45)],
-                   "text": [f"t{i}" if i % 4 else f"X{i}"
-                            for i in range(5, 45)]})
+        def text(i, tag):
+            return f"{tag}{i}" * (1 if i % 3 else 60)  # 300+ B every 3rd
+
+        old_rows = {"url": [f"u{i}" for i in range(40)],
+                    "text": [text(i, "t") for i in range(40)]}
+        new_rows = {"url": [f"u{i}" for i in range(5, 45)],
+                    "text": [text(i, "t") if i % 4 else text(i, "X")
+                             for i in range(5, 45)]}
         key = lambda d: d.sort_values(  # noqa: E731
             list(d.columns)).reset_index(drop=True)
-        a = snapshot_diff(old, new, key_col="url").to_pandas()
-        b = snapshot_diff(old, new, key_col="url",
-                          hash="fnv").to_pandas()
-        pd.testing.assert_frame_equal(key(a), key(b))
 
+        def diff(parts):
+            return key(snapshot_diff(
+                _ds(old_rows).repartition(parts),
+                _ds(new_rows).repartition(parts),
+                key_col="url").to_pandas())
+
+        a, b = diff(1), diff(5)
+        pd.testing.assert_frame_equal(a, b)
+        assert set(a["status"]) == {"new", "deleted", "changed", "same"}
+
+        long_path = "/p" + "x" * 300
         urls = (["https://a.org/x", "https://a.org/x?utm_s=1",
-                 "https://a.org/y"] + ["https://b.org/1"] * 2)
-        ds = _ds({"url": urls, "n_chars": [10, 20, 30, 5, 5]})
-        c = domain_stats(ds.repartition(3)).to_pandas()
-        d = domain_stats(ds.repartition(3), hash="fnv").to_pandas()
-        pd.testing.assert_frame_equal(key(c), key(d))
-
-        with pytest.raises(ValueError):
-            snapshot_diff(old, new, key_col="url", hash="sha1")
+                 "https://a.org/y", "https://a.org" + long_path,
+                 "https://a.org" + long_path + "/"]
+                + ["https://b.org/1"] * 2
+                + [f"https://c.org/{i}" for i in range(8)])
+        ds = _ds({"url": urls, "n_chars": list(range(len(urls)))})
+        c = key(domain_stats(ds.repartition(1)).to_pandas())
+        d = key(domain_stats(ds.repartition(5)).to_pandas())
+        pd.testing.assert_frame_equal(c, d)
+        assert c.set_index("domain")["n_urls"].to_dict() == {
+            "a.org": 3, "b.org": 1, "c.org": 8}
 
     def test_domain_stats_malformed_url_consistent(self, ray_session):
         """A row whose domain can't extract groups under '' with its
@@ -505,6 +518,65 @@ class TestConnectedComponentsPartitioned:
 
 
 class TestTriangleCounts:
+    def test_hub_wedges_bounded_memory(self):
+        """A degree-3,000 hub has ~4.5M wedges.  Under a small pool cap
+        the per-batch kernel probes them in slices — the hub's rows
+        split across flushes — with bit-equal counts and a memory peak
+        far below pooling every wedge at once (>100 MB)."""
+        import tracemalloc
+
+        from alix_ray.ops.crawl import _edge_key_csr, _triangle_batch
+
+        n = 3001
+        star = [(0, v) for v in range(1, n)]
+        clique = [(u, v) for u in range(1, 41) for v in range(u + 1, 41)]
+        e = np.array(star + clique, np.int64)
+        keys = np.unique(e[:, 0] * n + e[:, 1])
+        indptr, tails = _edge_key_csr(keys, n)
+        nodes = np.arange(n, dtype=np.int64)
+
+        tracemalloc.start()
+        try:
+            tri, deg = _triangle_batch(nodes, keys, indptr, tails, n,
+                                       cap=100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # hub: C(40,2) clique edges close; clique node: C(39,2) + 39
+        want = np.zeros(n, np.int64)
+        want[:41] = 780
+        assert np.array_equal(tri, want)
+        assert deg[0] == 3000 and (deg[1:41] == 40).all()
+        assert peak < 20 << 20, peak
+        tri2, _ = _triangle_batch(nodes, keys, indptr, tails, n, cap=2999)
+        assert np.array_equal(tri2, want)
+
+    def test_batch_kernel_matches_triu_reference(self):
+        """Any pool cap gives the counts of closing every
+        ``np.triu_indices`` wedge of each apex at once."""
+        from alix_ray.ops.crawl import _edge_key_csr, _triangle_batch
+
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            n = int(rng.integers(2, 60))
+            s, d = rng.integers(0, n, (2, int(rng.integers(0, 300))))
+            keep = s != d
+            keys = np.unique(np.minimum(s, d)[keep] * n
+                             + np.maximum(s, d)[keep])
+            indptr, tails = _edge_key_csr(keys, n)
+            lo = int(rng.integers(0, n))
+            nodes = np.arange(lo, n, dtype=np.int64)
+            want = np.zeros(len(nodes), np.int64)
+            for x, v in enumerate(nodes):
+                nb = tails[indptr[v]:indptr[v + 1]]
+                i, j = np.triu_indices(len(nb), k=1)
+                want[x] = np.isin(nb[i] * n + nb[j], keys).sum()
+            for cap in (1, 5, 64, 10_000_000):
+                tri, deg = _triangle_batch(nodes, keys, indptr, tails, n,
+                                           cap=cap)
+                assert np.array_equal(tri, want), cap
+                assert np.array_equal(deg, np.diff(indptr)[lo:])
+
     def test_known_graphs(self, ray_session):
         from alix_ray.ops.crawl import triangle_counts
 
@@ -618,6 +690,22 @@ class TestRobotsFilter:
                   "url": ["http://a.com/s?q=x", "http://a.com/s"]})
         got = robots_filter(ds, {"a.com": ["/s?q"]}).to_pandas()
         assert sorted(got["doc_id"]) == [1]
+
+    def test_empty_prefix_allows(self, ray_session):
+        """An empty Disallow means allow (RFC 9309): it blocks nothing
+        and does not change what the other prefixes block."""
+        from alix_ray.ops.crawl import robots_filter
+
+        urls = ["http://a.com/p/1", "http://a.com/p/2", "http://a.com/",
+                "http://b.org/p/1"]
+        ds = _ds({"doc_id": list(range(len(urls))), "url": urls})
+
+        def kept(rules):
+            return sorted(robots_filter(ds, rules).to_pandas()["doc_id"])
+
+        assert kept({"a.com": [""]}) == [0, 1, 2, 3]
+        assert kept({"a.com": ["", "/p/1"]}) == kept({"a.com": ["/p/1"]}) \
+            == [1, 2, 3]
 
 
 class TestCoreness:

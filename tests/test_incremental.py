@@ -96,7 +96,7 @@ def test_two_generations_match_oneshot(incr):
     for q in queries_for(ref):
         want = by_url(ref, ref.search_exact(q, 10))
         assert by_url(ix, ix.search_exact(q, 10)) == want
-        assert by_url(ix, ix.search_wand(q, 10)) == want
+        assert by_url(ix, ix.search_terms(q, 10)) == want
         assert by_url(ix, ix.search_block_window(q, 10, window=64)) == want
 
 
@@ -119,16 +119,16 @@ def test_delete_masks_all_paths(incr, tmp_path_factory):
     assert ix2.n_live == ix.n_live - 3
     gone = {d for d, _ in top}
     for q in queries_for(ix) + [qhead]:
-        for res in (ix2.search_exact(q, 10), ix2.search_wand(q, 10),
+        for res in (ix2.search_exact(q, 10), ix2.search_terms(q, 10),
                     ix2.search_block_window(q, 10, window=64)):
             assert not gone & {d for d, _ in res}
     # df/cf stay stale until compact (Lucene semantics)
     t0 = qhead[0]
     assert ix2.df[t0] == ix.df[t0]
-    # exact/wand/window still rank-identical with tombstones present
+    # exact/serving/window still rank-identical with tombstones present
     for q in queries_for(ix):
         want = ix2.search_exact(q, 10)
-        assert ix2.search_wand(q, 10) == want
+        assert ix2.search_terms(q, 10) == want
         assert ix2.search_block_window(q, 10, window=64) == want
 
 
@@ -168,7 +168,7 @@ def test_compact_equals_oneshot_live(incr, tmp_path_factory):
     for q in queries_for(rx):
         assert by_url(ix, ix.search_exact(q, 10)) == \
             by_url(rx, rx.search_exact(q, 10))
-        assert ix.search_wand(q, 10) == ix.search_exact(q, 10)
+        assert ix.search_terms(q, 10) == ix.search_exact(q, 10)
 
 
 def test_update_replaces_old_url(ray_session, tmp_path_factory):
@@ -300,7 +300,7 @@ def test_block_max_rescale_is_safe(ray_session, tmp_path_factory):
     for q in (["alpha"], ["beta"], ["alpha", "beta"],
               ["alpha", "filler3"]):
         want = ix.search_exact(q, 10)
-        assert ix.search_wand(q, 10) == want
+        assert ix.search_terms(q, 10) == want
         assert ix.search_block_window(q, 10, window=32) == want
 
 
@@ -346,7 +346,7 @@ def test_tiered_merge_subset(ray_session, tmp_path_factory):
     for q in queries_for(rx, n=5):
         got = ix.search_exact(q, 10)
         assert by_url(ix, got) == by_url(rx, rx.search_exact(q, 10))
-        assert ix.search_wand(q, 10) == got
+        assert ix.search_terms(q, 10) == got
         assert ix.search_block_window(q, 10, window=64) == got
 
     # policy step: cap at 2 generations → merges the smallest ones
@@ -357,7 +357,7 @@ def test_tiered_merge_subset(ray_session, tmp_path_factory):
     assert ix2.n_live == ix.n_live
     for q in queries_for(ix2, n=4):
         got = ix2.search_exact(q, 10)
-        assert ix2.search_wand(q, 10) == got
+        assert ix2.search_terms(q, 10) == got
         assert url_in not in {ix2.document(d)["url"] for d, _ in got}
         assert url_out not in {ix2.document(d)["url"] for d, _ in got}
 
@@ -388,7 +388,7 @@ def test_mass_delete_keeps_idf_nonnegative(ray_session, tmp_path_factory):
     for q in (["alpha"], ["alpha", "common"], ["alpha", "w1"]):
         want = ix.search_exact(q, 10)
         assert all(d >= 16 for d, _ in want)
-        assert ix.search_wand(q, 10) == want
+        assert ix.search_terms(q, 10) == want
         assert ix.search_block_window(q, 10, window=8) == want
 
 

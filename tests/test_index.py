@@ -144,6 +144,9 @@ def _shard_of(ix, term, doc):
 
 
 def test_wand_rank_identical(built_index):
+    """The serving path (search_terms: single-term scan or block
+    window) and the block-window scorer rank exactly like the exact
+    oracle for 1- to 4-term queries."""
     out, _, _ = built_index
     from alix_ray.index.engine import BM25Index
 
@@ -153,7 +156,9 @@ def test_wand_rank_identical(built_index):
     for _ in range(300):
         qs = [terms[i] for i in rng.choice(len(terms), rng.integers(1, 5))]
         k = int(rng.choice([3, 10, 50]))
-        assert ix.search_exact(qs, k) == ix.search_wand(qs, k)
+        want = ix.search_exact(qs, k)
+        assert ix.search_terms(qs, k) == want
+        assert ix.search_block_window(qs, k) == want
 
 
 def test_resume_skips_done_stages(built_index, ray_session):

@@ -237,51 +237,6 @@ def test_tfidf_stop_term_never_reaches_a_group(ray_session):
                            _prefilter=False).to_pandas()
 
 
-def test_tfidf_fnv_hash_identical_pairs(ray_session):
-    """hash= is a routing key only: md5 (oracle default) and fnv
-    (vectorized production) must return identical pairs."""
-    import ray.data
-
-    from alix_ray.ops.similarity import tfidf_cosine_pairs
-
-    docs = [{"doc_id": i,
-             "text": f"alpha beta w{i % 5} w{i % 7} w{i}"}
-            for i in range(40)]
-    ds = ray.data.from_items(docs).repartition(3)
-
-    def run(h):
-        return (tfidf_cosine_pairs(ds, threshold=0.1, df_cap=30, hash=h)
-                .to_pandas().sort_values(["doc_a", "doc_b"])
-                .reset_index(drop=True))
-
-    a, b = run("md5"), run("fnv")
-    pd.testing.assert_frame_equal(a, b)
-    assert len(a) > 0
-
-
-def test_fingerprint_fnv_winnowing(ray_session):
-    """The fnv production path winnows the vectorized shingle hashes —
-    values differ from md5 (documented) but the winnow semantics are
-    the same: selection equals a local replay of window-min over
-    _shingles_from, and both paths agree on row counts per doc when
-    every gram hash is distinct."""
-    import ray.data
-
-    from alix_ray.ops.dedup import _shingles_from, _token_hashes
-    from alix_ray.ops.textstats import fingerprint
-
-    text = "the quick brown fox jumps over the lazy dog again and again"
-    ds = ray.data.from_items([{"doc_id": 7, "text": text}])
-    got = fingerprint(ds, window=3, k=2, hash="fnv").to_pandas()
-    toks = text.lower().split()
-    sh = _shingles_from(_token_hashes(toks), 2)
-    view = np.lib.stride_tricks.sliding_window_view(sh, 3)
-    want = sorted(f"{int(v):016x}" for v in np.unique(view.min(axis=1)))
-    assert sorted(got["fp"]) == want
-    with pytest.raises(ValueError, match="hash"):
-        fingerprint(ds, hash="sha9000")
-
-
 def test_kmeans_assign_tiled_bit_identical_under_memory_bound(monkeypatch):
     """r3-verdict directive 2: k=1024, dim=256, batch=2048 with the
     distance intermediate capped at 64 MB (tile = 16 centroids →

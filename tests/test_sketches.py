@@ -40,10 +40,6 @@ def test_estimate_accuracy_and_merge_invariance(ray_session):
     est2 = hll_distinct(ds.repartition(7), "k", "g").to_pandas() \
         .set_index("group")
     pd.testing.assert_frame_equal(est, est2)
-    # fnv path: registers differ but accuracy bound still holds
-    est3 = hll_distinct(ds, "k", "g", hash="fnv").to_pandas() \
-        .set_index("group")
-    assert abs(est3.loc["A", "est"] - 400) < 400 * 0.13
 
 
 def test_cms_superset_and_merge_invariance(ray_session):
