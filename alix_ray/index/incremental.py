@@ -61,7 +61,8 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
-from ..stages.build import IndexBuilder, _fingerprint
+from ..stages import smallbuild
+from ..stages.build import IndexBuilder
 from ..stages.store import resolve_stage
 from .engine import _load_tombstones, _walk_parquet
 
@@ -286,8 +287,7 @@ class IndexWriter:
                       input_kind: str = "pages",
                       update: bool = False,
                       fingerprint_extra: str = "",
-                      meta: dict | None = None,
-                      fast: bool | None = None) -> str:
+                      meta: dict | None = None) -> str:
         """Index ``ds`` as a new generation.
 
         pages-kind inputs get doc ids assigned at ``max_doc_id + 1``
@@ -308,12 +308,11 @@ class IndexWriter:
         an ingestion ledger can never desynchronize from the index);
         merges concatenate list values across source generations.
 
-        ``fast`` selects the build engine: ``None`` (default)
-        auto-routes small pages-kind deltas through the single-pass
-        flush builder (``stages/smallbuild.py`` — same artifacts, ~2×
-        faster under ``SMALL_BUILD_MAX_ROWS``) and everything else
-        through the staged checkpointed builder; ``True`` forces the
-        flush path regardless of size, ``False`` forces staged."""
+        A pages-kind input of at most ``SMALL_BUILD_MAX_ROWS`` rows is
+        built by the single-pass flush builder
+        (``stages/smallbuild.py``); a larger one, or a documents-kind
+        input, by the staged checkpointed builder.  Both write the
+        same artifacts under the same fingerprints."""
         state = self._state()
         gens = state["generations"]
         name = f"gen-{state['next']:05d}"
@@ -323,41 +322,25 @@ class IndexWriter:
         new_meta = dict(state["meta"])
         if meta is not None:
             new_meta[name] = meta
-        def _run_build(b) -> None:
-            built, src = False, ds
-            if fast is not False and input_kind == "pages":
-                from ..stages.smallbuild import try_build_small
-
-                # src may come back materialized (a transformed input
-                # is executed ONCE for the row gate; the staged
-                # fallback then consumes the blocks, not the pipeline)
-                built, src = try_build_small(b, ds, fp,
-                                             force=(fast is True))
-            if not built:
-                b.build(src, input_kind=input_kind, fingerprint=fp)
-
-        if not gens:
+        if gens:
+            cfgs = self._gen_cfgs(gens)
+            id_base = max(c["max_doc_id"] for c in cfgs) + 1
+            b = self._builder(gdir, id_base=id_base, like=cfgs[0])
+            b.keep_positions = self._keep_positions(gens[0])
+        else:
             b = self._builder(gdir)
-            _run_build(b)
-            self._write_state({"generations": [name],
-                               "tombstones": state["tombstones"],
-                               "next": state["next"] + 1,
-                               "meta": new_meta})
-            return name
-        cfgs = self._gen_cfgs(gens)
-        id_base = max(c["max_doc_id"] for c in cfgs) + 1
-        b = self._builder(gdir, id_base=id_base, like=cfgs[0])
-        b.keep_positions = self._keep_positions(gens[0])
-        _run_build(b)
-        if input_kind == "documents":
+        if not (input_kind == "pages"
+                and smallbuild.try_build_small(b, ds, fp)):
+            b.build(ds, input_kind=input_kind, fingerprint=fp)
+        tombs = list(state["tombstones"])
+        if gens and input_kind == "documents":
             lo = _min_doc_id(resolve_stage(gdir, "docs"))
             if lo is not None and lo < id_base:
                 raise ValueError(
                     f"documents-kind delta carries doc_id {lo} below the "
                     f"existing id range (needs ≥ {id_base}) — ids across "
                     "generations must never interleave")
-        tombs = list(state["tombstones"])
-        if update:
+        if gens and update:
             if input_kind != "pages":
                 raise ValueError("update=True needs url-keyed (pages) input")
             with open(os.path.join(gdir, "config.json")) as f:
@@ -607,13 +590,11 @@ class IndexWriter:
         # live count is exact: every tombstone targets one live doc in
         # these generations (validated at delete/update time).
         live = sum(c["n_docs"] for c in cfgs) - int(len(deleted))
-        from ..stages.smallbuild import SMALL_COMPACT_MAX_ROWS, \
-            try_compact_small
-
-        if live <= SMALL_COMPACT_MAX_ROWS:
-            if try_compact_small(b, _parquet_files(docs_dirs),
-                                 _parquet_files(an_dirs), deleted, fp):
-                return name
+        if live <= smallbuild.SMALL_COMPACT_MAX_ROWS and \
+                smallbuild.try_compact_small(
+                    b, _parquet_files(docs_dirs), _parquet_files(an_dirs),
+                    deleted, fp):
+            return name
         del_ref = ray.put(deleted)
         drop = _drop_deleted_fn(del_ref)
         docs = ray.data.read_parquet(_parquet_files(docs_dirs)).map_batches(
@@ -622,16 +603,7 @@ class IndexWriter:
         analyzed = ray.data.read_parquet(_parquet_files(an_dirs)).map_batches(
             drop, batch_format="pyarrow")
         b.seed_analyzed(analyzed, fp)
-        # downstream chain — fingerprints exactly as IndexBuilder.build
-        fp_docs = _fingerprint("docs", fp)
-        fp_analyzed = _fingerprint(
-            "analyzed", fp_docs, b.analyzer, b.keep_positions)
-        b.build_doc_stats(fp_analyzed)
-        fp_stats = _fingerprint("doc_stats", fp_analyzed, b.shard_range)
-        b.build_postings(fp_stats)
-        fp_postings = _fingerprint(
-            "postings", fp_stats, b.shard_range, b.num_buckets)
-        b.build_term_stats(fp_postings)
+        b.build_from_analyzed(fp)
         return name
 
     def _check_ids_in_range(self, ids: np.ndarray, gens) -> None:

@@ -56,7 +56,12 @@ def _patch_ray_http_fs_check() -> None:
     datasets concurrently (the overlapped analyze groups) race the
     retried import and one sees a partially-initialized module — a
     plain ImportError that escapes Ray's guard.  Treat ANY ImportError
-    as "not an HTTP filesystem" (it never is, locally)."""
+    as "not an HTTP filesystem" (it never is, locally).
+
+    Still needed on Ray 2.49.2: ``_is_http_filesystem``
+    (``ray/data/datasource/path_util.py``) still catches only
+    ``ModuleNotFoundError`` around the import, and aiohttp is not a
+    Ray Data dependency."""
     try:
         import ray.data.datasource.path_util as _pu
     except Exception:  # pragma: no cover - future Ray layout change
@@ -196,6 +201,22 @@ def _write_stage(ds: ray.data.Dataset, store, stage: str,
     manifest.record_partitions(stage, final, fingerprint, int((time.time() - t0) * 1000))
 
 
+def write_stats_shards(t: pa.Table, root: str, name: str,
+                       shard_range: int) -> None:
+    """Write the (doc_id, width, tokens) projection of ``t`` as
+    ``root/shard=S/<name>.parquet``, hive-partitioned by shard =
+    doc_id // shard_range — the key the postings merge groups by, so
+    merge tasks partition-prune their norm slice."""
+    stats = t.select(["doc_id", "width", "tokens"])
+    shards = (stats["doc_id"].to_numpy(zero_copy_only=False)
+              // shard_range).astype(np.int32)
+    for s in np.unique(shards):
+        sdir = os.path.join(root, f"shard={int(s)}")
+        os.makedirs(sdir, exist_ok=True)
+        pq.write_table(stats.filter(pa.array(shards == s)),
+                       os.path.join(sdir, f"{name}.parquet"))
+
+
 class IndexBuilder:
     """Builds the full index under ``out_dir``; resumable per stage."""
 
@@ -254,6 +275,31 @@ class IndexBuilder:
     # sort-based path — both produce IDENTICAL ids (rank in url order).
     BROADCAST_DICT_MAX_ROWS = 20_000_000
 
+    # -- fingerprints --------------------------------------------------
+    def stage_fp(self, stage: str, upstream: str) -> str:
+        """Fingerprint of ``stage`` given its upstream stage's
+        fingerprint (for ``docs``: the build's input fingerprint).
+        Fingerprints CHAIN, so changing any upstream parameter re-runs
+        every downstream stage instead of silently mixing artifacts
+        from different configurations."""
+        params = {
+            # id_base folds in only when nonzero so existing
+            # base-index manifests stay resumable unchanged
+            "docs": (self.id_base,) if self.id_base else (),
+            "analyzed": (self.analyzer, self.keep_positions),
+            "doc_stats": (self.shard_range,),
+            "postings": (self.shard_range, self.num_buckets),
+            "term_stats": (),
+        }[stage]
+        return _fingerprint(stage, upstream, *params)
+
+    def fingerprints(self, fingerprint: str) -> dict[str, str]:
+        """The whole five-stage chain for input ``fingerprint``."""
+        fps, up = {}, fingerprint
+        for stage in STAGES:
+            up = fps[stage] = self.stage_fp(stage, up)
+        return fps
+
     # -- stage 1: docs -------------------------------------------------
     def build_docs_from_pages(self, pages: ray.data.Dataset, fingerprint: str):
         """pages(url,warc_ts,html,text,lang) → docs with dense doc_id.
@@ -263,10 +309,7 @@ class IndexBuilder:
         ``BROADCAST_DICT_MAX_ROWS``, the distributed sort-based
         assignment beyond it (``docids.dedup_assign_ids`` — the
         10^12-doc path; ids identical by construction)."""
-        # id_base folds into the fp only when nonzero so existing
-        # base-index manifests stay resumable unchanged
-        fp = (_fingerprint("docs", fingerprint, self.id_base)
-              if self.id_base else _fingerprint("docs", fingerprint))
+        fp = self.stage_fp("docs", fingerprint)
         if self.manifest.stage_done("docs", fp):
             return
         t0 = time.time()
@@ -323,8 +366,7 @@ class IndexBuilder:
 
     def build_docs_from_documents(self, docs: ray.data.Dataset, fingerprint: str):
         """documents(doc_id,text,…) → docs stage (ids already dense)."""
-        fp = (_fingerprint("docs", fingerprint, self.id_base)
-              if self.id_base else _fingerprint("docs", fingerprint))
+        fp = self.stage_fp("docs", fingerprint)
         if self.manifest.stage_done("docs", fp):
             return
         _write_stage(docs, self.store, "docs", self.manifest, fp,
@@ -366,7 +408,7 @@ class IndexBuilder:
         adapts to input size: one actor-pool spin-up per ~512 MB of
         input, so checkpoint granularity never dominates wall time at
         small scale."""
-        fp = _fingerprint("analyzed", fingerprint, self.analyzer, self.keep_positions)
+        fp = self.stage_fp("analyzed", fingerprint)
         if self.manifest.stage_done("analyzed", fp):
             return
         t_stage = time.time()
@@ -471,10 +513,7 @@ class IndexBuilder:
         source).  Written as one committed group with its doc_stats
         projection part, exactly the layout ``build_analyzed`` leaves,
         so every downstream stage runs unchanged."""
-        fp_docs = (_fingerprint("docs", fingerprint, self.id_base)
-                   if self.id_base else _fingerprint("docs", fingerprint))
-        fp = _fingerprint("analyzed", fp_docs, self.analyzer,
-                          self.keep_positions)
+        fp = self.fingerprints(fingerprint)["analyzed"]
         if self.manifest.stage_done("analyzed", fp):
             return
         t0 = time.time()
@@ -504,21 +543,14 @@ class IndexBuilder:
         per-group dir — the doc_stats stage assembles these instead of
         re-scanning `analyzed`."""
         t = pq.read_table(gdir, columns=["doc_id", "width", "tokens"])
-        shards = (
-            t["doc_id"].to_numpy(zero_copy_only=False) // self.shard_range
-        ).astype(np.int32)
         pdir = self._stats_parts_dir()
         os.makedirs(pdir, exist_ok=True)
         gtmp = self.store.part_begin(pdir, gkey)  # empty group → empty part
-        for s in np.unique(shards):
-            sub = t.filter(pa.array(shards == s))
-            sdir = os.path.join(gtmp, f"shard={int(s)}")
-            os.makedirs(sdir, exist_ok=True)
-            pq.write_table(sub, os.path.join(sdir, f"{gkey}.parquet"))
+        write_stats_shards(t, gtmp, gkey, self.shard_range)
         self.store.part_commit(pdir, gkey)
 
     def build_doc_stats(self, fingerprint: str):
-        fp = _fingerprint("doc_stats", fingerprint, self.shard_range)
+        fp = self.stage_fp("doc_stats", fingerprint)
         if self.manifest.stage_done("doc_stats", fp):
             return
         t0 = time.time()
@@ -562,19 +594,24 @@ class IndexBuilder:
             if d.startswith("doc_stats.parts."):
                 shutil.rmtree(os.path.join(self.out_dir, d),
                               ignore_errors=True)
-        self.manifest.append(
-            stage="doc_stats", fingerprint=fp, status="done",
-            wall_ms=int((time.time() - t0) * 1000),
-        )
+        self.write_config(final, fp, int((time.time() - t0) * 1000))
+
+    def write_config(self, stats_dir: str, fp_stats: str,
+                     stats_wall_ms: int) -> dict:
+        """Global sums (N, Σtokens, max doc_id) over the committed
+        doc_stats files → ``config.json``, then the ``config`` and
+        ``doc_stats`` done rows.  doc_stats is journaled done only
+        AFTER its config exists: a rerun skips a done doc_stats, and
+        every later stage reads the config.  Returns the config."""
         t0 = time.time()  # config wall measures ONLY the aggregate
-        # global sums (N, Σtokens, max doc_id).  Auto-select (the
-        # docids precedent): below the size cap a thread pool of
-        # column-pruned driver reads over the artifact files avoids a
-        # whole Ray pipeline launch (~0.5 s fixed cost); beyond it the
-        # per-batch-partials pass keeps everything distributed.
+        # Auto-select (the docids precedent): below the size cap a
+        # thread pool of column-pruned driver reads over the artifact
+        # files avoids a whole Ray pipeline launch (~0.5 s fixed
+        # cost); beyond it the per-batch-partials pass keeps
+        # everything distributed.
         stat_files = [
             os.path.join(r, n)
-            for r, _d, ns in os.walk(final)
+            for r, _d, ns in os.walk(stats_dir)
             for n in ns if n.endswith(".parquet")
         ]
         total_bytes = sum(os.path.getsize(f) for f in stat_files)
@@ -607,7 +644,7 @@ class IndexBuilder:
                 })
 
             parts = ray.data.read_parquet(
-                final, columns=["doc_id", "tokens"]
+                stats_dir, columns=["doc_id", "tokens"]
             ).map_batches(_partial, batch_format="pyarrow").take_all()
             n_docs = int(sum(p["n"] for p in parts))
             total_tokens = int(sum(p["tok"] for p in parts))
@@ -629,13 +666,16 @@ class IndexBuilder:
         # atomic single-object PUT in both modes (readers never see a
         # torn config)
         self.store.put_json(os.path.join(self.out_dir, "config.json"), cfg)
-        self.manifest.append(stage="config", fingerprint=fp, status="done",
+        self.manifest.append(stage="config", fingerprint=fp_stats,
+                             status="done",
                              wall_ms=int((time.time() - t0) * 1000))
+        self.manifest.append(stage="doc_stats", fingerprint=fp_stats,
+                             status="done", wall_ms=stats_wall_ms)
+        return cfg
 
     # -- stage 4: postings --------------------------------------------
     def build_postings(self, fingerprint: str):
-        fp = _fingerprint("postings", fingerprint, self.shard_range,
-                          self.num_buckets)
+        fp = self.stage_fp("postings", fingerprint)
         if self.manifest.stage_done("postings", fp):
             return
         t0 = time.time()  # include dataset creation (file listing) in wall
@@ -670,7 +710,7 @@ class IndexBuilder:
     TERM_STATS_DRIVER_MAX_BYTES = 512 * 1024 * 1024
 
     def build_term_stats(self, fingerprint: str):
-        fp = _fingerprint("term_stats", fingerprint)
+        fp = self.stage_fp("term_stats", fingerprint)
         if self.manifest.stage_done("term_stats", fp):
             return
         t0 = time.time()
@@ -681,24 +721,9 @@ class IndexBuilder:
         ]
         total_bytes = sum(os.path.getsize(f) for f in post_files)
         if total_bytes <= self.TERM_STATS_DRIVER_MAX_BYTES:
-            t = pq.read_table(post_dir, columns=["term", "df", "cf"])
-            g = t.group_by("term").aggregate([("df", "sum"), ("cf", "sum")])
-            g = g.take(pa.compute.sort_indices(
-                g, sort_keys=[("term", "ascending")]))
-            out = pa.table({
-                "term": g["term"],
-                "df": pa.compute.cast(g["df_sum"], pa.int64()),
-                "cf": pa.compute.cast(g["cf_sum"], pa.int64()),
-                # dense lexicographic ids (TermLexicon.java:1-30); id 0
-                # is the absent-term sentinel, so ranks start at 1
-                "term_id": pa.array(
-                    np.arange(1, g.num_rows + 1, dtype=np.int32)),
-            })
-            tmp = self.store.stage_begin("term_stats", fp, clear=True)
-            pq.write_table(out, os.path.join(tmp, "part-0.parquet"))
-            final = self.store.stage_commit("term_stats", fp)
-            self.manifest.record_partitions(
-                "term_stats", final, fp, int((time.time() - t0) * 1000))
+            self.write_lexicon(
+                pq.read_table(post_dir, columns=["term", "df", "cf"]),
+                fp, t0)
             return
         posts = ray.data.read_parquet(post_files, columns=["term", "df", "cf"])
         stats = posts.groupby("term").aggregate(
@@ -715,10 +740,40 @@ class IndexBuilder:
         _write_stage(with_ids, self.store, "term_stats", self.manifest, fp,
                      t_start=t0)
 
+    def write_lexicon(self, rows: pa.Table, fp: str, t0: float) -> None:
+        """Driver-side term_stats: per-term sums of the (term, df, cf)
+        posting rows, terms ranked lexicographically, then published."""
+        g = rows.group_by("term").aggregate([("df", "sum"), ("cf", "sum")])
+        g = g.take(pa.compute.sort_indices(
+            g, sort_keys=[("term", "ascending")]))
+        out = pa.table({
+            "term": g["term"],
+            "df": pa.compute.cast(g["df_sum"], pa.int64()),
+            "cf": pa.compute.cast(g["cf_sum"], pa.int64()),
+            # dense lexicographic ids (TermLexicon.java:1-30); id 0
+            # is the absent-term sentinel, so ranks start at 1
+            "term_id": pa.array(
+                np.arange(1, g.num_rows + 1, dtype=np.int32)),
+        })
+        tmp = self.store.stage_begin("term_stats", fp, clear=True)
+        pq.write_table(out, os.path.join(tmp, "part-0.parquet"))
+        final = self.store.stage_commit("term_stats", fp)
+        self.manifest.record_partitions(
+            "term_stats", final, fp, int((time.time() - t0) * 1000))
+
     # -- orchestration -------------------------------------------------
     def config(self) -> dict:
         with open(os.path.join(self.out_dir, "config.json")) as f:
             return json.load(f)
+
+    def build_from_analyzed(self, fingerprint: str) -> None:
+        """doc_stats → postings → term_stats over the committed
+        analyzed stage of input ``fingerprint`` — the tail shared by
+        ``build`` and the incremental writer's rebuild."""
+        fps = self.fingerprints(fingerprint)
+        self.build_doc_stats(fps["analyzed"])
+        self.build_postings(fps["doc_stats"])
+        self.build_term_stats(fps["postings"])
 
     def build(self, input_ds: ray.data.Dataset, input_kind: str = "pages",
               fingerprint: str = "input") -> str:
@@ -726,28 +781,12 @@ class IndexBuilder:
             # an fsspec-backed store handles remote visibility itself;
             # the probe protocol below is for plain shared-FS paths
             verify_shared_fs(self.out_dir)
-        # fingerprints CHAIN: each stage's fp folds in its upstream
-        # stage's fp (which already folds in analyzer/keep_positions/
-        # shard params), so resuming into an out_dir after changing any
-        # upstream parameter re-runs every downstream stage instead of
-        # silently mixing artifacts from different configurations.
         if input_kind == "pages":
             self.build_docs_from_pages(input_ds, fingerprint)
         else:
             self.build_docs_from_documents(input_ds, fingerprint)
-        fp_docs = (_fingerprint("docs", fingerprint, self.id_base)
-                   if self.id_base else _fingerprint("docs", fingerprint))
-        self.build_analyzed(fp_docs)
-        fp_analyzed = _fingerprint(
-            "analyzed", fp_docs, self.analyzer, self.keep_positions
-        )
-        self.build_doc_stats(fp_analyzed)
-        fp_stats = _fingerprint("doc_stats", fp_analyzed, self.shard_range)
-        self.build_postings(fp_stats)
-        fp_postings = _fingerprint(
-            "postings", fp_stats, self.shard_range, self.num_buckets
-        )
-        self.build_term_stats(fp_postings)
+        self.build_analyzed(self.stage_fp("docs", fingerprint))
+        self.build_from_analyzed(fingerprint)
         if self.hunspell_resources is not None:
             # HunspellCompiler.compile analog: prune the supplied dic
             # to the indexed vocabulary, annotate fr: counts, write the

@@ -10,34 +10,39 @@ with in-memory flushes: a small ``addDocuments`` batch builds its
 segment in one pass without the merge machinery (reference:
 ``IndexWriter`` flush vs merge paths, SURVEY.md §1.3).
 
-This module is that flush path.  When the input is a PURE parquet read
-(the ingest case — crawl shards on storage), everything runs as ONE
-streaming Ray Data job: a raw Ray task builds the url→id dictionary
-from the input files concurrently with the pipeline's first tasks, and
-each pipeline task extracts, analyzes, dedups/stamps ids against the
-broadcast dictionary, writes its docs / analyzed / doc_stats artifact
-files directly, and emits only its ``SegmentEncode`` inverted segment
-(combine-before-anything: a few bytes per posting leave the task).
-For a transformed input (no file list → the dictionary cannot be
-computed without re-running the user's pipeline) the same per-block
-kernel runs as a second wave of raw tasks over the materialized fused
-output instead.  Either way a final task wave merges segments per
-(bucket, shard) — the exact group shape and kernel of the staged
-``groupby`` merge — and the driver assembles the tiny remaining
-artifacts (config.json, postings parquet, term_stats lexicon).
+This module is that flush path, one plan for every pages input:
+
+1. the row gate counts the input (parquet metadata for a plain read,
+   so nothing executes) — above ``SMALL_BUILD_MAX_ROWS`` the input
+   goes to the staged builder untouched;
+2. one Ray Data job extracts + analyzes every block and is
+   materialized (html is dropped by the extract, so only text and
+   analysis rows stay in the object store);
+3. a raw task wave reduces each block to its (url, min ts) partial and
+   the driver merges them into the url→id dictionary
+   (``docids.merge_url_ts_tables``, shared with the staged builder);
+4. a second wave dedups/stamps ids per block against the broadcast
+   dictionary, writes its docs / analyzed / doc_stats files, and
+   returns only its ``SegmentEncode`` inverted segment
+   (combine-before-anything: a few bytes per posting leave the task);
+5. a final wave merges segments per (bucket, shard) — the exact group
+   shape and kernel of the staged ``groupby`` merge — and the driver
+   writes config.json and the term_stats lexicon through the staged
+   builder's own writers.
 
 Raw tasks replace Dataset jobs ONLY because every inter-stage payload
 here is driver-sized by the eligibility gate (``SMALL_BUILD_MAX_ROWS``);
 the staged path remains the scale path and is byte-compatible: every
 artifact is published through the same ``ArtifactStore`` stage
-begin/commit protocol under the SAME chained fingerprints, so resume
-(``stage_done``), compaction (``_rebuild_from``) and serving read the
-two paths interchangeably.  Artifact CONTENT is identical by
-construction — same id assignment (url rank + id_base), same analyze
-kernels, same segment/merge kernels (asserted by
+begin/commit protocol under the SAME chained fingerprints
+(``IndexBuilder.fingerprints``), so resume (``stage_done``),
+compaction (``_rebuild_from``) and serving read the two paths
+interchangeably.  Artifact CONTENT is identical by construction — same
+id assignment (url rank + id_base), same analyze kernels, same
+segment/merge kernels (asserted by
 ``tests/test_incremental.py::test_small_path_matches_staged``).
 
-Crash semantics: the fast path has no intra-stage checkpoints — a
+Crash semantics: the flush path has no intra-stage checkpoints — a
 crashed small build simply re-runs (it is seconds of work); any stage
 already committed under the expected fingerprint (a retried crash of
 the STAGED path) routes the whole build back to the staged builder,
@@ -46,7 +51,6 @@ whose per-stage resume then fires.
 
 from __future__ import annotations
 
-import functools
 import os
 import time
 
@@ -57,8 +61,14 @@ import pyarrow.parquet as pq
 import ray
 
 from .analyze import analyze_batch_fn, extract_batch
-from .docids import stamp_ids_batch
-from .postings import SegmentEncode, _empty_segment_table, make_merge_fn
+from .build import _fingerprint, verify_shared_fs, write_stats_shards
+from .docids import merge_url_ts_tables, stamp_ids_batch
+from .postings import (
+    SegmentEncode,
+    _empty_postings_table,
+    _empty_segment_table,
+    make_merge_fn,
+)
 
 # Above this input row count the delta is no longer "small": segment /
 # stats payloads stop being driver-sized and the staged distributed
@@ -77,130 +87,14 @@ _ANALYZED_COLS = ("terms", "tfs", "width", "tokens", "pos_terms",
 
 
 # ---------------------------------------------------------------------
-# url dictionary (doc id = rank in the url sort, the docids contract)
+# extract + analyze job, url dictionary partials
 # ---------------------------------------------------------------------
-
-
-@ray.remote
-def _dict_from_files(files: list[str]):
-    """(sorted urls, min ts) from the input shards' (url, warc_ts)
-    columns — an arrow-native multi-threaded columnar read, launched
-    BEFORE the build pipeline so the dictionary is ready by the time
-    the first pipeline task needs it.  Merge semantics live in
-    ``docids.merge_url_ts_tables`` (shared with the staged builder)."""
-    import pyarrow.dataset as pds
-
-    from .docids import merge_url_ts_tables
-
-    t = pds.dataset(files, format="parquet").to_table(
-        columns=["url", "warc_ts"])
-    return merge_url_ts_tables([t])
-
-
-@ray.remote
-def _url_ts_partial(t: pa.Table):
-    """Per-block (url, min ts) partial from the fused output (the
-    transformed-input fallback: no file list, so the dictionary comes
-    from the materialized blocks)."""
-    if "url" not in t.schema.names or t.num_rows == 0:
-        return None
-    g = t.group_by("url").aggregate([("warc_ts", "min")])
-    return g.rename_columns(["url", "warc_ts"])
-
-
-def _pure_read_files(ds) -> list[str] | None:
-    """Input parquet files iff ``ds`` is a pure untransformed read.
-    Any transform (filter/map) — including a row filter PUSHED INTO
-    the read (``read_parquet(..., filter=expr)`` lands in the
-    datasource's ``_to_batches_kwargs``, the plan op is still a bare
-    ``Read``) — must return None: the dictionary built from raw files
-    would rank urls the filter drops, breaking the dense-id contract.
-    Uses internal Ray plan attributes — guarded, with the
-    materialized-output dictionary as the universal fallback."""
-    try:
-        op = ds._logical_plan.dag
-        if type(op).__name__ != "Read":
-            return None
-        kw = getattr(op._datasource, "_to_batches_kwargs", None)
-        if kw is None or kw.get("filter") is not None:
-            return None
-        files = ds.input_files()
-        return list(files) or None
-    except Exception:
-        return None
-
-
-# ---------------------------------------------------------------------
-# per-block kernel: stamp ids, write artifacts, emit inverted segment
-# ---------------------------------------------------------------------
-
-
-def _stamp_write_encode(t: pa.Table, urls_ts, id_base: int,
-                        docs_tmp: str, an_gtmp: str, stats_tmp: str,
-                        rows_per_file: int, shard_range: int,
-                        num_buckets: int) -> pa.Table:
-    """Dedup + id-stamp one analyzed block against the dictionary
-    (``docids.stamp_ids_batch`` — the staged builder's exact kernel,
-    so keep-first/rank semantics are shared, not copied), write its
-    docs / analyzed / doc_stats files, return the block's local
-    inverted segment (the only bytes that travel onward)."""
-    if t.num_rows == 0 or "url" not in t.schema.names:
-        return _empty_segment_table()
-    t = stamp_ids_batch(t, urls_ts, id_base=id_base)
-    if t.num_rows == 0:
-        return _empty_segment_table()
-    an_cols = ["doc_id"] + [c for c in _ANALYZED_COLS
-                            if c in t.schema.names]
-    docs_t = t.select([c for c in t.schema.names
-                       if c not in _ANALYZED_COLS])
-    an_t = t.select(an_cols)
-    # file names keyed by the block's min doc id — unique across
-    # blocks (each doc id lands in exactly one block) and stable
-    key = f"d{int(pc.min(t['doc_id']).as_py()):012d}"
-    # docs files row-bounded exactly like the staged write (balanced
-    # reads for compaction / doc lookups)
-    for j, s in enumerate(range(0, docs_t.num_rows, rows_per_file)):
-        pq.write_table(docs_t.slice(s, rows_per_file),
-                       os.path.join(docs_tmp, f"{key}-{j:04d}.parquet"))
-    pq.write_table(an_t, os.path.join(an_gtmp, f"{key}.parquet"))
-    stats = an_t.select(["doc_id", "width", "tokens"])
-    shards = (stats["doc_id"].to_numpy(zero_copy_only=False)
-              // shard_range).astype(np.int32)
-    for s in np.unique(shards):
-        sdir = os.path.join(stats_tmp, f"shard={int(s)}")
-        os.makedirs(sdir, exist_ok=True)
-        pq.write_table(stats.filter(pa.array(shards == s)),
-                       os.path.join(sdir, f"{key}.parquet"))
-    # config sums are NOT riding on schema metadata: Ray duplicates a
-    # batch's metadata onto every slice when it splits an oversized
-    # output block, which would overcount n_docs/total_tokens — the
-    # driver re-reads the two slim stats columns instead (bounded by
-    # the small-build row gate).
-    return SegmentEncode(shard_range, num_buckets)(an_t)
-
-
-def _fused_full(batch: pa.Table, dict_ref=None, profile: str = "french",
-                keep_positions: bool = False, **kw) -> pa.Table:
-    """Pipeline UDF (pure-read path): extract → analyze → stamp/write/
-    encode in one streamed task.  ``dict_ref`` resolves in-task —
-    the dictionary task runs concurrently with the pipeline's ramp-up,
-    and plasma caches the get after the first batch."""
-    ext = extract_batch(batch)
-    tmp = ext.append_column(
-        "doc_id", pa.array(np.zeros(ext.num_rows, np.int64)))
-    an = analyze_batch_fn(tmp, profile=profile,
-                          keep_positions=keep_positions)
-    out = ext
-    for name in an.schema.names:
-        if name != "doc_id":
-            out = out.append_column(name, an[name])
-    return _stamp_write_encode(out, ray.get(dict_ref), **kw)
 
 
 def _fused_extract_analyze(profile: str, keep_positions: bool):
-    """Pipeline UDF (transformed-input path): extract + analyze only;
-    ids are stamped in a later task wave once the dictionary exists
-    (it can only come from THIS job's output)."""
+    """Pipeline UDF: extract + analyze one block; ids are stamped in a
+    later task wave once the dictionary exists (it comes from THIS
+    job's output)."""
 
     def fused(batch: pa.Table) -> pa.Table:
         ext = extract_batch(batch)
@@ -217,7 +111,85 @@ def _fused_extract_analyze(profile: str, keep_positions: bool):
     return fused
 
 
-_block_build = ray.remote(_stamp_write_encode)
+@ray.remote
+def _url_ts_partial(t: pa.Table):
+    """Per-block (url, min ts) partial of the url dictionary (doc id =
+    rank in the url sort, the docids contract)."""
+    if "url" not in t.schema.names or t.num_rows == 0:
+        return None
+    g = t.group_by("url").aggregate([("warc_ts", "min")])
+    return g.rename_columns(["url", "warc_ts"])
+
+
+# ---------------------------------------------------------------------
+# per-block writers: docs files, analyzed file + stats + segment
+# ---------------------------------------------------------------------
+
+
+def _block_key(t: pa.Table) -> str:
+    """File-name key of a block: its min doc id — unique across blocks
+    (each doc id lands in exactly one block, and in exactly one source
+    file across generations) and stable."""
+    return f"d{int(pc.min(t['doc_id']).as_py()):012d}"
+
+
+def _write_docs_files(t: pa.Table, docs_tmp: str, key: str,
+                      rows_per_file: int) -> None:
+    """docs files row-bounded exactly like the staged write (balanced
+    reads for compaction / doc lookups)."""
+    for j, s in enumerate(range(0, t.num_rows, rows_per_file)):
+        pq.write_table(t.slice(s, rows_per_file),
+                       os.path.join(docs_tmp, f"{key}-{j:04d}.parquet"))
+
+
+def _write_analyzed_encode(an_t: pa.Table, key: str, an_gtmp: str,
+                           stats_tmp: str, shard_range: int,
+                           num_buckets: int) -> pa.Table:
+    """Write one analyzed block and its doc_stats shard slices; return
+    the block's local inverted segment (the only bytes that travel
+    onward)."""
+    pq.write_table(an_t, os.path.join(an_gtmp, f"{key}.parquet"))
+    write_stats_shards(an_t, stats_tmp, key, shard_range)
+    return SegmentEncode(shard_range, num_buckets)(an_t)
+
+
+@ray.remote
+def _block_build(t: pa.Table, urls_ts, id_base: int, docs_tmp: str,
+                 an_gtmp: str, stats_tmp: str, rows_per_file: int,
+                 shard_range: int, num_buckets: int) -> pa.Table:
+    """Dedup + id-stamp one analyzed block against the dictionary
+    (``docids.stamp_ids_batch`` — the staged builder's exact kernel,
+    so keep-first/rank semantics are shared, not copied), write its
+    docs / analyzed / doc_stats files, return its inverted segment."""
+    if t.num_rows == 0 or "url" not in t.schema.names:
+        return _empty_segment_table()
+    t = stamp_ids_batch(t, urls_ts, id_base=id_base)
+    if t.num_rows == 0:
+        return _empty_segment_table()
+    key = _block_key(t)
+    _write_docs_files(t.select([c for c in t.schema.names
+                                if c not in _ANALYZED_COLS]),
+                      docs_tmp, key, rows_per_file)
+    an_t = t.select(["doc_id"] + [c for c in _ANALYZED_COLS
+                                  if c in t.schema.names])
+    return _write_analyzed_encode(an_t, key, an_gtmp, stats_tmp,
+                                  shard_range, num_buckets)
+
+
+# ---------------------------------------------------------------------
+# merge wave
+# ---------------------------------------------------------------------
+
+
+def _group_starts(segments: pa.Table) -> np.ndarray:
+    """Row offsets where each (bucket, shard) run starts in a
+    non-empty segment table sorted by (bucket, shard)."""
+    bks = segments["bucket"].to_numpy(zero_copy_only=False)
+    shs = segments["shard"].to_numpy(zero_copy_only=False)
+    change = np.empty(len(bks), bool)
+    change[0] = True
+    change[1:] = (bks[1:] != bks[:-1]) | (shs[1:] != shs[:-1])
+    return np.flatnonzero(change)
 
 
 @ray.remote
@@ -234,16 +206,10 @@ def _merge_chunk(segments: pa.Table, offset: int, length: int,
     driver); only the (term, df, cf) lexicon projection comes back."""
     sub = segments.slice(offset, length)
     merge = make_merge_fn(stats_dir, avgdl, shard_range)
-    bks = sub["bucket"].to_numpy(zero_copy_only=False)
-    shs = sub["shard"].to_numpy(zero_copy_only=False)
-    change = np.empty(len(bks), bool)
-    change[0] = True
-    change[1:] = (bks[1:] != bks[:-1]) | (shs[1:] != shs[:-1])
-    starts = np.flatnonzero(change)
-    sizes = np.diff(np.append(starts, len(bks)))
+    bounds = np.append(_group_starts(sub), sub.num_rows)
     out = pa.concat_tables(
-        [merge(sub.slice(int(s), int(n)))
-         for s, n in zip(starts, sizes)])
+        [merge(sub.slice(int(s), int(e - s)))
+         for s, e in zip(bounds[:-1], bounds[1:])])
     # small row groups: the serving engine reads postings per term via
     # row-group-pruned reads (the staged write uses the same bound)
     pq.write_table(out, os.path.join(post_tmp, f"part-{cidx:05d}.parquet"),
@@ -256,144 +222,93 @@ def _merge_chunk(segments: pa.Table, offset: int, length: int,
 # ---------------------------------------------------------------------
 
 
-def try_build_small(b, pages, fingerprint: str,
-                    force: bool = False):
-    """Run the single-pass small build if eligible; return
-    ``(built, pages)`` — ``built=False`` routes the caller to the
-    staged builder with the RETURNED dataset (a transformed input is
-    materialized exactly once here for the row gate, and the staged
-    path then consumes the materialized blocks instead of re-running
-    the user's pipeline).
-
-    Eligible: pages-kind input under ``SMALL_BUILD_MAX_ROWS`` rows
-    (``force=True`` skips the row gate), plain-path store (an
-    fsspec-threaded PointerStore writes through ``pa_fs`` plumbing the
-    staged path owns), no hunspell sidecar, and NO stage already
+def _flush_begin(b, fingerprint: str):
+    """Prologue shared by the flush add and compact paths.  Returns
+    None when the flush path cannot take this build — an
+    fsspec-threaded PointerStore (it writes through ``pa_fs`` plumbing
+    the staged path owns), a hunspell sidecar, or any stage already
     committed under this fingerprint chain (a partially-built staged
     attempt must resume through the staged per-stage checkpoints).
-    """
-    from .build import _fingerprint, verify_shared_fs
-
+    Otherwise begins the docs / analyzed (one group) / doc_stats stages
+    and returns ``(fingerprints, staging dirs)``."""
     if getattr(b.store, "fs", None) is not None or \
             b.hunspell_resources is not None:
-        return False, pages
-    files = _pure_read_files(pages)
-    if files is None:
-        # transformed input: one execution, shared by the row gate,
-        # the fused analyze job AND (if routed there) the staged build
-        pages = pages.materialize()
-    if not force and pages.count() > SMALL_BUILD_MAX_ROWS:
-        return False, pages
-    fp_docs = (_fingerprint("docs", fingerprint, b.id_base)
-               if b.id_base else _fingerprint("docs", fingerprint))
-    fp_analyzed = _fingerprint("analyzed", fp_docs, b.analyzer,
-                               b.keep_positions)
-    fp_stats = _fingerprint("doc_stats", fp_analyzed, b.shard_range)
-    fp_postings = _fingerprint("postings", fp_stats, b.shard_range,
-                               b.num_buckets)
-    fp_term = _fingerprint("term_stats", fp_postings)
-    if any(b.manifest.stage_done(s, f) for s, f in (
-            ("docs", fp_docs), ("analyzed", fp_analyzed),
-            ("doc_stats", fp_stats), ("postings", fp_postings),
-            ("term_stats", fp_term))):
-        return False, pages
+        return None
+    fps = b.fingerprints(fingerprint)
+    if any(b.manifest.stage_done(s, f) for s, f in fps.items()):
+        return None
     verify_shared_fs(b.out_dir)
+    an_tmp = b.store.stage_begin("analyzed", fps["analyzed"], clear=True)
+    return fps, dict(
+        docs_tmp=b.store.stage_begin("docs", fps["docs"], clear=True),
+        an_tmp=an_tmp,
+        an_gtmp=b.store.part_begin(an_tmp, "g00000"),
+        stats_tmp=b.store.stage_begin("doc_stats", fps["doc_stats"],
+                                      clear=True))
 
+
+def try_build_small(b, pages, fingerprint: str) -> bool:
+    """Build pages-kind ``pages`` as one flush generation if it is
+    small; return whether it built.  ``False`` means the caller runs
+    the staged builder on the same, untouched input.
+
+    The row gate runs first: ``pages.count()`` reads parquet metadata
+    for a plain read and executes a transformed input once.  Above
+    ``SMALL_BUILD_MAX_ROWS`` rows, or when ``_flush_begin`` declines,
+    nothing else runs."""
+    if pages.count() > SMALL_BUILD_MAX_ROWS:
+        return False
     t_docs = time.time()
-    docs_tmp = b.store.stage_begin("docs", fp_docs, clear=True)
-    an_tmp = b.store.stage_begin("analyzed", fp_analyzed, clear=True)
-    an_gtmp = b.store.part_begin(an_tmp, "g00000")
-    stats_tmp = b.store.stage_begin("doc_stats", fp_stats, clear=True)
-    kw = dict(id_base=b.id_base, docs_tmp=docs_tmp, an_gtmp=an_gtmp,
-              stats_tmp=stats_tmp, rows_per_file=b.docs_rows_per_file,
-              shard_range=b.shard_range, num_buckets=b.num_buckets)
+    begun = _flush_begin(b, fingerprint)
+    if begun is None:
+        return False
+    fps, dirs = begun
+    refs = pages.map_batches(
+        _fused_extract_analyze(b.analyzer, b.keep_positions),
+        batch_format="pyarrow", zero_copy_batch=True,
+    ).materialize().to_arrow_refs()
+    parts = [p for p in ray.get([_url_ts_partial.remote(r) for r in refs])
+             if p is not None]
+    dict_ref = ray.put(merge_url_ts_tables(parts))
+    seg_tables = ray.get([
+        _block_build.remote(
+            r, dict_ref, id_base=b.id_base, docs_tmp=dirs["docs_tmp"],
+            an_gtmp=dirs["an_gtmp"], stats_tmp=dirs["stats_tmp"],
+            rows_per_file=b.docs_rows_per_file,
+            shard_range=b.shard_range, num_buckets=b.num_buckets)
+        for r in refs])
+    _assemble(b, seg_tables, fps, dirs, t_docs)
+    return True
 
-    if files is not None:
-        # ---- one streamed job: dictionary task races the ramp-up ----
-        dict_ref = _dict_from_files.remote(files)
-        seg_mat = pages.map_batches(
-            functools.partial(_fused_full, dict_ref=dict_ref,
-                              profile=b.analyzer,
-                              keep_positions=b.keep_positions, **kw),
-            batch_format="pyarrow", zero_copy_batch=True,
-        ).materialize()
-        seg_tables = [t for t in ray.get(seg_mat.to_arrow_refs())
-                      if "term" in t.schema.names]
-    else:
-        # ---- transformed input: fused job, then dict + stamp waves --
-        mat = pages.map_batches(
-            _fused_extract_analyze(b.analyzer, b.keep_positions),
-            batch_format="pyarrow", zero_copy_batch=True,
-        ).materialize()
-        refs = mat.to_arrow_refs()
-        parts = [p for p in ray.get(
-            [_url_ts_partial.remote(r) for r in refs]) if p is not None]
-        from .docids import merge_url_ts_tables
 
-        urls_ts = merge_url_ts_tables(parts)
-        dict_ref = ray.put(urls_ts)
-        seg_tables = ray.get([
-            _block_build.remote(r, dict_ref, **kw) for r in refs])
+def _assemble(b, seg_tables: list, fps: dict, dirs: dict,
+              t_docs: float) -> None:
+    """Driver-side tail shared by the flush ADD path and the flush
+    COMPACT path: doc_stats commit + config (the staged builder's
+    writer), the (bucket, shard) merge wave, the docs / analyzed
+    commits + lineage, and the term_stats lexicon."""
     seg_tables = [t for t in seg_tables if "term" in t.schema.names]
     segments = (pa.concat_tables(seg_tables) if seg_tables
                 else _empty_segment_table())
-    _assemble(b, segments, fp_docs, fp_analyzed, fp_stats, fp_postings,
-              fp_term, an_tmp, stats_tmp, t_docs)
-    return True, pages
 
-
-def _assemble(b, segments: pa.Table, fp_docs: str, fp_analyzed: str,
-              fp_stats: str, fp_postings: str, fp_term: str,
-              an_tmp: str, stats_tmp: str, t_docs: float) -> None:
-    """Driver-side tail shared by the flush ADD path and the flush
-    COMPACT path: config sums re-read from the just-written doc_stats,
-    stage commits + lineage, the (bucket, shard) merge wave, and the
-    term_stats lexicon."""
-    from .build import _fingerprint
-
-    # ---- config sums: re-read the two slim doc_stats columns the
-    # task waves just wrote (bounded by the row gate; schema-metadata
-    # riding is unsafe — Ray duplicates metadata across block splits)
-    import glob as _glob
-
-    stat_files = _glob.glob(os.path.join(stats_tmp, "**", "*.parquet"),
-                            recursive=True)
-    if stat_files:
-        import pyarrow.dataset as pds
-
-        st = pds.dataset(stat_files, format="parquet").to_table(
-            columns=["doc_id", "tokens"])
-        n_docs = st.num_rows
-        total_tokens = int(pc.sum(st["tokens"]).as_py() or 0)
-        max_doc = int(pc.max(st["doc_id"]).as_py())
-    else:
-        n_docs, total_tokens, max_doc = 0, 0, -1
-    avgdl = total_tokens / n_docs if n_docs else 1.0
-
-    # ---- doc_stats commit, then LAUNCH the merge wave asynchronously;
-    # the remaining commits / lineage / config run under it -----------
+    # ---- doc_stats commit + config, then LAUNCH the merge wave
+    # asynchronously; the remaining commits / lineage run under it ----
     t0 = time.time()
-    stats_final = b.store.stage_commit("doc_stats", fp_stats)
-    b.manifest.append(stage="doc_stats", fingerprint=fp_stats,
-                      status="done",
-                      wall_ms=int((time.time() - t0) * 1000))
+    stats_final = b.store.stage_commit("doc_stats", fps["doc_stats"])
+    avgdl = b.write_config(stats_final, fps["doc_stats"],
+                           int((time.time() - t0) * 1000))["avgdl"]
     t_post = time.time()
-    post_tmp = b.store.stage_begin("postings", fp_postings, clear=True)
+    post_tmp = b.store.stage_begin("postings", fps["postings"], clear=True)
     merge_refs = []
     if segments.num_rows:
         segments = segments.take(pc.sort_indices(
             segments, sort_keys=[("bucket", "ascending"),
                                  ("shard", "ascending")]))
-        bks = segments["bucket"].to_numpy(zero_copy_only=False)
-        shs = segments["shard"].to_numpy(zero_copy_only=False)
-        change = np.empty(len(bks), bool)
-        change[0] = True
-        change[1:] = (bks[1:] != bks[:-1]) | (shs[1:] != shs[:-1])
-        gstarts = np.flatnonzero(change)
+        gstarts = _group_starts(segments)
         cpus = int(ray.cluster_resources().get("CPU", 8))
         bounds = np.unique(np.linspace(
             0, len(gstarts), min(len(gstarts), cpus) + 1).astype(int))
-        row_bounds = np.append(gstarts[bounds[:-1]], len(bks))
+        row_bounds = np.append(gstarts[bounds[:-1]], segments.num_rows)
         seg_ref = ray.put(segments)
         merge_refs = [
             _merge_chunk.remote(seg_ref, int(row_bounds[i]),
@@ -408,29 +323,16 @@ def _assemble(b, segments: pa.Table, fp_docs: str, fp_analyzed: str,
     # buffered multi-row writes with no lock, so a concurrent lineage
     # thread could interleave mid-line and corrupt the JSONL.  The
     # merge WAVE still overlaps this work (refs collected below).
-    docs_final = b.store.stage_commit("docs", fp_docs)
-    b.manifest.record_partitions("docs", docs_final, fp_docs,
+    docs_final = b.store.stage_commit("docs", fps["docs"])
+    b.manifest.record_partitions("docs", docs_final, fps["docs"],
                                  int((time.time() - t_docs) * 1000))
     t0 = time.time()
-    b.store.part_commit(an_tmp, "g00000")
-    b.store.stage_commit("analyzed", fp_analyzed)
+    b.store.part_commit(dirs["an_tmp"], "g00000")
+    b.store.stage_commit("analyzed", fps["analyzed"])
     b.manifest.append(stage="analyzed", partition="g00000",
-                      fingerprint=_fingerprint(fp_analyzed, "g00000"),
+                      fingerprint=_fingerprint(fps["analyzed"], "g00000"),
                       status="part-done")
-    b.manifest.append(stage="analyzed", fingerprint=fp_analyzed,
-                      status="done",
-                      wall_ms=int((time.time() - t0) * 1000))
-    t0 = time.time()
-    from .. import B, K1
-
-    b.store.put_json(os.path.join(b.out_dir, "config.json"), {
-        "n_docs": n_docs, "max_doc_id": max_doc,
-        "total_tokens": total_tokens, "avgdl": avgdl,
-        "k1": K1, "b": B, "idf_exp": b.idf_exp,
-        "analyzer": b.analyzer, "shard_range": b.shard_range,
-        "num_buckets": b.num_buckets, "block": 128,
-    })
-    b.manifest.append(stage="config", fingerprint=fp_stats,
+    b.manifest.append(stage="analyzed", fingerprint=fps["analyzed"],
                       status="done",
                       wall_ms=int((time.time() - t0) * 1000))
 
@@ -438,29 +340,13 @@ def _assemble(b, segments: pa.Table, fp_docs: str, fp_analyzed: str,
     if merge_refs:
         lexicon_rows = pa.concat_tables(ray.get(merge_refs))
     else:
-        from .postings import _empty_postings_table
-
         empty = _empty_postings_table()
         pq.write_table(empty, os.path.join(post_tmp, "part-00000.parquet"))
         lexicon_rows = empty.select(["term", "df", "cf"])
-    post_final = b.store.stage_commit("postings", fp_postings)
-    b.manifest.record_partitions("postings", post_final, fp_postings,
+    post_final = b.store.stage_commit("postings", fps["postings"])
+    b.manifest.record_partitions("postings", post_final, fps["postings"],
                                  int((time.time() - t_post) * 1000))
-    t0 = time.time()
-    g = lexicon_rows.group_by("term").aggregate(
-        [("df", "sum"), ("cf", "sum")])
-    g = g.take(pc.sort_indices(g, sort_keys=[("term", "ascending")]))
-    term_stats = pa.table({
-        "term": g["term"],
-        "df": pc.cast(g["df_sum"], pa.int64()),
-        "cf": pc.cast(g["cf_sum"], pa.int64()),
-        "term_id": pa.array(np.arange(1, g.num_rows + 1, dtype=np.int32)),
-    })
-    ts_tmp = b.store.stage_begin("term_stats", fp_term, clear=True)
-    pq.write_table(term_stats, os.path.join(ts_tmp, "part-0.parquet"))
-    ts_final = b.store.stage_commit("term_stats", fp_term)
-    b.manifest.record_partitions("term_stats", ts_final, fp_term,
-                                 int((time.time() - t0) * 1000))
+    b.write_lexicon(lexicon_rows, fps["term_stats"], time.time())
 
 
 # ---------------------------------------------------------------------
@@ -487,34 +373,20 @@ def _compact_an_block(an_file: str, deleted: np.ndarray, an_gtmp: str,
     analyzed file, write it (plus its doc_stats shard slices) into the
     new generation, and return its inverted segment.  Analysis never
     re-runs and doc ids are preserved — the ``_rebuild_from``
-    contract.  File names keyed by block min doc id stay unique: every
-    doc id lives in exactly one source file across generations."""
+    contract."""
     t = _drop_rows(pq.read_table(an_file), deleted)
     if t.num_rows == 0:
         return _empty_segment_table()
-    key = f"d{int(pc.min(t['doc_id']).as_py()):012d}"
-    pq.write_table(t, os.path.join(an_gtmp, f"{key}.parquet"))
-    stats = t.select(["doc_id", "width", "tokens"])
-    shards = (stats["doc_id"].to_numpy(zero_copy_only=False)
-              // shard_range).astype(np.int32)
-    for s in np.unique(shards):
-        sdir = os.path.join(stats_tmp, f"shard={int(s)}")
-        os.makedirs(sdir, exist_ok=True)
-        pq.write_table(stats.filter(pa.array(shards == s)),
-                       os.path.join(sdir, f"{key}.parquet"))
-    return SegmentEncode(shard_range, num_buckets)(t)
+    return _write_analyzed_encode(t, _block_key(t), an_gtmp, stats_tmp,
+                                  shard_range, num_buckets)
 
 
 @ray.remote
 def _compact_docs_block(docs_file: str, deleted: np.ndarray,
                         docs_tmp: str, rows_per_file: int) -> None:
     t = _drop_rows(pq.read_table(docs_file), deleted)
-    if t.num_rows == 0:
-        return
-    key = f"d{int(pc.min(t['doc_id']).as_py()):012d}"
-    for j, s in enumerate(range(0, t.num_rows, rows_per_file)):
-        pq.write_table(t.slice(s, rows_per_file),
-                       os.path.join(docs_tmp, f"{key}-{j:04d}.parquet"))
+    if t.num_rows:
+        _write_docs_files(t, docs_tmp, _block_key(t), rows_per_file)
 
 
 def try_compact_small(b, docs_files: list[str], an_files: list[str],
@@ -530,43 +402,20 @@ def try_compact_small(b, docs_files: list[str], an_files: list[str],
     chained fingerprints as the staged ``_rebuild_from``, so resume
     and serving read the two paths interchangeably.  Returns True if
     it built (False routes the caller to the staged path)."""
-    from .build import _fingerprint, verify_shared_fs
-
-    if getattr(b.store, "fs", None) is not None or \
-            b.hunspell_resources is not None:
-        return False
-    fp_docs = (_fingerprint("docs", fingerprint, b.id_base)
-               if b.id_base else _fingerprint("docs", fingerprint))
-    fp_analyzed = _fingerprint("analyzed", fp_docs, b.analyzer,
-                               b.keep_positions)
-    fp_stats = _fingerprint("doc_stats", fp_analyzed, b.shard_range)
-    fp_postings = _fingerprint("postings", fp_stats, b.shard_range,
-                               b.num_buckets)
-    fp_term = _fingerprint("term_stats", fp_postings)
-    if any(b.manifest.stage_done(s, f) for s, f in (
-            ("docs", fp_docs), ("analyzed", fp_analyzed),
-            ("doc_stats", fp_stats), ("postings", fp_postings),
-            ("term_stats", fp_term))):
-        return False  # partial staged attempt: resume through staged
-    verify_shared_fs(b.out_dir)
-
     t_docs = time.time()
-    docs_tmp = b.store.stage_begin("docs", fp_docs, clear=True)
-    an_tmp = b.store.stage_begin("analyzed", fp_analyzed, clear=True)
-    an_gtmp = b.store.part_begin(an_tmp, "g00000")
-    stats_tmp = b.store.stage_begin("doc_stats", fp_stats, clear=True)
+    begun = _flush_begin(b, fingerprint)
+    if begun is None:
+        return False
+    fps, dirs = begun
     del_ref = ray.put(np.asarray(deleted, np.int64))
-    seg_refs = [_compact_an_block.remote(f, del_ref, an_gtmp, stats_tmp,
-                                         b.shard_range, b.num_buckets)
+    seg_refs = [_compact_an_block.remote(f, del_ref, dirs["an_gtmp"],
+                                         dirs["stats_tmp"], b.shard_range,
+                                         b.num_buckets)
                 for f in an_files]
-    docs_refs = [_compact_docs_block.remote(f, del_ref, docs_tmp,
+    docs_refs = [_compact_docs_block.remote(f, del_ref, dirs["docs_tmp"],
                                             b.docs_rows_per_file)
                  for f in docs_files]
-    seg_tables = [t for t in ray.get(seg_refs)
-                  if "term" in t.schema.names]
+    seg_tables = ray.get(seg_refs)
     ray.get(docs_refs)
-    segments = (pa.concat_tables(seg_tables) if seg_tables
-                else _empty_segment_table())
-    _assemble(b, segments, fp_docs, fp_analyzed, fp_stats, fp_postings,
-              fp_term, an_tmp, stats_tmp, t_docs)
+    _assemble(b, seg_tables, fps, dirs, t_docs)
     return True

@@ -682,34 +682,75 @@ def test_adopt_plain_index_and_extend(ray_session, tmp_path_factory):
             by_url(rx, rx.search_exact(q, 10))
 
 
-def test_small_path_matches_staged(ray_session, tmp_path_factory):
+# Stage fingerprints of the two generations built below, recorded
+# before the flush builder's fingerprint code was folded into
+# ``IndexBuilder.fingerprints``: existing indexes and half-finished
+# builds resume only while these stay byte-identical.
+PINNED_FPS = {
+    "gen-00000": {"docs": "b7285c9b01d8ba97a746d803",
+                  "analyzed": "30b3159ad7410f195fe9f5e9",
+                  "doc_stats": "8d54620ca7387a376e0188e9",
+                  "config": "8d54620ca7387a376e0188e9",
+                  "postings": "36b2b90a149c4ebe6e4cc6f5",
+                  "term_stats": "81d1a255055feb729c814e89"},
+    "gen-00001": {"docs": "3086782b07f5dd907112e1d2",
+                  "analyzed": "d3286cbcb9cf217e02c2f0c7",
+                  "doc_stats": "ce45f6a5ce0a671f20d5e168",
+                  "config": "ce45f6a5ce0a671f20d5e168",
+                  "postings": "9084c27f3f43f66ee4679d8c",
+                  "term_stats": "decf00cd9543f5676c7fc164"},
+    "gen-00002": {"docs": "595d504fed4460489e83512a",
+                  "analyzed": "846f57e422bee3c7564d8d49",
+                  "doc_stats": "21dcb2b1f4b6ae5607aaa5f6",
+                  "config": "21dcb2b1f4b6ae5607aaa5f6",
+                  "postings": "a0695a0658786167c3190ef7",
+                  "term_stats": "99a2e3ef814baca4f1f27c8d"},
+}
+
+
+def done_fingerprints(gen_dir):
+    rows = [json.loads(ln)
+            for ln in open(os.path.join(gen_dir, "manifest.jsonl"))]
+    return {r["stage"]: r["fingerprint"] for r in rows
+            if r.get("status") == "done"}
+
+
+def test_small_path_matches_staged(ray_session, tmp_path_factory,
+                                   monkeypatch):
     """The single-pass flush builder (``stages/smallbuild.py``) must
     produce byte-equal artifact CONTENT to the staged five-stage
     builder for the same adds: every stage table equal after a
-    canonical sort, config.json equal, search results equal.  Covers
-    both the pure-read pipeline (parquet-backed delta) and the
-    transformed-input task-wave fallback (range→map input)."""
-    import pyarrow as pa
+    canonical sort, config.json equal, search results equal, manifest
+    fingerprints equal to the pinned ones.  Covers a parquet-backed
+    delta, a transformed (range→map) input and a compaction that drops
+    two deleted docs; the staged side is forced by setting the flush
+    row gates below any input."""
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
     import ray.data
 
     from alix_ray.index.engine import BM25Index
     from alix_ray.index.incremental import IndexWriter
+    from alix_ray.stages import smallbuild
     from alix_ray.stages.store import resolve_stage
 
-    # parquet-backed delta → exercises the pure-read fused pipeline
     pdir = str(tmp_path_factory.mktemp("smallpages"))
     pages_slice(0, N_BASE).write_parquet(pdir)
 
     roots = {}
-    for mode in (True, False):
+    for mode in ("flush", "staged"):
         root = str(tmp_path_factory.mktemp(f"small{mode}"))
         w = IndexWriter(root, analyzer="french", shard_range=SHARD_RANGE,
                         num_buckets=8, segment_batch_size=64)
-        w.add_documents(ray.data.read_parquet(pdir), fast=mode)
-        # second gen from a TRANSFORMED input → the task-wave fallback
-        w.add_documents(pages_slice(N_BASE, N_ALL), fast=mode)
+        with monkeypatch.context() as m:
+            if mode == "staged":
+                m.setattr(smallbuild, "SMALL_BUILD_MAX_ROWS", 0)
+                m.setattr(smallbuild, "SMALL_COMPACT_MAX_ROWS", -1)
+            w.add_documents(ray.data.read_parquet(pdir))
+            # second gen from a TRANSFORMED input
+            w.add_documents(pages_slice(N_BASE, N_ALL))
+            w.delete_documents(doc_ids=[3, 130])
+            assert w.compact() == "gen-00002"
         roots[mode] = root
 
     sort_keys = {
@@ -719,21 +760,24 @@ def test_small_path_matches_staged(ray_session, tmp_path_factory):
         "postings": [("term", "ascending"), ("shard", "ascending")],
         "term_stats": [("term", "ascending")],
     }
-    for gen in ("gen-00000", "gen-00001"):
+    for gen in ("gen-00000", "gen-00001", "gen-00002"):
         for stage, keys in sort_keys.items():
             ta, tb = (
                 pq.read_table(resolve_stage(
                     os.path.join(roots[m], gen), stage))
-                for m in (True, False))
+                for m in ("flush", "staged"))
             ta = ta.take(pc.sort_indices(ta, sort_keys=keys))
             tb = tb.take(pc.sort_indices(tb, sort_keys=keys))
             tb = tb.select(ta.schema.names).cast(ta.schema)
             assert ta.equals(tb), f"{gen}/{stage} diverges"
         ca, cb = (
             json.load(open(os.path.join(roots[m], gen, "config.json")))
-            for m in (True, False))
+            for m in ("flush", "staged"))
         assert ca == cb
-    ixa, ixb = BM25Index(roots[True]), BM25Index(roots[False])
+        for m in ("flush", "staged"):
+            assert done_fingerprints(os.path.join(roots[m], gen)) == \
+                PINNED_FPS[gen], f"{m}/{gen} fingerprints changed"
+    ixa, ixb = BM25Index(roots["flush"]), BM25Index(roots["staged"])
     for q in queries_for(ixb, n=4):
         assert by_url(ixa, ixa.search_exact(q, 10)) == \
             by_url(ixb, ixb.search_exact(q, 10))
@@ -759,7 +803,7 @@ def test_small_path_block_splits_dont_overcount(ray_session,
         root = str(tmp_path_factory.mktemp("splitix"))
         w = IndexWriter(root, analyzer="french", shard_range=SHARD_RANGE,
                         num_buckets=8)
-        w.add_documents(ray.data.read_parquet(pdir), fast=True)
+        w.add_documents(ray.data.read_parquet(pdir))
     finally:
         ctx.target_max_block_size = old
     cfg = json.load(open(os.path.join(root, "gen-00000", "config.json")))
@@ -772,32 +816,34 @@ def test_small_path_block_splits_dont_overcount(ray_session,
 
 
 def test_small_path_pushed_filter_routes_to_fallback(ray_session,
-                                                     tmp_path_factory):
+                                                     tmp_path_factory,
+                                                     monkeypatch):
     """A row filter pushed into read_parquet keeps the plan a bare
-    Read; the fast path must NOT build the url dictionary from raw
-    files (it would rank filtered-out urls, breaking dense ids).
-    Assert ids match the staged build of the same filtered input."""
+    Read; the flush path must rank only the urls the filter keeps
+    (ranking filtered-out urls would break dense ids).  Assert ids
+    match the staged build of the same filtered input."""
     import pyarrow.dataset as pds
     import pyarrow.parquet as pq
     import ray.data
 
     from alix_ray.index.incremental import IndexWriter
-    from alix_ray.stages.smallbuild import _pure_read_files
+    from alix_ray.stages import smallbuild
     from alix_ray.stages.store import resolve_stage
 
     pdir = str(tmp_path_factory.mktemp("filtpages"))
     pages_slice(0, N_BASE).write_parquet(pdir)
     flt = pds.field("warc_ts") >= pq.read_table(
         pdir, columns=["warc_ts"])["warc_ts"][5].as_py()
-    read = lambda: ray.data.read_parquet(pdir, filter=flt)  # noqa: E731
-    assert _pure_read_files(read()) is None  # the gate itself
 
     roots = {}
-    for mode in (True, False):
+    for mode in ("flush", "staged"):
         root = str(tmp_path_factory.mktemp(f"filt{mode}"))
         w = IndexWriter(root, analyzer="french", shard_range=SHARD_RANGE,
                         num_buckets=8)
-        w.add_documents(read(), fast=mode)
+        with monkeypatch.context() as m:
+            if mode == "staged":
+                m.setattr(smallbuild, "SMALL_BUILD_MAX_ROWS", 0)
+            w.add_documents(ray.data.read_parquet(pdir, filter=flt))
         roots[mode] = root
     ids = {}
     for m, root in roots.items():
@@ -805,5 +851,77 @@ def test_small_path_pushed_filter_routes_to_fallback(ray_session,
             os.path.join(root, "gen-00000"), "docs"),
             columns=["url", "doc_id"])
         ids[m] = sorted(zip(t["url"].to_pylist(), t["doc_id"].to_pylist()))
-    assert ids[True] == ids[False]
-    assert ids[True], "filtered build produced no docs"
+    assert ids["flush"] == ids["staged"]
+    assert ids["flush"], "filtered build produced no docs"
+
+
+def test_small_path_gate_runs_before_execution(ray_session, tmp_path,
+                                               monkeypatch):
+    """Above the row gate, ``try_build_small`` only counts the input:
+    a transformed pages input reaches the staged builder without the
+    flush path materializing it (which would put a delta of any size,
+    html included, into the object store)."""
+    import ray.data
+
+    from alix_ray.index.incremental import IndexWriter
+    from alix_ray.stages import smallbuild
+
+    monkeypatch.setattr(smallbuild, "SMALL_BUILD_MAX_ROWS", 10)
+    inside, calls, results = [], [], []
+    orig_materialize = ray.data.Dataset.materialize
+
+    def materialize(self, *a, **k):
+        if inside:
+            calls.append(1)
+        return orig_materialize(self, *a, **k)
+
+    orig_try = smallbuild.try_build_small
+
+    def try_build_small(*a, **k):
+        inside.append(1)
+        try:
+            results.append(orig_try(*a, **k))
+            return results[-1]
+        finally:
+            inside.clear()
+
+    monkeypatch.setattr(ray.data.Dataset, "materialize", materialize)
+    monkeypatch.setattr(smallbuild, "try_build_small", try_build_small)
+    root = str(tmp_path / "gate")
+    w = IndexWriter(root, analyzer="french", shard_range=SHARD_RANGE,
+                    num_buckets=8)
+    w.add_documents(pages_slice(0, 60))
+    assert calls == [], "the flush path materialized an input above the gate"
+    assert results == [False]
+    cfg = json.load(open(os.path.join(root, "gen-00000", "config.json")))
+    # corpus contract: url i (i%50==1) duplicates url i-1
+    assert cfg["n_docs"] == 60 - len([i for i in range(1, 60)
+                                      if i % 50 == 1])
+
+
+def test_small_path_config_crash_resumes(ray_session, tmp_path,
+                                         monkeypatch):
+    """A flush add that dies writing config.json must complete on
+    retry, with the same config as a clean add."""
+    from alix_ray.index.incremental import IndexWriter
+    from alix_ray.stages.store import RenameStore
+
+    def add(root):
+        w = IndexWriter(root, analyzer="french", shard_range=SHARD_RANGE,
+                        num_buckets=8)
+        return w, w.add_documents(pages_slice(0, 60))
+
+    clean = str(tmp_path / "clean")
+    add(clean)
+    crashed = str(tmp_path / "crashed")
+    with monkeypatch.context() as m:
+        def put_json(self, path, obj):
+            raise OSError("crash writing config")
+
+        m.setattr(RenameStore, "put_json", put_json)
+        with pytest.raises(OSError):
+            add(crashed)
+    w, name = add(crashed)
+    assert w.generations() == [name] == ["gen-00000"]
+    assert json.load(open(os.path.join(crashed, name, "config.json"))) == \
+        json.load(open(os.path.join(clean, name, "config.json")))

@@ -154,3 +154,30 @@ def test_shared_fs_guard(tmp_path, ray_session):
     verify_shared_fs(str(tmp_path / "idx"))
     # memoized second call is a no-op
     verify_shared_fs(str(tmp_path / "idx"))
+
+
+def test_config_crash_resumes(ray_session, tmp_path, monkeypatch):
+    """A build that dies writing config.json — after doc_stats is
+    committed — must complete on rerun, with artifacts equal to a
+    clean build's (doc_stats is journaled done only after its config
+    exists, so the rerun redoes it instead of skipping to postings)."""
+    from alix_ray.corpus import pages_dataset
+    from alix_ray.stages.build import IndexBuilder
+    from alix_ray.stages.store import RenameStore
+
+    def build(out):
+        IndexBuilder(out).build(pages_dataset(120), fingerprint="cfg")
+
+    clean, crashed = str(tmp_path / "clean"), str(tmp_path / "crashed")
+    build(clean)
+    with monkeypatch.context() as m:
+        def put_json(self, path, obj):
+            raise OSError("crash writing config")
+
+        m.setattr(RenameStore, "put_json", put_json)
+        with pytest.raises(OSError):
+            build(crashed)
+    build(crashed)
+    assert logical_artifacts(clean) == logical_artifacts(crashed)
+    assert json.load(open(os.path.join(clean, "config.json"))) == \
+        json.load(open(os.path.join(crashed, "config.json")))
