@@ -34,8 +34,15 @@ Scale shapes (10^12 rows):
   vector stops fitting (8 B/node); :func:`pagerank_partitioned` is
   the shipped fallback — ranks as a hash-partitioned TABLE, two slim
   shuffles per iteration, nothing O(n_nodes) anywhere, bit-equal to
-  the broadcast path by test.  ``max_broadcast_nodes`` fails fast
+  the broadcast path by test.  ``MAX_BROADCAST_NODES`` fails fast
   toward it rather than silently degrading.
+- The partitioned graph fixpoints — :func:`pagerank_partitioned`,
+  :func:`connected_components_partitioned` and dedup's near-dup
+  clustering past its pair gate — are programs on ONE round kernel,
+  :func:`_vertex_rounds`: edges keyed by pk(src) and materialized
+  once; per round state ∪ edges → group by pk → per-target messages,
+  state ∪ messages → group by pk → new state plus a per-row scalar;
+  one materialize and one scalar sum per round.
 """
 
 from __future__ import annotations
@@ -66,6 +73,12 @@ P_TRAILING_SLASH = r"/+$"
 P_DOMAIN = r"^https?://(?P<d>[^/:?#]+)"
 P_AUTHORITY = r"^https?://[^/?#]+"  # strip to the robots match target
 P_DOMAIN_SQL = r"^https?://([^/:?#]+)"  # DuckDB wants a numbered group
+
+# Broadcast bounds of the driver-vector graph ops: past them an op
+# raises ValueError instead of shipping the vector (8 B/node, 8 B/edge)
+# to every task.  Module constants, read at call time.
+MAX_BROADCAST_NODES = 100_000_000
+MAX_BROADCAST_EDGES = 500_000_000
 
 
 # ---------------------------------------------------------------------
@@ -380,10 +393,147 @@ def _deg_partial_fn(src_col: str):
     return fn
 
 
+def _combine(ids: np.ndarray, vals: np.ndarray, ufunc: np.ufunc
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct ids, ``ufunc``-reduced vals per id) — the sparse
+    per-batch / per-group combine of every graph op here (stable
+    argsort + ``reduceat``: memory O(rows), never O(n_nodes))."""
+    order = np.argsort(ids, kind="stable")
+    si, sv = ids[order], vals[order]
+    uids, starts = np.unique(si, return_index=True)
+    return uids, (ufunc.reduceat(sv, starts) if len(sv) else sv)
+
+
+# ---------------------------------------------------------------------
+# partitioned vertex rounds (the beyond-broadcast graph fixpoints)
+# ---------------------------------------------------------------------
+
+# Row kinds of the round tables: one int8 column says what a row is —
+# never a sentinel value in a payload column, nor block metadata
+# (Ray duplicates that across splits).
+_EDGE, _STATE, _MSG = 0, 1, 2
+# Leading columns of every round table; a program appends its message
+# column ``m``, its per-row scalar ``s`` and then its state columns.
+_ROUND_FIELDS = [("pk", pa.int64()), ("kind", pa.int8()),
+                 ("id", pa.int64()), ("dst", pa.int64())]
+
+
+def _vertex_table(schema: pa.Schema, kind: int, ids: np.ndarray,
+                  pk_parts: int, **cols) -> pa.Table:
+    """``kind`` rows of a round table: ``pk`` is the coarse partition
+    of ``id``; columns not given are zero."""
+    n = len(ids)
+    cols.update(pk=_partition_key(ids.astype(np.uint64), pk_parts),
+                kind=np.full(n, kind, np.int8), id=ids)
+    return pa.table([pa.array(cols[f.name], f.type) if f.name in cols
+                     else pa.array(np.zeros(n, f.type.to_pandas_dtype()))
+                     for f in schema], schema=schema)
+
+
+def _keyed_edges(edges: ray.data.Dataset, src_col: str, dst_col: str,
+                 schema: pa.Schema, pk_parts: int,
+                 symmetric: bool = False) -> ray.data.Dataset:
+    """The edge rows of a round table, keyed by pk(src) and
+    materialized once; ``symmetric`` adds every edge's reverse."""
+    def fn(batch: pa.Table) -> pa.Table:
+        if batch.num_rows == 0:  # empty blocks may lack the columns
+            return schema.empty_table()
+        s = batch[src_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        d = batch[dst_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        if symmetric:
+            s, d = np.concatenate([s, d]), np.concatenate([d, s])
+        return _vertex_table(schema, _EDGE, s, pk_parts, dst=d)
+
+    return edges.map_batches(fn, batch_format="pyarrow").materialize()
+
+
+def _vertex_rounds(edges: ray.data.Dataset, state: ray.data.Dataset,
+                   schema: pa.Schema, send, combine: np.ufunc, fold,
+                   max_iter: int, n_nodes: int, pk_parts: int,
+                   fixpoint: str | None = None) -> ray.data.Dataset:
+    """The one round loop of the partitioned graph fixpoints
+    (:func:`pagerank_partitioned`, :func:`connected_components_partitioned`
+    and :func:`alix_ray.ops.dedup.connected_components` past its pair
+    gate).  State lives as a table hash-partitioned by node id, so
+    nothing is O(n_nodes) on the driver or in one task.
+
+    ``edges`` (from :func:`_keyed_edges`) and ``state`` (one ``_STATE``
+    row per node, at most ``n_nodes`` of them) are ``schema`` tables.
+    Each round is two slim shuffles and one materialize:
+
+    1. state ∪ edges, grouped by pk: each edge joins its source's state
+       row, ``send(joined)`` gives one message value per edge, and the
+       group emits them ``combine``-reduced per target — a Zipf-head
+       target receives one row per group, never one per edge;
+    2. state ∪ messages, grouped by pk: messages ``combine`` per node
+       into ``inbox`` (``has`` marks nodes that got one) and
+       ``fold(state_rows, inbox, has, total)`` returns the new state
+       columns and the per-row scalar ``s``.
+
+    ``total`` is the sum of ``s`` over the state the round starts
+    from: one aggregate per round.  With ``fixpoint`` (the op's name)
+    the loop stops at the first round whose sum is 0 and raises
+    ``RuntimeError`` if ``max_iter`` rounds pass first; such a
+    program's first round gets ``total=0``.  Without it the loop runs
+    exactly ``max_iter`` rounds and never sums the last state.
+
+    Block counts: each round's groupby inherits its input's block
+    count and map_groups adds per-group blocks, so an unbounded loop
+    snowballs blocks (measured: 14→603 over 5 PageRank rounds for a
+    60-row table, wall doubling per round); the state is re-bounded to
+    ~3M rows per block (≈128 MB of 40 B rows) before each
+    materialize."""
+    n_blocks = max(1, min(pk_parts, -(-n_nodes // 3_000_000)))
+    state_cols = ["id"] + schema.names[len(_ROUND_FIELDS) + 2:]
+
+    def src_side(g: pd.DataFrame) -> pa.Table:
+        kind = g["kind"].to_numpy()
+        joined = g.loc[kind == _EDGE, ["id", "dst"]].merge(
+            g.loc[kind == _STATE, state_cols], on="id")
+        ids, vals = _combine(joined["dst"].to_numpy(np.int64),
+                             send(joined), combine)
+        return _vertex_table(schema, _MSG, ids, pk_parts, m=vals)
+
+    def dst_side(g: pd.DataFrame, total) -> pa.Table:
+        kind = g["kind"].to_numpy()
+        st, msg = g[kind == _STATE], g[kind == _MSG]
+        mids, mvals = _combine(msg["id"].to_numpy(np.int64),
+                               msg["m"].to_numpy(), combine)
+        ids = st["id"].to_numpy(np.int64)
+        pos = np.searchsorted(mids, ids)
+        has = pos < len(mids)
+        has[has] = mids[pos[has]] == ids[has]
+        inbox = np.zeros(len(ids), mvals.dtype)
+        inbox[has] = mvals[pos[has]]
+        cols, s = fold(st, inbox, has, total)
+        return _vertex_table(schema, _STATE, ids, pk_parts, s=s, **cols)
+
+    state = state.repartition(n_blocks).materialize()
+    total = 0 if fixpoint else state.sum("s")
+    for i in range(max_iter):
+        msgs = state.union(edges).groupby("pk").map_groups(
+            src_side, batch_format="pandas")
+        state = state.union(msgs).groupby("pk").map_groups(
+            dst_side, batch_format="pandas",
+            fn_kwargs={"total": total}).repartition(n_blocks).materialize()
+        if not fixpoint and i + 1 == max_iter:
+            break
+        total = state.sum("s")
+        if fixpoint and not total:
+            return state
+    if fixpoint:
+        # partial labels would silently split components — rounds
+        # needed = graph diameter, so a long chain (paginated site) can
+        # legitimately exceed the default
+        raise RuntimeError(
+            f"{fixpoint} did not reach the fixpoint in {max_iter} rounds "
+            "(graph diameter exceeds max_iter); raise max_iter")
+    return state
+
+
 def pagerank(edges: ray.data.Dataset, n_nodes: int,
              n_iter: int = 5, damping: float = 0.85,
              src_col: str = "src", dst_col: str = "dst",
-             max_broadcast_nodes: int = 100_000_000,
              round_decimals: int | None = 9) -> ray.data.Dataset:
     """Fixed-iteration PageRank over an edge table (Page et al. 1999).
 
@@ -397,14 +547,14 @@ def pagerank(edges: ray.data.Dataset, n_nodes: int,
     summation order — required for the exact SQL oracle and for
     cluster-size-independent output.
 
-    ``max_broadcast_nodes`` bounds the broadcast vector (8 B/node);
+    ``MAX_BROADCAST_NODES`` bounds the broadcast vector (8 B/node);
     past it, raise rather than silently thrash — the scale fallback is
     :func:`pagerank_partitioned` (bit-equal by test).
     """
-    if n_nodes > max_broadcast_nodes:
+    if n_nodes > MAX_BROADCAST_NODES:
         raise ValueError(
             f"pagerank broadcast path holds 8 B × {n_nodes} nodes; "
-            "beyond max_broadcast_nodes use pagerank_partitioned "
+            "beyond MAX_BROADCAST_NODES use pagerank_partitioned "
             "(bit-equal distributed-ranks variant)")
 
     # materialize the slim (src, dst) projection ONCE — the degree
@@ -446,15 +596,9 @@ def pagerank(edges: ray.data.Dataset, n_nodes: int,
                 from .textstats import round_half_away
 
                 w = round_half_away(w, round_decimals + 3)
-            # sparse per-batch sum: memory O(batch), never O(n_nodes)
-            order = np.argsort(dst, kind="stable")
-            sd, sw = dst[order], w[order]
-            ids, starts = np.unique(sd, return_index=True)
-            return pa.table({
-                "id": pa.array(ids.astype(np.int64)),
-                "c": pa.array(np.add.reduceat(sw, starts)
-                              if len(sw) else sw),
-            })
+            ids, c = _combine(dst, w, np.add)
+            return pa.table({"id": pa.array(ids.astype(np.int64)),
+                             "c": pa.array(c)})
         return fn
 
     for _ in range(n_iter):
@@ -495,183 +639,79 @@ def pagerank_partitioned(edges: ray.data.Dataset, n_nodes: int,
     ever O(n_nodes) on the driver or in a single task, so 10^12 nodes
     is rows, not RAM.
 
-    Per iteration, two slim shuffles:
+    One :func:`_vertex_rounds` program, ``n_iter`` rounds: each node
+    sends ``rank / outdeg`` along its out-edges (summed per target
+    within each group), then folds ``base + d·(inbox + dangling)``.
+    The fold's per-row scalar is the node's rank when it dangles, so
+    the round's one sum is the next round's dangling mass.
 
-    1. src-side join: edge rows (keyed by pk(src)) union rank rows
-       (keyed by pk(id)); each group joins in-memory and emits
-       (dst, contribution) rows pre-keyed by pk(dst);
-    2. dst-side fold: contribution rows union the node table; each
-       group sums per dst and emits the next (id, rank, outdeg) rows.
-
-    Dangling mass is one scalar aggregate per iteration (sum of rank
-    over outdeg==0 rows).  The rounding schedule is IDENTICAL to
-    :func:`pagerank`'s broadcast path, so the two variants are
-    bit-equal (asserted by test) — the broadcast path is the fast
-    small-graph implementation, this is the shape you ship at
-    crawl-graph scale.
+    The rounding schedule is IDENTICAL to :func:`pagerank`'s broadcast
+    path, so the two variants are bit-equal (asserted by test) — the
+    broadcast path is the fast small-graph implementation, this is the
+    shape you ship at crawl-graph scale.
     """
     from .textstats import round_half_away
-
-    pk_parts = _num_parts()
-    d = damping
 
     def _round(x, dec):
         return round_half_away(x, dec) if round_decimals is not None \
             else x
 
-    # ---- static tables: edges keyed by pk(src); (id, outdeg) rows --
-    def edge_rows(batch: pa.Table) -> pa.Table:
-        src = batch[src_col].to_numpy(zero_copy_only=False).astype(
-            np.int64)
-        dst = batch[dst_col].to_numpy(zero_copy_only=False).astype(
-            np.int64)
-        return pa.table({
-            "pk": pa.array(_partition_key(src.astype(np.uint64),
-                                          pk_parts)),
-            "id": pa.array(src), "dst": pa.array(dst),
-            "r": pa.array(np.full(len(src), np.nan)),
-            "od": pa.array(np.full(len(src), -1.0)),
-        })
-
-    ekeyed = edges.map_batches(edge_rows,
-                               batch_format="pyarrow").materialize()
-
+    pk_parts = _num_parts()
+    schema = pa.schema(_ROUND_FIELDS + [
+        ("m", pa.float64()), ("s", pa.float64()),
+        ("r", pa.float64()), ("od", pa.int64())])
+    ekeyed = _keyed_edges(edges, src_col, dst_col, schema, pk_parts)
     # degrees from the MATERIALIZED edge rows (their src column is
     # "id"), not the lazy input — avoids re-executing upstream lineage
     deg = ekeyed.map_batches(
         _deg_partial_fn("id"), batch_format="pyarrow").groupby(
             "id").sum("n")
+    r0 = float(_round(1.0 / n_nodes, round_decimals))
 
-    def node_rows_from_deg(batch: pa.Table) -> pa.Table:
-        ids = batch["id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        od = batch["sum(n)"].to_numpy(zero_copy_only=False).astype(
-            np.float64)
-        return pa.table({
-            "pk": pa.array(_partition_key(ids.astype(np.uint64),
-                                          pk_parts)),
-            "id": pa.array(ids), "dst": pa.array(ids),  # dst unused
-            "r": pa.array(np.full(len(ids), np.nan)),
-            "od": pa.array(od),
-        })
+    def deg_rows(batch: pa.Table) -> pa.Table:
+        return _vertex_table(
+            schema, _STATE, batch["id"].to_numpy(zero_copy_only=False),
+            pk_parts, od=batch["sum(n)"].to_numpy(zero_copy_only=False))
 
-    # nodes with edges carry their outdeg; the dense-id contract adds
-    # the out-degree-0 nodes from a range (no O(n) driver list — the
-    # range dataset streams)
-    deg_nodes = deg.map_batches(node_rows_from_deg,
-                                batch_format="pyarrow")
+    def range_rows(batch) -> pa.Table:
+        return _vertex_table(schema, _STATE, batch["id"].astype(np.int64),
+                             pk_parts)
 
-    def dangling_rows(batch) -> pa.Table:
-        ids = batch["id"].astype(np.int64)
-        return pa.table({
-            "pk": pa.array(_partition_key(ids.astype(np.uint64),
-                                          pk_parts)),
-            "id": pa.array(ids), "dst": pa.array(ids),
-            "r": pa.array(np.full(len(ids), np.nan)),
-            "od": pa.array(np.zeros(len(ids))),
-        })
+    def init(g: pd.DataFrame) -> pa.Table:
+        # the dense-id contract adds the out-degree-0 nodes from a
+        # range (it streams: no O(n) driver list); degree rows win
+        od = g.groupby("id")["od"].max()
+        return _vertex_table(schema, _STATE, od.index.to_numpy(np.int64),
+                             pk_parts, r=np.full(len(od), r0),
+                             od=od.to_numpy(np.int64),
+                             s=np.where(od.to_numpy() == 0, r0, 0.0))
 
-    all_ids = ray.data.range(n_nodes).map_batches(
-        dangling_rows, batch_format="numpy")
+    state = ray.data.range(n_nodes).map_batches(
+        range_rows, batch_format="numpy").union(
+            deg.map_batches(deg_rows, batch_format="pyarrow")).groupby(
+                "pk").map_groups(init, batch_format="pandas")
 
-    def keep_deg_row(g: pd.DataFrame) -> pd.DataFrame:
-        # deg rows (od>0) win over the range's od=0 placeholders
-        idx = g.groupby("id")["od"].idxmax()
-        return g.loc[idx.to_numpy()]
+    base = (1.0 - damping) / n_nodes
+    dec = (round_decimals or 0) + 3
 
-    r0 = _round(1.0 / n_nodes, round_decimals)
-    # block-count discipline: each iteration's groupby inherits its
-    # input's block count and map_groups adds per-group blocks, so an
-    # unbounded loop SNOWBALLS blocks (measured: 14→603 blocks over 5
-    # iterations for a 60-row rank table, wall doubling per
-    # iteration).  Re-bound the rank table to a data-sized count
-    # (~3M rows/block ≈ 128 MB of 40 B rows) before each materialize.
-    n_blocks = max(1, min(pk_parts, -(-n_nodes // 3_000_000)))
-    nodes = all_ids.union(deg_nodes).groupby("pk").map_groups(
-        keep_deg_row, batch_format="pandas").map_batches(
-            lambda t: t.set_column(
-                t.schema.get_field_index("r"), "r",
-                pa.array(np.full(t.num_rows, r0))),
-            batch_format="pyarrow").repartition(n_blocks).materialize()
+    def send(joined: pd.DataFrame) -> np.ndarray:
+        return _round(joined["r"].to_numpy() / joined["od"].to_numpy(),
+                      dec)
 
-    base = (1.0 - d) / n_nodes
-    _CONTRIB_SCHEMA = pa.schema([("pk", pa.int64()), ("id", pa.int64()),
-                                 ("c", pa.float64())])
+    def fold(st: pd.DataFrame, inbox, has, total):
+        dmass = float(_round(total / n_nodes, dec))
+        r = _round(base + damping * (inbox + dmass), round_decimals)
+        od = st["od"].to_numpy(np.int64)
+        return {"r": r, "od": od}, np.where(od == 0, r, 0.0)
 
-    for _ in range(n_iter):
-        # scalar dangling mass (one slim aggregate; zero when the
-        # graph has no sinks)
-        dmass = nodes.map_batches(
-            lambda t: pa.table({"s": pa.array([float(
-                t["r"].to_numpy(zero_copy_only=False)[
-                    t["od"].to_numpy(zero_copy_only=False) == 0.0]
-                .sum())])}),
-            batch_format="pyarrow").sum("s") / n_nodes
-        dmass = float(_round(dmass, (round_decimals or 0) + 3))
-
-        def src_join(g: pd.DataFrame) -> pa.Table:
-            e = g[g["od"] < 0]
-            rk = g[g["od"] >= 0]
-            if len(e) == 0 or len(rk) == 0:
-                return _CONTRIB_SCHEMA.empty_table()
-            m = e[["id", "dst"]].merge(
-                rk[["id", "r", "od"]], on="id", how="inner")
-            w = _round(m["r"].to_numpy() / m["od"].to_numpy(),
-                       (round_decimals or 0) + 3)
-            dst = m["dst"].to_numpy(np.int64)
-            order = np.argsort(dst, kind="stable")
-            sd, sw = dst[order], w[order]
-            ids, starts = np.unique(sd, return_index=True)
-            return pa.table({
-                "pk": pa.array(_partition_key(ids.astype(np.uint64),
-                                              pk_parts)),
-                "id": pa.array(ids.astype(np.int64)),
-                "c": pa.array(np.add.reduceat(sw, starts)
-                              if len(sw) else sw),
-            })
-
-        contribs = nodes.union(ekeyed).groupby("pk").map_groups(
-            src_join, batch_format="pandas")
-
-        def node_side(t: pa.Table) -> pa.Table:
-            return pa.table({
-                "pk": t["pk"], "id": t["id"],
-                "c": pa.array(np.full(t.num_rows, np.nan)),
-                "od": t["od"],
-            })
-
-        def contrib_side(t: pa.Table) -> pa.Table:
-            if t.num_rows == 0:
-                return pa.schema(
-                    [("pk", pa.int64()), ("id", pa.int64()),
-                     ("c", pa.float64()),
-                     ("od", pa.float64())]).empty_table()
-            return t.append_column(
-                "od", pa.array(np.full(t.num_rows, np.nan)))
-
-        def dst_fold(g: pd.DataFrame, _dm=dmass) -> pa.Table:
-            rk = g[g["c"].isna() & g["od"].notna()]
-            cs = g[g["od"].isna()].groupby("id")["c"].sum()
-            ids = rk["id"].to_numpy(np.int64)
-            acc = cs.reindex(ids).fillna(0.0).to_numpy()
-            newr = _round(base + d * (acc + _dm), round_decimals)
-            return pa.table({
-                "pk": pa.array(rk["pk"].to_numpy(np.int64)),
-                "id": pa.array(ids),
-                "dst": pa.array(ids),
-                "r": pa.array(newr),
-                "od": pa.array(rk["od"].to_numpy(np.float64)),
-            })
-
-        nodes = nodes.map_batches(node_side, batch_format="pyarrow") \
-            .union(contribs.map_batches(contrib_side,
-                                        batch_format="pyarrow")) \
-            .groupby("pk").map_groups(dst_fold, batch_format="pandas") \
-            .repartition(n_blocks).materialize()
+    ranks = _vertex_rounds(ekeyed, state, schema, send, np.add, fold,
+                           n_iter, n_nodes, pk_parts)
 
     def out_rows(t: pa.Table) -> pa.Table:
         return pa.table({"node": t["id"], "rank": t["r"]})
 
-    return nodes.map_batches(out_rows, batch_format="pyarrow")
+    return ranks.map_batches(out_rows, batch_format="pyarrow")
+
 
 # ---------------------------------------------------------------------
 # HITS hubs / authorities
@@ -680,7 +720,6 @@ def pagerank_partitioned(edges: ray.data.Dataset, n_nodes: int,
 
 def hits(edges: ray.data.Dataset, n_nodes: int, n_iter: int = 4,
          src_col: str = "src", dst_col: str = "dst",
-         max_broadcast_nodes: int = 100_000_000,
          round_decimals: int | None = 9) -> ray.data.Dataset:
     """Fixed-iteration HITS hubs-and-authorities (Kleinberg 1999,
     JACM 46(5)) over an edge table — the query-independent variant
@@ -701,18 +740,17 @@ def hits(edges: ray.data.Dataset, n_nodes: int, n_iter: int = 4,
     one ``map_batches`` pass emitting SPARSE per-batch partials
     (argsort + ``np.add.reduceat``, memory O(batch) never O(nodes)),
     one small groupby of partials, one driver fold of the 8 B/node
-    vector, one ``ray.put`` re-broadcast.  ``max_broadcast_nodes``
+    vector, one ``ray.put`` re-broadcast.  ``MAX_BROADCAST_NODES``
     fails fast past the broadcast bound; the beyond-broadcast
-    extension is the :func:`pagerank_partitioned` shape verbatim
-    (scores as a hash-partitioned table, two slim shuffles per
-    sweep) — not shipped separately because the exchange plan is
-    identical."""
+    extension would be a :func:`_vertex_rounds` program like
+    :func:`pagerank_partitioned` (scores as a hash-partitioned table,
+    two slim shuffles per sweep) — not shipped."""
     from .textstats import round_half_away
 
-    if n_nodes > max_broadcast_nodes:
+    if n_nodes > MAX_BROADCAST_NODES:
         raise ValueError(
             f"hits broadcast path holds 8 B × {n_nodes} nodes; beyond "
-            "max_broadcast_nodes shard the score vector with the "
+            "MAX_BROADCAST_NODES shard the score vector with the "
             "pagerank_partitioned exchange plan")
 
     def _round(x):
@@ -729,16 +767,9 @@ def hits(edges: ray.data.Dataset, n_nodes: int, n_iter: int = 4,
             v = ray.get(vec_ref)
             frm = batch[from_col].to_numpy(zero_copy_only=False)
             to = batch[to_col].to_numpy(zero_copy_only=False)
-            w = v[frm]
-            # sparse per-batch sum: memory O(batch), never O(n_nodes)
-            order = np.argsort(to, kind="stable")
-            st, sw = to[order], w[order]
-            ids, starts = np.unique(st, return_index=True)
-            return pa.table({
-                "id": pa.array(ids.astype(np.int64)),
-                "c": pa.array(np.add.reduceat(sw, starts)
-                              if len(sw) else sw),
-            })
+            ids, c = _combine(to, v[frm], np.add)
+            return pa.table({"id": pa.array(ids.astype(np.int64)),
+                             "c": pa.array(c)})
 
         acc = np.zeros(n_nodes, np.float64)
         parts = edges.map_batches(fn, batch_format="pyarrow").groupby(
@@ -821,8 +852,7 @@ def degree_distribution(edges: ray.data.Dataset,
 
 
 def host_link_graph(edges: ray.data.Dataset, hosts: np.ndarray,
-                    src_col: str = "src", dst_col: str = "dst",
-                    max_broadcast_nodes: int = 100_000_000
+                    src_col: str = "src", dst_col: str = "dst"
                     ) -> ray.data.Dataset:
     """Collapse the page-level link graph to the host (domain) level:
     one ``(src_host, dst_host, n_links)`` row per ordered host pair —
@@ -839,14 +869,14 @@ def host_link_graph(edges: ray.data.Dataset, hosts: np.ndarray,
     row per distinct host pair per batch, never per link); the single
     exchange folds pair partials under a coarse hash(src_host,
     dst_host) partition — disjoint keys, so per-pair sums are global.
-    Beyond ``max_broadcast_nodes`` the mapping no longer broadcasts;
+    Beyond ``MAX_BROADCAST_NODES`` the mapping no longer broadcasts;
     the fallback is the :func:`pagerank_partitioned` exchange plan
     (node→host as a hash-partitioned table, src-side then dst-side
     join) — fail fast rather than thrash."""
-    if len(hosts) > max_broadcast_nodes:
+    if len(hosts) > MAX_BROADCAST_NODES:
         raise ValueError(
             f"host_link_graph broadcasts {len(hosts)} host names; "
-            "beyond max_broadcast_nodes route the mapping through the "
+            "beyond MAX_BROADCAST_NODES route the mapping through the "
             "pagerank_partitioned-style partitioned join instead")
 
     pk_parts = _num_parts()
@@ -892,7 +922,6 @@ def crawl_schedule(statuses: ray.data.Dataset, ranks: np.ndarray,
                    hosts: np.ndarray, quota: int = 10,
                    weights: dict[str, float] | None = None,
                    id_col: str = "doc_id", status_col: str = "status",
-                   max_broadcast_nodes: int = 100_000_000,
                    round_decimals: int = 9) -> ray.data.Dataset:
     """Recrawl scheduler: combine the snapshot-diff status, the page's
     link-graph centrality and a per-host politeness quota into the
@@ -905,7 +934,7 @@ def crawl_schedule(statuses: ray.data.Dataset, ranks: np.ndarray,
     ``ranks`` (float64 per dense node id) and ``hosts`` (host name per
     node id) are broadcast ONCE via ``ray.put`` — the same
     broadcast-dictionary-join bound as :func:`hits` /
-    :func:`host_link_graph`, fail-fast past ``max_broadcast_nodes``
+    :func:`host_link_graph`, fail-fast past ``MAX_BROADCAST_NODES``
     (beyond it both become hash-partitioned tables and the assembly
     runs as the pagerank_partitioned-style two-sided join).
 
@@ -920,10 +949,10 @@ def crawl_schedule(statuses: ray.data.Dataset, ranks: np.ndarray,
     status) never leaves the map task."""
     from .textstats import round_half_away
 
-    if len(hosts) > max_broadcast_nodes:
+    if len(hosts) > MAX_BROADCAST_NODES:
         raise ValueError(
             f"crawl_schedule broadcasts {len(hosts)} node mappings; "
-            "beyond max_broadcast_nodes route ranks/hosts through a "
+            "beyond MAX_BROADCAST_NODES route ranks/hosts through a "
             "partitioned join instead")
     weights = dict(weights) if weights is not None else \
         {"new": 1.0, "changed": 0.7, "same": 0.1}
@@ -993,7 +1022,6 @@ def crawl_schedule(statuses: ray.data.Dataset, ranks: np.ndarray,
 def connected_components(edges: ray.data.Dataset, n_nodes: int,
                          src_col: str = "src", dst_col: str = "dst",
                          max_iter: int = 64,
-                         max_broadcast_nodes: int = 100_000_000
                          ) -> ray.data.Dataset:
     """Undirected connected components by min-label propagation:
     every node's label converges to the smallest node id reachable
@@ -1017,15 +1045,14 @@ def connected_components(edges: ray.data.Dataset, n_nodes: int,
     Scale shape: :func:`pagerank`'s broadcast-path exchange plan
     verbatim (edge table materialized once and never moved; only
     sparse (node, min) int64 rows — 16 B/row — cross per iteration).
-    ``max_broadcast_nodes`` fails fast past the 8 B/node broadcast
-    bound; beyond it the label vector becomes a hash-partitioned
-    table and each sweep runs as the :func:`pagerank_partitioned`
-    two-shuffle join, with the same fixpoint test as a count over
-    the changed-rows dataset."""
-    if n_nodes > max_broadcast_nodes:
+    ``MAX_BROADCAST_NODES`` fails fast past the 8 B/node broadcast
+    bound; beyond it :func:`connected_components_partitioned` keeps the
+    labels as a hash-partitioned table (same labels, same fixpoint
+    test as a changed-row sum)."""
+    if n_nodes > MAX_BROADCAST_NODES:
         raise ValueError(
             f"connected_components broadcasts 8 B × {n_nodes} labels; "
-            "beyond max_broadcast_nodes shard the label vector with "
+            "beyond MAX_BROADCAST_NODES shard the label vector with "
             "the pagerank_partitioned exchange plan")
 
     edges = edges.select_columns([src_col, dst_col]).materialize()
@@ -1041,17 +1068,9 @@ def connected_components(edges: ray.data.Dataset, n_nodes: int,
                 np.int64)
             d = batch[dst_col].to_numpy(zero_copy_only=False).astype(
                 np.int64)
-            ids = np.concatenate([s, d])
-            vals = np.concatenate([lab[d], lab[s]])
-            # sparse per-batch min: memory O(batch), never O(n_nodes)
-            order = np.argsort(ids, kind="stable")
-            si, sv = ids[order], vals[order]
-            u, starts = np.unique(si, return_index=True)
-            return pa.table({
-                "id": pa.array(u),
-                "m": pa.array(np.minimum.reduceat(sv, starts)
-                              if len(sv) else sv),
-            })
+            u, m = _combine(np.concatenate([s, d]),
+                            np.concatenate([lab[d], lab[s]]), np.minimum)
+            return pa.table({"id": pa.array(u), "m": pa.array(m)})
 
         new = labels.copy()
         parts = edges.map_batches(fn, batch_format="pyarrow").groupby(
@@ -1079,6 +1098,51 @@ def connected_components(edges: ray.data.Dataset, n_nodes: int,
     return ray.data.from_arrow(out)
 
 
+def _min_labels(edges: ray.data.Dataset, src_col: str, dst_col: str,
+                n_nodes: int, max_iter: int, name: str,
+                dense: bool = True) -> ray.data.Dataset:
+    """Min-label propagation over the undirected edges as a
+    :func:`_vertex_rounds` program: ``(id, lbl)`` rows, ``lbl`` the
+    smallest node id reachable.  With ``dense`` the nodes are
+    ``range(n_nodes)``; otherwise they are the distinct edge endpoints
+    (at most ``n_nodes`` of them) and ids may be any int64.
+
+    Each node sends its label both ways along every edge (min-combined
+    per target within each group); the fold keeps ``min(old, inbox)``
+    and marks changed rows, so the round's one sum is the changed
+    count and 0 is the FIXPOINT (min-propagation is monotone, so the
+    test is exact, not heuristic).  Labels stay int64 throughout:
+    exact for any id."""
+    pk_parts = _num_parts()
+    schema = pa.schema(_ROUND_FIELDS + [
+        ("m", pa.int64()), ("s", pa.int64()), ("lbl", pa.int64())])
+    ekeyed = _keyed_edges(edges, src_col, dst_col, schema, pk_parts,
+                          symmetric=True)
+
+    def own_label(ids: np.ndarray) -> pa.Table:
+        return _vertex_table(schema, _STATE, ids, pk_parts, lbl=ids)
+
+    if dense:
+        state = ray.data.range(n_nodes).map_batches(
+            lambda b: own_label(b["id"].astype(np.int64)),
+            batch_format="numpy")
+    else:
+        state = ekeyed.groupby("pk").map_groups(
+            lambda g: own_label(np.unique(g["id"].to_numpy(np.int64))),
+            batch_format="pandas")
+
+    def send(joined: pd.DataFrame) -> np.ndarray:
+        return joined["lbl"].to_numpy(np.int64)
+
+    def fold(st: pd.DataFrame, inbox, has, total):
+        old = st["lbl"].to_numpy(np.int64)
+        new = np.where(has, np.minimum(old, inbox), old)
+        return {"lbl": new}, (new != old).astype(np.int64)
+
+    return _vertex_rounds(ekeyed, state, schema, send, np.minimum, fold,
+                          max_iter, n_nodes, pk_parts, fixpoint=name)
+
+
 def connected_components_partitioned(edges: ray.data.Dataset,
                                      n_nodes: int,
                                      src_col: str = "src",
@@ -1088,129 +1152,24 @@ def connected_components_partitioned(edges: ray.data.Dataset,
     """The beyond-broadcast connected components: labels live as a
     DISTRIBUTED (id, label) table hash-partitioned by node id —
     nothing is ever O(n_nodes) on the driver or in a single task
-    (same promotion :func:`pagerank` → :func:`pagerank_partitioned`).
-
-    The symmetric edge table is materialized once as (pk(a), a, b)
-    rows for BOTH directions of every edge ("reading a's label feeds
-    b's minimum").  Per iteration two slim shuffles:
-
-    1. src-side join: label rows ∪ edge rows groupby(pk); each group
-       joins in-memory and emits per-group PRE-REDUCED sparse
-       (pk(b), b, min-candidate) rows — a Zipf-head target receives
-       one row per (group, target), never per edge;
-    2. dst-side fold: candidate rows ∪ label table groupby(pk); new
-       label = min(old, candidates), with a per-row ``chg`` marker
-       whose distributed sum is the FIXPOINT test (min-propagation is
-       monotone, so the test is exact, not heuristic).
+    (same promotion :func:`pagerank` → :func:`pagerank_partitioned`,
+    on the same :func:`_vertex_rounds` kernel via :func:`_min_labels`).
+    Per round two slim shuffles, one materialize and one changed-count
+    sum; raises ``RuntimeError`` when ``max_iter`` rounds pass before
+    the fixpoint.
 
     Integer min has no rounding schedule, so this variant is
     bit-equal to the broadcast :func:`connected_components` by
     construction (asserted by test): the broadcast path is the fast
     small-graph implementation, this is the shape you ship at
-    crawl-graph scale.  Row-kind markers ride the ``o`` column
-    (edge rows ``o>=0``, label rows ``o==-1``, candidates ``o==-2``)
-    — never block metadata, which Ray duplicates across splits."""
-    pk_parts = _num_parts()
-    n_blocks = max(1, min(pk_parts, -(-n_nodes // 3_000_000)))
-
-    def edge_rows(batch: pa.Table) -> pa.Table:
-        s = batch[src_col].to_numpy(zero_copy_only=False).astype(
-            np.int64)
-        d = batch[dst_col].to_numpy(zero_copy_only=False).astype(
-            np.int64)
-        a = np.concatenate([s, d])
-        b = np.concatenate([d, s])
-        return pa.table({
-            "pk": pa.array(_partition_key(a.astype(np.uint64),
-                                          pk_parts)),
-            "id": pa.array(a), "o": pa.array(b),
-            "lbl": pa.array(np.full(len(a), -1, np.int64)),
-        })
-
-    ekeyed = edges.map_batches(edge_rows,
-                               batch_format="pyarrow").materialize()
-
-    def init_labels(batch) -> pa.Table:
-        ids = batch["id"].astype(np.int64)
-        return pa.table({
-            "pk": pa.array(_partition_key(ids.astype(np.uint64),
-                                          pk_parts)),
-            "id": pa.array(ids),
-            "o": pa.array(np.full(len(ids), -1, np.int64)),
-            "lbl": pa.array(ids),
-        })
-
-    nodes = ray.data.range(n_nodes).map_batches(
-        init_labels, batch_format="numpy").repartition(
-            n_blocks).materialize()
-
-    _CAND = pa.schema([("pk", pa.int64()), ("id", pa.int64()),
-                       ("o", pa.int64()), ("lbl", pa.int64())])
-    _FOLD = pa.schema(list(_CAND) + [("chg", pa.int64())])
-
-    converged = False
-    for _ in range(max_iter):
-        def src_join(g: pd.DataFrame) -> pa.Table:
-            e = g[g["o"] >= 0]
-            rk = g[g["o"] == -1]
-            if len(e) == 0 or len(rk) == 0:
-                return _CAND.empty_table()
-            m = e[["id", "o"]].merge(rk[["id", "lbl"]], on="id",
-                                     how="inner")
-            tgt = m["o"].to_numpy(np.int64)
-            lab = m["lbl"].to_numpy(np.int64)
-            order = np.argsort(tgt, kind="stable")
-            st, sl = tgt[order], lab[order]
-            ids, starts = np.unique(st, return_index=True)
-            return pa.table({
-                "pk": pa.array(_partition_key(ids.astype(np.uint64),
-                                              pk_parts)),
-                "id": pa.array(ids),
-                "o": pa.array(np.full(len(ids), -2, np.int64)),
-                "lbl": pa.array(np.minimum.reduceat(sl, starts)
-                                if len(sl) else sl),
-            })
-
-        cands = nodes.union(ekeyed).groupby("pk").map_groups(
-            src_join, batch_format="pandas")
-
-        def dst_fold(g: pd.DataFrame) -> pa.Table:
-            rk = g[g["o"] == -1]
-            if len(rk) == 0:
-                return _FOLD.empty_table()
-            cs = g[g["o"] == -2].groupby("id")["lbl"].min()
-            ids = rk["id"].to_numpy(np.int64)
-            old = rk["lbl"].to_numpy(np.int64)
-            # n_nodes is a safe "no candidate" sentinel (labels are
-            # < n_nodes; int64-max round-trips through float64 wrong)
-            new = np.minimum(old, cs.reindex(ids).fillna(
-                float(n_nodes)).to_numpy(np.int64))
-            return pa.table({
-                "pk": pa.array(rk["pk"].to_numpy(np.int64)),
-                "id": pa.array(ids),
-                "o": pa.array(np.full(len(ids), -1, np.int64)),
-                "lbl": pa.array(new),
-                "chg": pa.array((new != old).astype(np.int64)),
-            })
-
-        folded = nodes.union(cands).groupby("pk").map_groups(
-            dst_fold, batch_format="pandas").repartition(
-                n_blocks).materialize()
-        changed = folded.sum("chg")
-        nodes = folded.drop_columns(["chg"]).materialize()
-        if not changed:
-            converged = True
-            break
-    if not converged:
-        raise RuntimeError(
-            f"connected_components_partitioned did not reach the "
-            f"fixpoint in {max_iter} rounds (graph diameter exceeds "
-            "max_iter); raise max_iter")
+    crawl-graph scale."""
+    labels = _min_labels(edges, src_col, dst_col, n_nodes, max_iter,
+                         "connected_components_partitioned")
 
     def out_rows(t: pa.Table) -> pa.Table:
         return pa.table({"node": t["id"], "component": t["lbl"]})
 
-    return nodes.map_batches(out_rows, batch_format="pyarrow")
+    return labels.map_batches(out_rows, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------
@@ -1304,7 +1263,6 @@ def _triangle_batch(nodes: np.ndarray, keys: np.ndarray,
 
 def triangle_counts(edges: ray.data.Dataset, n_nodes: int,
                     src_col: str = "src", dst_col: str = "dst",
-                    max_broadcast_edges: int = 500_000_000
                     ) -> ray.data.Dataset:
     """Per-node triangle participation counts over the undirected
     simple graph (self-loops and duplicate/reverse edges collapse in
@@ -1323,7 +1281,7 @@ def triangle_counts(edges: ray.data.Dataset, n_nodes: int,
 
     Shape: the canonical edge-key set (sorted ``a·n+b`` int64, a<b)
     is folded once and broadcast via ``ray.put`` (fail-fast past
-    ``max_broadcast_edges`` — 8 B/edge); wedge enumeration then runs
+    ``MAX_BROADCAST_EDGES`` — 8 B/edge); wedge enumeration then runs
     DISTRIBUTED over the node range (``ray.data.range`` →
     ``map_batches``): per apex the neighbor pairs come from
     ``np.triu_indices`` rows (numpy per apex — the O(d²) wedge cost is
@@ -1355,10 +1313,10 @@ def triangle_counts(edges: ray.data.Dataset, n_nodes: int,
               .iter_batches(batch_format="pyarrow")]
     keys = np.unique(np.concatenate(kparts)) if kparts else \
         np.empty(0, np.int64)
-    if len(keys) > max_broadcast_edges:
+    if len(keys) > MAX_BROADCAST_EDGES:
         raise ValueError(
             f"triangle_counts broadcasts {len(keys)} edge keys; beyond "
-            "max_broadcast_edges use the degree-oriented wedge-join "
+            "MAX_BROADCAST_EDGES use the degree-oriented wedge-join "
             "(Suri & Vassilvitskii 2011) escalation")
 
     indptr, tails = _edge_key_csr(keys, n_nodes)
@@ -1386,8 +1344,6 @@ def triangle_counts(edges: ray.data.Dataset, n_nodes: int,
 
 def graph_stats(edges: ray.data.Dataset, n_nodes: int,
                 src_col: str = "src", dst_col: str = "dst",
-                max_broadcast_nodes: int = 100_000_000,
-                max_broadcast_edges: int = 500_000_000,
                 round_decimals: int = 6) -> ray.data.Dataset:
     """One-row global health panel of the directed link graph:
     ``n_edges`` (raw rows), ``n_distinct`` (distinct directed pairs,
@@ -1405,7 +1361,7 @@ def graph_stats(edges: ray.data.Dataset, n_nodes: int,
 
     Shape: one sparse endpoint-count pass builds the degree vector
     (groupby-summed partials, broadcast via ``ray.put``, fail-fast
-    past ``max_broadcast_nodes``); the distinct directed key set is
+    past ``MAX_BROADCAST_NODES``); the distinct directed key set is
     folded once (8 B/edge, fail-fast like :func:`triangle_counts`);
     then ONE edge pass emits a single integer-partial row per batch
     and the driver folds exactly n_batches rows.  At 10^13 edges the
@@ -1413,10 +1369,10 @@ def graph_stats(edges: ray.data.Dataset, n_nodes: int,
     promote the partials to Python ints (object dtype) or 128-bit
     split sums."""
     deg = np.zeros(n_nodes, np.int64)
-    if n_nodes > max_broadcast_nodes:
+    if n_nodes > MAX_BROADCAST_NODES:
         raise ValueError(
             f"graph_stats broadcasts 8 B × {n_nodes} degrees; shard "
-            "beyond max_broadcast_nodes")
+            "beyond MAX_BROADCAST_NODES")
 
     def endpoint_partial(batch: pa.Table) -> pa.Table:
         s = batch[src_col].to_numpy(zero_copy_only=False).astype(
@@ -1450,10 +1406,10 @@ def graph_stats(edges: ray.data.Dataset, n_nodes: int,
               .iter_batches(batch_format="pyarrow")]
     keys = np.unique(np.concatenate(kparts)) if kparts else \
         np.empty(0, np.int64)
-    if len(keys) > max_broadcast_edges:
+    if len(keys) > MAX_BROADCAST_EDGES:
         raise ValueError(
             f"graph_stats broadcasts {len(keys)} edge keys; beyond "
-            "max_broadcast_edges run reciprocity as a hash-partitioned "
+            "MAX_BROADCAST_EDGES run reciprocity as a hash-partitioned "
             "self-join")
     n_reciprocal = int(np.isin((keys % n_nodes) * n_nodes
                                + keys // n_nodes, keys).sum())
@@ -1559,7 +1515,6 @@ def robots_filter(pages: ray.data.Dataset,
 def coreness(edges: ray.data.Dataset, n_nodes: int,
              src_col: str = "src", dst_col: str = "dst",
              max_iter: int = 64,
-             max_broadcast_nodes: int = 100_000_000
              ) -> ray.data.Dataset:
     """Per-node coreness (k-core decomposition) of the undirected
     simple graph — the crawl-frontier quality signal (a page's core
@@ -1579,7 +1534,7 @@ def coreness(edges: ray.data.Dataset, n_nodes: int,
 
     Shape: the canonical symmetric adjacency rows (16 B, pre-keyed by
     hash(node)) materialize ONCE; the value vector (8 B/node)
-    broadcasts per round (fail-fast past ``max_broadcast_nodes``);
+    broadcasts per round (fail-fast past ``MAX_BROADCAST_NODES``);
     each round is one map pass emitting (pk, node, neighbor-value)
     slim rows + one ``groupby(pk).map_groups`` computing H per node
     with vectorized rank logic (sort + cumcount — no Python per
@@ -1587,10 +1542,10 @@ def coreness(edges: ray.data.Dataset, n_nodes: int,
     associative, so per-batch pre-combining can only compress to
     per-(node, value) counts — the in-group sort is the honest
     cost."""
-    if n_nodes > max_broadcast_nodes:
+    if n_nodes > MAX_BROADCAST_NODES:
         raise ValueError(
             f"coreness broadcasts 8 B × {n_nodes} values; shard the "
-            "value vector beyond max_broadcast_nodes")
+            "value vector beyond MAX_BROADCAST_NODES")
     pk_parts = _num_parts()
 
     def canon(batch: pa.Table) -> pa.Table:

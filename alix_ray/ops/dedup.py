@@ -535,44 +535,38 @@ def minhash_lsh_pairs(
 # ---------------------------------------------------------------------
 
 
+# Pair count up to which connected_components labels on the driver
+# (union-find); past it the partitioned min-label rounds take over.
+CLUSTER_DRIVER_MAX_PAIRS = 5_000_000
+
+
 def connected_components(pairs: ray.data.Dataset, a_col="doc_a",
-                         b_col="doc_b", max_iter: int = 30,
-                         num_parts: int = 32,
-                         driver_max_pairs: int = 5_000_000):
+                         b_col="doc_b", max_iter: int = 30):
     """Cluster near-dup pairs into components; cluster id = min doc id.
 
     Strategy auto-selects on pair count (the docids precedent): the
     pair set is tiny relative to the corpus by LSH construction, so up
-    to ``driver_max_pairs`` a path-compressed union-find on the driver
-    labels everything in milliseconds (this is what production dedup
-    pipelines do); past it, the fully distributed min-label
-    propagation below takes over — identical labels by construction.
-
-    Distributed min-label propagation: labels start as each node's own
-    id and flow along (symmetrized) edges — two coarse-partitioned
-    groupbys per round (attach L(v) to edges by v, then min-reduce by
-    u), converging in O(component diameter) rounds (near-dup clusters
-    are shallow).  Nothing lands on the driver except the per-round
-    label-sum convergence scalar.  This is the step after
+    to ``CLUSTER_DRIVER_MAX_PAIRS`` a path-compressed union-find on the
+    driver labels everything in milliseconds (this is what production
+    dedup pipelines do); past it, the distributed min-label rounds of
+    :mod:`alix_ray.ops.crawl` (``_min_labels`` on the ``_vertex_rounds``
+    kernel, shared with ``connected_components_partitioned``) take
+    over — identical labels by construction, exact int64 for any doc
+    id.  Their state starts from the distinct pair endpoints; rounds
+    needed = the largest component's diameter (near-dup clusters are
+    shallow), and more than ``max_iter`` raises ``RuntimeError`` rather
+    than return split clusters.  Nothing lands on the driver except
+    the per-round changed-label count.  This is the step after
     :func:`minhash_lsh_pairs` in a dedup pipeline: keep
     ``doc_id == cluster_id`` rows to retain one representative per
     cluster.
 
     Returns a Dataset of ``(doc_id, cluster_id)`` for every doc that
     appears in some pair.
-
-    ``num_parts`` bounds the shuffle partitions (and so the per-round
-    block count — Ray's map_groups emits a block per group); size it
-    to ~cluster cores.  The label set is O(docs-in-pairs), far smaller
-    than the corpus, so modest partition counts suffice.
     """
-
-    def pk(x: np.ndarray) -> np.ndarray:
-        return (_mix64(x) % np.uint64(num_parts)).astype(np.int64)
-
     pairs = pairs.materialize()  # count + reuse without re-executing
     n_pairs = pairs.count()
-    if n_pairs <= driver_max_pairs:
+    if n_pairs <= CLUSTER_DRIVER_MAX_PAIRS:
         # blocks may have heterogeneous schemas (empty map_groups
         # outputs) — take just the two pair columns from non-empty ones
         blocks = [
@@ -606,143 +600,12 @@ def connected_components(pairs: ray.data.Dataset, a_col="doc_a",
                       "cluster_id": pa.array(roots)})
         )
 
-    def sym(batch: pa.Table) -> pa.Table:
-        a = np.asarray(batch[a_col].to_pylist(), np.int64)
-        b = np.asarray(batch[b_col].to_pylist(), np.int64)
-        u = np.concatenate([a, b])
-        v = np.concatenate([b, a])
-        return pa.table(
-            {"u": pa.array(u), "v": pa.array(v),
-             "pkey": pa.array(pk(v.astype(np.uint64)))}
-        )
+    from .crawl import _min_labels
 
-    edges = pairs.map_batches(sym, batch_format="pyarrow").materialize()
-
-    def init_labels(g):
-        import pandas as pd
-
-        nodes = np.unique(g["v"].to_numpy(np.int64))
-        return pd.DataFrame(
-            {"node": nodes, "label": nodes,
-             "pkey": pk(nodes.astype(np.uint64))}
-        )
-
-    labels = edges.groupby("pkey").map_groups(
-        init_labels, batch_format="pandas"
-    ).materialize()
-
-    def tag_edges(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table(
-            {"u": batch["u"], "v": batch["v"], "pkey": batch["pkey"],
-             "label": pa.array(np.full(n, -1, np.int64))}
-        )
-
-    def tag_labels(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table(
-            {"u": pa.array(np.full(n, -1, np.int64)),
-             "v": batch["node"], "pkey": batch["pkey"],
-             "label": batch["label"]}
-        )
-
-    def attach(g):
-        import pandas as pd
-
-        lab = g[g["u"] < 0]
-        lmap = dict(zip(lab["v"].to_numpy(np.int64),
-                        lab["label"].to_numpy(np.int64)))
-        e = g[g["u"] >= 0]
-        if len(e) == 0:
-            return pd.DataFrame(
-                {"node": pd.Series([], dtype="int64"),
-                 "cand": pd.Series([], dtype="int64"),
-                 "pkey2": pd.Series([], dtype="int64")}
-            )
-        u = e["u"].to_numpy(np.int64)
-        cand = np.array([lmap[x] for x in e["v"].to_numpy(np.int64)],
-                        np.int64)
-        return pd.DataFrame(
-            {"node": u, "cand": cand,
-             "pkey2": pk(u.astype(np.uint64))}
-        )
-
-    def reduce_min(g):
-        import pandas as pd
-
-        out = g.groupby("node", as_index=False)["cand"].min()
-        return out.rename(columns={"cand": "label"})
-
-    def label_edges(batch: pa.Table) -> pa.Table:
-        # pointer-doubling edges u -> label(u): candidates then include
-        # L(L(u)) (path halving), so long chains converge in O(log n)
-        # rounds instead of O(chain length)
-        node = np.asarray(batch["node"].to_pylist(), np.int64)
-        lab = np.asarray(batch["label"].to_pylist(), np.int64)
-        return pa.table(
-            {"u": pa.array(node), "v": pa.array(lab),
-             "pkey": pa.array(pk(lab.astype(np.uint64))),
-             "label": pa.array(np.full(len(node), -1, np.int64))}
-        )
-
-    prev_sum = None
-    for _ in range(max_iter):
-        cands = (
-            edges.map_batches(tag_edges, batch_format="pyarrow")
-            .union(labels.map_batches(label_edges, batch_format="pyarrow"))
-            .union(labels.map_batches(tag_labels, batch_format="pyarrow"))
-            .groupby("pkey")
-            .map_groups(attach, batch_format="pandas")
-        )
-        def own_rows(b):
-            import pandas as pd
-
-            node = b["node"].to_numpy(np.int64)
-            # pandas output to match the map_groups blocks it unions with
-            return pd.DataFrame(
-                {"node": node, "cand": b["label"].to_numpy(np.int64),
-                 "pkey2": pk(node.astype(np.uint64))}
-            )
-
-        own = labels.map_batches(own_rows, batch_format="pandas")
-        new_labels = (
-            cands.union(own).groupby("pkey2")
-            .map_groups(reduce_min, batch_format="pandas")
-            .map_batches(
-                lambda b: pa.table(
-                    {"node": b["node"], "label": b["label"],
-                     "pkey": pa.array(pk(
-                         np.asarray(b["node"].to_pylist(), np.int64)
-                         .astype(np.uint64)))}
-                ),
-                batch_format="pyarrow",
-            )
-            # bound block count: without this, each round's unions and
-            # groupbys COMPOUND the label dataset's tiny blocks and
-            # per-round scheduling overhead grows superlinearly
-            .repartition(num_parts)
-            .materialize()
-        )
-        cur_sum = new_labels.sum("label")
-        labels = new_labels
-        if prev_sum is not None and cur_sum == prev_sum:
-            break  # labels only decrease; equal sum = fixpoint
-        prev_sum = cur_sum
-    else:
-        import warnings
-
-        warnings.warn(
-            f"connected_components: no label fixpoint after "
-            f"{max_iter} rounds — returned labels may be UNCONVERGED "
-            f"(some clusters split across ids); raise max_iter",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-
+    labels = _min_labels(pairs, a_col, b_col, 2 * n_pairs, max_iter,
+                         "connected_components", dense=False)
     return labels.map_batches(
-        lambda b: pa.table(
-            {"doc_id": b["node"], "cluster_id": b["label"]}
-        ),
+        lambda b: pa.table({"doc_id": b["id"], "cluster_id": b["lbl"]}),
         batch_format="pyarrow",
     )
 

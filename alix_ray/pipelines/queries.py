@@ -3331,7 +3331,7 @@ def _mk_edges_fn(n: int, maps):
     return fn
 
 
-def _run_pagerank_query(sf_dir: str, impl_kwargs=None,
+def _run_pagerank_query(sf_dir: str,
                         partitioned: bool = False) -> pd.DataFrame:
     """Shared harness for the two PageRank variants: the SAME
     deterministic 2-out-degree synthetic graph (src=doc_id →
@@ -3348,8 +3348,7 @@ def _run_pagerank_query(sf_dir: str, impl_kwargs=None,
         _mk_edges_fn(n, [lambda i: i * 7 + 1, lambda i: i * 13 + 3]),
         batch_format="pyarrow")
     impl = pagerank_partitioned if partitioned else pagerank
-    df = impl(edges, n, n_iter=PR_ITER, damping=PR_DAMP,
-              **(impl_kwargs or {})).to_pandas()
+    df = impl(edges, n, n_iter=PR_ITER, damping=PR_DAMP).to_pandas()
     df["rank"] = round_half_away(df["rank"].to_numpy())
     df["node"] = df["node"].astype("int64")
     return df.sort_values("node").reset_index(drop=True)

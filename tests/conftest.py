@@ -1,6 +1,11 @@
 import pytest
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: long end-to-end test (deselect with -m 'not slow')")
+
+
 @pytest.fixture(scope="session")
 def ray_session():
     """One Ray session for the whole pytest run (driver contract)."""

@@ -146,12 +146,12 @@ class TestPagerank:
             "node")
         assert got["rank"].tolist() == got2["rank"].tolist()
 
-    def test_broadcast_bound_raises(self, ray_session):
-        from alix_ray.ops.crawl import pagerank
+    def test_broadcast_bound_raises(self, ray_session, monkeypatch):
+        from alix_ray.ops import crawl
 
+        monkeypatch.setattr(crawl, "MAX_BROADCAST_NODES", 5)
         with pytest.raises(ValueError):
-            pagerank(_ds({"src": [0], "dst": [1]}), 10,
-                     max_broadcast_nodes=5)
+            crawl.pagerank(_ds({"src": [0], "dst": [1]}), 10)
 
     def test_partitioned_variant_bit_equal(self, ray_session):
         """The distributed-ranks variant (two slim shuffles/iter,
@@ -325,12 +325,12 @@ class TestHits:
         assert got["auth"].idxmax() == 2
         assert got["hub"].idxmax() == 0
 
-    def test_broadcast_bound_raises(self, ray_session):
-        from alix_ray.ops.crawl import hits
+    def test_broadcast_bound_raises(self, ray_session, monkeypatch):
+        from alix_ray.ops import crawl
 
+        monkeypatch.setattr(crawl, "MAX_BROADCAST_NODES", 5)
         with pytest.raises(ValueError):
-            hits(_ds({"src": [0], "dst": [1]}), 10,
-                 max_broadcast_nodes=5)
+            crawl.hits(_ds({"src": [0], "dst": [1]}), 10)
 
 
 class TestDegreeDistribution:
@@ -372,13 +372,13 @@ class TestHostLinkGraph:
             .sort_values(["src_host", "dst_host"]).reset_index(drop=True)
         pd.testing.assert_frame_equal(got2, want)
 
-    def test_broadcast_bound_raises(self, ray_session):
-        from alix_ray.ops.crawl import host_link_graph
+    def test_broadcast_bound_raises(self, ray_session, monkeypatch):
+        from alix_ray.ops import crawl
 
+        monkeypatch.setattr(crawl, "MAX_BROADCAST_NODES", 1)
         with pytest.raises(ValueError):
-            host_link_graph(_ds({"src": [0], "dst": [1]}),
-                            np.array(["a", "b"], dtype=object),
-                            max_broadcast_nodes=1)
+            crawl.host_link_graph(_ds({"src": [0], "dst": [1]}),
+                                  np.array(["a", "b"], dtype=object))
 
 
 class TestCrawlSchedule:
@@ -426,14 +426,14 @@ class TestCrawlSchedule:
         # per-host cap holds
         assert a.groupby("domain").size().max() <= 3
 
-    def test_broadcast_bound_raises(self, ray_session):
-        from alix_ray.ops.crawl import crawl_schedule
+    def test_broadcast_bound_raises(self, ray_session, monkeypatch):
+        from alix_ray.ops import crawl
 
+        monkeypatch.setattr(crawl, "MAX_BROADCAST_NODES", 0)
         with pytest.raises(ValueError):
-            crawl_schedule(_ds({"doc_id": [0], "status": ["new"]}),
-                           np.array([1.0]),
-                           np.array(["a"], dtype=object),
-                           max_broadcast_nodes=0)
+            crawl.crawl_schedule(_ds({"doc_id": [0], "status": ["new"]}),
+                                 np.array([1.0]),
+                                 np.array(["a"], dtype=object))
 
 
 class TestConnectedComponents:
@@ -478,12 +478,12 @@ class TestConnectedComponents:
         for comp, grp in a.groupby("component"):
             assert comp == grp["node"].min()
 
-    def test_broadcast_bound_raises(self, ray_session):
-        from alix_ray.ops.crawl import connected_components
+    def test_broadcast_bound_raises(self, ray_session, monkeypatch):
+        from alix_ray.ops import crawl
 
+        monkeypatch.setattr(crawl, "MAX_BROADCAST_NODES", 1)
         with pytest.raises(ValueError):
-            connected_components(_ds({"src": [0], "dst": [1]}), 2,
-                                 max_broadcast_nodes=1)
+            crawl.connected_components(_ds({"src": [0], "dst": [1]}), 2)
 
 
 class TestConnectedComponentsPartitioned:
@@ -610,12 +610,12 @@ class TestTriangleCounts:
         pd.testing.assert_frame_equal(a, b)
         assert a["triangles"].sum() % 3 == 0
 
-    def test_broadcast_bound_raises(self, ray_session):
-        from alix_ray.ops.crawl import triangle_counts
+    def test_broadcast_bound_raises(self, ray_session, monkeypatch):
+        from alix_ray.ops import crawl
 
+        monkeypatch.setattr(crawl, "MAX_BROADCAST_EDGES", 1)
         with pytest.raises(ValueError):
-            triangle_counts(_ds({"src": [0, 1], "dst": [1, 2]}), 3,
-                            max_broadcast_edges=1)
+            crawl.triangle_counts(_ds({"src": [0, 1], "dst": [1, 2]}), 3)
 
 
 def test_components_max_iter_exhaustion_raises(ray_session):

@@ -539,6 +539,43 @@ class TestConnectedComponents:
         reps = out[out["doc_id"] == out["cluster_id"]]["doc_id"].tolist()
         assert reps == [5]
 
+    def test_scale_path_matches_union_find(self, ray_session, monkeypatch):
+        """Past the pair gate the partitioned min-label rounds give the
+        union-find's labels — also for ids >= 2^60, where float64 would
+        merge neighbouring ids (its spacing there is 256)."""
+        import ray.data
+
+        from alix_ray.ops import dedup
+
+        def labels(rows):
+            out = dedup.connected_components(
+                ray.data.from_items(rows)).to_pandas()
+            return dict(zip(out["doc_id"].tolist(),
+                            out["cluster_id"].tolist()))
+
+        base = 1 << 60
+        chain = [(1, 2), (2, 3), (3, 4), (10, 11)]
+        cases = [[{"doc_a": a + off, "doc_b": b + off} for a, b in chain]
+                 for off in (0, base)]
+        want = [labels(rows) for rows in cases]
+        assert want[0] == {1: 1, 2: 1, 3: 1, 4: 1, 10: 10, 11: 10}
+        monkeypatch.setattr(dedup, "CLUSTER_DRIVER_MAX_PAIRS", 0)
+        assert [labels(rows) for rows in cases] == want
+        assert want[1][base + 4] == base + 1
+
+    def test_scale_path_fails_fast(self, ray_session, monkeypatch):
+        """A chain longer than max_iter rounds must raise, not return
+        clusters split across ids."""
+        import ray.data
+
+        from alix_ray.ops import dedup
+
+        monkeypatch.setattr(dedup, "CLUSTER_DRIVER_MAX_PAIRS", 0)
+        pairs = ray.data.from_items(
+            [{"doc_a": i, "doc_b": i + 1} for i in range(20)])
+        with pytest.raises(RuntimeError, match="fixpoint"):
+            dedup.connected_components(pairs, max_iter=3)
+
 
 class TestVideoFrames:
     def test_stride_sampling_plumbing(self, ray_session):
