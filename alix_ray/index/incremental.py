@@ -657,10 +657,12 @@ class IndexWriter:
                                      gens) -> np.ndarray:
         """Scale path of the replaced-url lookup: co-group the NEW
         generation's urls with every OLD generation's (url, doc_id)
-        projection under a coarse url-hash partition key — one shuffle
-        of a few bytes/row, driver memory ∝ matches.  Same result as
-        the broadcast path by construction."""
+        projection in one url-hash exchange — a few bytes/row, driver
+        memory ∝ matches.  Same result as the broadcast path by
+        construction."""
         import pandas as pd
+
+        from ..ops.exchange import exchange, string_key
 
         new_files = _parquet_files([resolve_stage(new_gen_dir, "docs")])
         old_files = []
@@ -673,19 +675,16 @@ class IndexWriter:
             raise ValueError(
                 "url-keyed update needs pages-kind generations "
                 "(no docs artifact has a url column)")
-        parts = 64
 
         def proj(side_new):
             def fn(t: pa.Table) -> pa.Table:
                 urls = pc.cast(t["url"], pa.large_string())
-                h = pd.util.hash_array(
-                    np.asarray(urls.to_pylist(), dtype=object))
                 ids = (np.full(t.num_rows, -1, np.int64) if side_new
                        else t["doc_id"].to_numpy(zero_copy_only=False))
                 return pa.table({
                     "url": urls,
                     "doc_id": pa.array(ids, pa.int64()),
-                    "pkey": pa.array((h % parts).astype(np.int64)),
+                    "pkey": pa.array(string_key(urls)),
                 })
             return fn
 
@@ -699,8 +698,7 @@ class IndexWriter:
             hit = g[(g["doc_id"] >= 0) & g["url"].isin(wanted)]
             return hit[["doc_id"]]
 
-        got = new.union(old).groupby("pkey").map_groups(
-            matches, batch_format="pandas").take_all()
+        got = exchange(new.union(old), matches, "pkey").take_all()
         return np.unique(np.array([r["doc_id"] for r in got], np.int64))
 
     def _write_tombstone_file(self, ids: np.ndarray) -> str:

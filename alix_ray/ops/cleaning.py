@@ -24,9 +24,8 @@ Scale notes per operator:
   shuffle at all.  If the "benchmark" side ever approached corpus
   scale, the right shape is the hash-partitioned repartition join used
   by :func:`alix_ray.ops.dedup.minhash_lsh_pairs`.
-* ``line_dedup`` — the one genuine all-to-all: group by line (coarse
-  hash partition key, the :func:`alix_ray.ops.dedup.exact_dedup`
-  pattern) to elect a global keep-first winner per distinct line, then
+* ``line_dedup`` — the one genuine all-to-all: group by line (an
+  :func:`alix_ray.ops.exchange.exchange` on the line hash) to elect a global keep-first winner per distinct line, then
   group by doc to reassemble.  The line payload crosses the wire once
   per stage, which is the C4 shape; skewed boilerplate lines
   ("cookie policy") are bounded because a group carries one row per
@@ -43,6 +42,7 @@ import ray
 import ray.data
 
 from ..analysis import SimpleAnalyzer
+from .exchange import exchange, string_key
 from .textstats import round_half_away
 
 
@@ -312,12 +312,11 @@ def substring_dup_spans(ds: ray.data.Dataset, w: int = 8,
         grams, owner, pos = _gram_strings_pos(
             pc.fill_null(batch[text_col], ""), w)
         ids = batch[id_col].to_numpy(zero_copy_only=False)
-        h = pd.util.hash_array(np.asarray(grams.to_pylist(), dtype=object))
         return pa.table({
             "w": grams,
             id_col: pa.array(ids[owner], pa.int64()),
             "pos": pa.array(pos, pa.int64()),
-            "pkey": pa.array((h % _LD_PARTS).astype(np.int64)),
+            "pkey": pa.array(string_key(grams)),
         })
 
     def dups(g: pd.DataFrame) -> pd.DataFrame:
@@ -325,18 +324,13 @@ def substring_dup_spans(ds: ray.data.Dataset, w: int = 8,
         red = g["w"].eq(g["w"].shift())
         return g.loc[red, [id_col, "pos"]]
 
-    return (
-        ds.map_batches(explode, batch_format="pyarrow")
-        .groupby("pkey")
-        .map_groups(dups, batch_format="pandas")
-    )
+    return exchange(ds.map_batches(explode, batch_format="pyarrow"), dups,
+                    "pkey")
 
 
 # ---------------------------------------------------------------------
 # C4-style global line dedup
 # ---------------------------------------------------------------------
-
-_LD_PARTS = 64
 
 
 def line_dedup_from_lines(lines: ray.data.Dataset,
@@ -348,47 +342,26 @@ def line_dedup_from_lines(lines: ray.data.Dataset,
     including repeats inside one doc; docs reassemble from surviving
     lines (docs losing every line drop out, matching ``string_agg``).
 
-    Two coarse-keyed shuffles (the :func:`exact_dedup` pattern —
-    ``map_groups`` per *partition*, vectorized pandas inside):
-    elect winners grouped by line hash, reassemble grouped by doc."""
+    Two :func:`~alix_ray.ops.exchange.exchange` shuffles (vectorized
+    pandas per partition): elect winners routed by line hash,
+    reassemble routed by doc."""
 
     def pkeys(batch: pa.Table) -> pa.Table:
-        # pd.util.hash_array: vectorized siphash with a FIXED key —
-        # deterministic across worker processes (Python's builtin
-        # str hash is per-process salted and would split one line
-        # across groups)
-        h = pd.util.hash_array(
-            np.asarray(batch["line"].to_pylist(), dtype=object)
-        )
-        return batch.append_column(
-            "pkey", pa.array((h % _LD_PARTS).astype(np.int64))
-        )
+        return batch.append_column("pkey",
+                                   pa.array(string_key(batch["line"])))
 
     def winners(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([id_col, "line_no"], kind="stable")
         return g.drop_duplicates("line")[[id_col, "line_no", "line"]]
-
-    def pkey2(batch: pa.Table) -> pa.Table:
-        ids = batch[id_col].to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "pkey2", pa.array(ids % _LD_PARTS)
-        )
 
     def reassemble(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([id_col, "line_no"], kind="stable")
         out = g.groupby(id_col, sort=True)["line"].agg(line_sep.join)
         return out.rename("text").reset_index()
 
-    kept = (
-        lines.map_batches(pkeys, batch_format="pyarrow")
-        .groupby("pkey")
-        .map_groups(winners, batch_format="pandas")
-    )
-    return (
-        kept.map_batches(pkey2, batch_format="pyarrow")
-        .groupby("pkey2")
-        .map_groups(reassemble, batch_format="pandas")
-    )
+    kept = exchange(lines.map_batches(pkeys, batch_format="pyarrow"),
+                    winners, "pkey")
+    return exchange(kept, reassemble, id_col)
 
 
 def line_dedup(ds: ray.data.Dataset, text_col: str = "text",

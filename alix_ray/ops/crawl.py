@@ -13,8 +13,8 @@ plain Arrow columns — no crawler coupling.
 Scale shapes (10^12 rows):
 
 - ``snapshot_diff`` ships only (key, side, 64-bit hash) rows — 17
-  bytes/row — through ONE coarse-pkey groupby; payload text never
-  shuffles.  Output is one row per url in either snapshot.
+  bytes/row — through ONE :func:`~alix_ray.ops.exchange.exchange`;
+  payload text never shuffles.  Output is one row per url in either snapshot.
 - ``normalize_urls`` is zero-shuffle: five RE2 passes per batch
   (pyarrow ``replace_substring_regex`` — the SAME RE2 patterns run in
   the DuckDB oracle via ``regexp_replace``, so parity is by
@@ -23,8 +23,8 @@ Scale shapes (10^12 rows):
   partial row per (domain, batch)); the exact distinct-url count
   additionally ships one slim (domain, bucket, 8 B hash) row per
   DISTINCT url per batch — O(distinct urls), the price of exactness —
-  but two-level bucketing keeps every reducer group bounded even for
-  a Zipf-head domain.
+  but routing url rows by hash(domain, url) keeps every reducer group
+  bounded even for a Zipf-head domain.
 - ``pagerank`` keeps the edge table in place and iterates:
   map-side contribution partials (np.add.at over each batch's dst
   ids) → per-batch sparse (dst, partial) rows → one small groupby →
@@ -39,10 +39,10 @@ Scale shapes (10^12 rows):
 - The partitioned graph fixpoints — :func:`pagerank_partitioned`,
   :func:`connected_components_partitioned` and dedup's near-dup
   clustering past its pair gate — are programs on ONE round kernel,
-  :func:`_vertex_rounds`: edges keyed by pk(src) and materialized
-  once; per round state ∪ edges → group by pk → per-target messages,
-  state ∪ messages → group by pk → new state plus a per-row scalar;
-  one materialize and one scalar sum per round.
+  :func:`_vertex_rounds`: edges materialized once; per round
+  state ∪ edges → exchange by node id → per-target messages,
+  state ∪ messages → exchange by node id → new state plus a per-row
+  scalar; one materialize and one scalar sum per round.
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from .dedup import (_mix64, _num_parts, _partition_key, _token_hashes,
-                    md5_lower64)
+from .dedup import _token_hashes, md5_lower64
+from .exchange import _mix64, exchange
 
 
 # RE2 patterns shared VERBATIM with the SQL oracles (DuckDB regexp_*
@@ -102,7 +102,6 @@ def snapshot_diff(old: ray.data.Dataset, new: ray.data.Dataset,
     DuckDB oracle (``md5_number_lower``).  Only (key, side, hash) rows
     ever shuffle.
     """
-    pk_parts = _num_parts()
 
     def slim(side: int):
         def fn(batch: pa.Table) -> pa.Table:
@@ -120,7 +119,7 @@ def snapshot_diff(old: ray.data.Dataset, new: ray.data.Dataset,
                 key_col: keys,
                 "side": pa.array(np.full(len(batch), side, np.int8)),
                 "h": pa.array(h),
-                "pkey": pa.array(_partition_key(kh, pk_parts)),
+                "pkey": pa.array(kh),
             })
         return fn
 
@@ -166,8 +165,7 @@ def snapshot_diff(old: ray.data.Dataset, new: ray.data.Dataset,
             "status": pa.array(status.astype(object), pa.string()),
         })
 
-    return unioned.groupby("pkey").map_groups(
-        classify, batch_format="pandas")
+    return exchange(unioned, classify, "pkey")
 
 
 # ---------------------------------------------------------------------
@@ -227,20 +225,20 @@ def domain_stats(ds: ray.data.Dataset, url_col: str = "url",
                  chars_col: str | None = "n_chars") -> ray.data.Dataset:
     """Per registered domain: page count, distinct canonical urls,
     total chars.  Combine-before-shuffle: each batch emits one partial
-    row per domain (pages/chars) plus one row per distinct
-    (domain, url-hash BUCKET) — the exact-distinct count is TWO-LEVEL
-    so a Zipf-head domain (half the web under one host) can never
-    concentrate its url rows in a single reducer: level 1 counts
-    distinct hashes per (domain, bucket) group — hash-disjoint
-    buckets, so per-bucket distinct counts are globally disjoint —
-    and level 2 sums the per-bucket counts per domain.  Both exchanges
-    move partial rows, never one row per page.
+    row per domain (pages/chars) plus one row per distinct url.  The
+    exact-distinct count is TWO exchanges so a Zipf-head domain (half
+    the web under one host) can never concentrate its url rows in a
+    single reducer: the first routes url rows by their url hash, so
+    every copy of a url meets once and per-partition distinct counts
+    are globally disjoint; the second routes by domain hash and sums.
+    Both move partial rows, never one row per page, and each fold
+    regroups by the real key vectorized.
 
     The partial stays columnar end-to-end (``pa.Table.group_by`` for
     the per-domain fold and the distinct (domain, url) pairs); only
     the distinct urls — already deduplicated — cross into Python for
     :func:`md5_lower64` hashing (the oracle's ``md5_number_lower``)."""
-    pk_parts = _num_parts()
+    sums = ["n_pages", "n_urls", "chars"]
 
     def partial(batch: pa.Table) -> pa.Table:
         u, dom = normalize_batch(batch[url_col].combine_chunks())
@@ -255,53 +253,42 @@ def domain_stats(ds: ray.data.Dataset, url_col: str = "url",
         g = t.group_by("domain").aggregate(
             [("url_norm", "count"), ("chars", "sum")])
         d2 = t.group_by(["domain", "url_norm"]).aggregate([])
-        uh = md5_lower64(d2["url_norm"].to_pylist()).view(np.int64)
-        ub = _partition_key(uh.view(np.uint64), pk_parts)
-        part = pa.table({
-            "domain": pc.cast(g["domain"], pa.string()),
-            "ub": pa.array(np.full(len(g), -1, np.int64)),
-            "n_pages": pc.cast(g["url_norm_count"], pa.int64()),
-            "chars": pc.cast(g["chars_sum"], pa.int64()),
-            "uh": pa.array(np.zeros(len(g), np.int64)),
+        n, m = len(g), len(d2)
+        uh = md5_lower64(d2["url_norm"].to_pylist())
+        dom_all = pa.concat_arrays([
+            pc.cast(g["domain"], pa.string()).combine_chunks(),
+            pc.cast(d2["domain"], pa.string()).combine_chunks()])
+        dh = md5_lower64(dom_all.to_pylist())
+        zeros = np.zeros(m, np.int64)
+        return pa.table({
+            "domain": dom_all,
+            "dh": pa.array(dh),
+            "key": pa.array(np.concatenate([dh[:n], uh])),
+            "uh": pa.array(np.concatenate([np.zeros(n, np.uint64), uh])),
+            "n_pages": pa.concat_arrays([pc.cast(
+                g["url_norm_count"], pa.int64()).combine_chunks(),
+                pa.array(zeros)]),
+            "n_urls": pa.array(np.concatenate([np.zeros(n, np.int64),
+                                               np.ones(m, np.int64)])),
+            "chars": pa.concat_arrays([pc.fill_null(pc.cast(
+                g["chars_sum"], pa.int64()), 0).combine_chunks(),
+                pa.array(zeros)]),
         })
-        urls_rows = pa.table({
-            "domain": pc.cast(d2["domain"], pa.string()),
-            "ub": pa.array(ub),
-            "n_pages": pa.array(np.zeros(len(d2), np.int64)),
-            "chars": pa.array(np.zeros(len(d2), np.int64)),
-            "uh": pa.array(uh),
-        })
-        return pa.concat_tables([part, urls_rows])
 
-    def bucket_fold(g: pd.DataFrame) -> pd.DataFrame:
-        # one (domain, bucket) group: stats partials ride bucket -1,
-        # url rows carry disjoint hash subsets per bucket
-        if g["ub"].iloc[0] < 0:
-            return pd.DataFrame({
-                "domain": [g["domain"].iloc[0]],
-                "n_pages": [int(g["n_pages"].sum())],
-                "n_urls": [0],
-                "total_chars": [int(g["chars"].sum())],
-            })
-        return pd.DataFrame({
-            "domain": [g["domain"].iloc[0]],
-            "n_pages": [0],
-            "n_urls": [int(g["uh"].nunique())],
-            "total_chars": [0],
-        })
+    def url_fold(g: pd.DataFrame) -> pd.DataFrame:
+        # every copy of a url is in this partition: count it once
+        dup = g.duplicated(["domain", "uh", "n_urls"]).to_numpy() & (
+            g["n_urls"].to_numpy() > 0)
+        return g[~dup].groupby(["domain", "dh"], as_index=False,
+                               sort=False)[sums].sum()
 
     def domain_fold(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "domain": [g["domain"].iloc[0]],
-            "n_pages": [int(g["n_pages"].sum())],
-            "n_urls": [int(g["n_urls"].sum())],
-            "total_chars": [int(g["total_chars"].sum())],
-        })
+        out = g.groupby("domain", as_index=False, sort=False)[sums].sum()
+        return out.rename(columns={"chars": "total_chars"})
 
-    lvl1 = ds.map_batches(partial, batch_format="pyarrow").groupby(
-        ["domain", "ub"]).map_groups(bucket_fold, batch_format="pandas")
-    return lvl1.groupby("domain").map_groups(
-        domain_fold, batch_format="pandas")
+    lvl1 = exchange(ds.map_batches(partial, batch_format="pyarrow"),
+                    url_fold, "key")
+    return exchange(lvl1, domain_fold, "dh")
 
 
 # ---------------------------------------------------------------------
@@ -323,18 +310,16 @@ def anchor_terms(links: ray.data.Dataset, k: int = 5,
     ``[a-z0-9]+`` arrow kernel — SQL-mirrorable) and pre-aggregates
     (dst, term) counts with an in-batch arrow ``group_by``
     (combine-before-shuffle: one slim row per distinct (dst, term) per
-    batch leaves the task, never a row per token); level 1 groups by a
-    coarse partition of hash(dst, term) — disjoint keys, so per-pair
-    sums are global — and level 2 groups by a coarse partition of
-    hash(dst) to take the vectorized per-target top-k.  A Zipf-head
-    target (half the web links to one homepage) reaches level 2 as one
-    row per distinct anchor term, bounded by vocabulary, not by its
-    10^9 inlinks."""
+    batch leaves the task, never a row per token); level 1 exchanges
+    by hash(dst, term) — disjoint keys, so per-pair sums are global —
+    and level 2 exchanges by dst to take the vectorized per-target
+    top-k.  A Zipf-head target (half the web links to one homepage)
+    reaches level 2 as one row per distinct anchor term, bounded by
+    vocabulary, not by its 10^9 inlinks."""
     from ..analysis import SimpleAnalyzer
 
-    pk_parts = _num_parts()
     _EMPTY = pa.schema([(dst_col, pa.int64()), ("term", pa.string()),
-                        ("n", pa.int64()), ("pk1", pa.int64())])
+                        ("n", pa.int64()), ("pk1", pa.uint64())])
 
     def partial(batch: pa.Table) -> pa.Table:
         if len(batch) == 0:
@@ -350,7 +335,7 @@ def anchor_terms(links: ray.data.Dataset, k: int = 5,
         g = t.group_by([dst_col, "term"]).aggregate([("term", "count")])
         dsts = g[dst_col].to_numpy(zero_copy_only=False).astype(np.int64)
         th = _token_hashes(g["term"].to_pylist())
-        pk1 = _partition_key(_mix64(th ^ dsts.view(np.uint64)), pk_parts)
+        pk1 = th ^ dsts.view(np.uint64)
         return pa.table({
             dst_col: pa.array(dsts),
             "term": pc.cast(g["term"], pa.string()),
@@ -359,10 +344,7 @@ def anchor_terms(links: ray.data.Dataset, k: int = 5,
         })
 
     def fold_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        out = g.groupby([dst_col, "term"], as_index=False)["n"].sum()
-        h = out[dst_col].to_numpy(np.int64).astype(np.uint64)
-        out["pk2"] = _partition_key(h, pk_parts)
-        return out[[dst_col, "term", "n", "pk2"]]
+        return g.groupby([dst_col, "term"], as_index=False)["n"].sum()
 
     def topk(g: pd.DataFrame) -> pd.DataFrame:
         out = (g.sort_values([dst_col, "n", "term"],
@@ -371,9 +353,9 @@ def anchor_terms(links: ray.data.Dataset, k: int = 5,
                .groupby(dst_col, as_index=False).head(k))
         return out[[dst_col, "term", "n"]]
 
-    return (links.map_batches(partial, batch_format="pyarrow")
-            .groupby("pk1").map_groups(fold_pairs, batch_format="pandas")
-            .groupby("pk2").map_groups(topk, batch_format="pandas"))
+    pairs = exchange(links.map_batches(partial, batch_format="pyarrow"),
+                     fold_pairs, "pk1")
+    return exchange(pairs, topk, dst_col)
 
 
 # ---------------------------------------------------------------------
@@ -414,27 +396,26 @@ def _combine(ids: np.ndarray, vals: np.ndarray, ufunc: np.ufunc
 _EDGE, _STATE, _MSG = 0, 1, 2
 # Leading columns of every round table; a program appends its message
 # column ``m``, its per-row scalar ``s`` and then its state columns.
-_ROUND_FIELDS = [("pk", pa.int64()), ("kind", pa.int8()),
-                 ("id", pa.int64()), ("dst", pa.int64())]
+_ROUND_FIELDS = [("kind", pa.int8()), ("id", pa.int64()),
+                 ("dst", pa.int64())]
 
 
 def _vertex_table(schema: pa.Schema, kind: int, ids: np.ndarray,
-                  pk_parts: int, **cols) -> pa.Table:
-    """``kind`` rows of a round table: ``pk`` is the coarse partition
-    of ``id``; columns not given are zero."""
+                  **cols) -> pa.Table:
+    """``kind`` rows of a round table, exchanged by ``id``; columns not
+    given are zero."""
     n = len(ids)
-    cols.update(pk=_partition_key(ids.astype(np.uint64), pk_parts),
-                kind=np.full(n, kind, np.int8), id=ids)
+    cols.update(kind=np.full(n, kind, np.int8), id=ids)
     return pa.table([pa.array(cols[f.name], f.type) if f.name in cols
                      else pa.array(np.zeros(n, f.type.to_pandas_dtype()))
                      for f in schema], schema=schema)
 
 
 def _keyed_edges(edges: ray.data.Dataset, src_col: str, dst_col: str,
-                 schema: pa.Schema, pk_parts: int,
+                 schema: pa.Schema,
                  symmetric: bool = False) -> ray.data.Dataset:
-    """The edge rows of a round table, keyed by pk(src) and
-    materialized once; ``symmetric`` adds every edge's reverse."""
+    """The edge rows of a round table (``id`` = src), materialized
+    once; ``symmetric`` adds every edge's reverse."""
     def fn(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:  # empty blocks may lack the columns
             return schema.empty_table()
@@ -442,14 +423,14 @@ def _keyed_edges(edges: ray.data.Dataset, src_col: str, dst_col: str,
         d = batch[dst_col].to_numpy(zero_copy_only=False).astype(np.int64)
         if symmetric:
             s, d = np.concatenate([s, d]), np.concatenate([d, s])
-        return _vertex_table(schema, _EDGE, s, pk_parts, dst=d)
+        return _vertex_table(schema, _EDGE, s, dst=d)
 
     return edges.map_batches(fn, batch_format="pyarrow").materialize()
 
 
 def _vertex_rounds(edges: ray.data.Dataset, state: ray.data.Dataset,
                    schema: pa.Schema, send, combine: np.ufunc, fold,
-                   max_iter: int, n_nodes: int, pk_parts: int,
+                   max_iter: int, n_nodes: int,
                    fixpoint: str | None = None) -> ray.data.Dataset:
     """The one round loop of the partitioned graph fixpoints
     (:func:`pagerank_partitioned`, :func:`connected_components_partitioned`
@@ -461,11 +442,11 @@ def _vertex_rounds(edges: ray.data.Dataset, state: ray.data.Dataset,
     row per node, at most ``n_nodes`` of them) are ``schema`` tables.
     Each round is two slim shuffles and one materialize:
 
-    1. state ∪ edges, grouped by pk: each edge joins its source's state
+    1. state ∪ edges, exchanged by id: each edge joins its source's state
        row, ``send(joined)`` gives one message value per edge, and the
        group emits them ``combine``-reduced per target — a Zipf-head
        target receives one row per group, never one per edge;
-    2. state ∪ messages, grouped by pk: messages ``combine`` per node
+    2. state ∪ messages, exchanged by id: messages ``combine`` per node
        into ``inbox`` (``has`` marks nodes that got one) and
        ``fold(state_rows, inbox, has, total)`` returns the new state
        columns and the per-row scalar ``s``.
@@ -483,7 +464,7 @@ def _vertex_rounds(edges: ray.data.Dataset, state: ray.data.Dataset,
     60-row table, wall doubling per round); the state is re-bounded to
     ~3M rows per block (≈128 MB of 40 B rows) before each
     materialize."""
-    n_blocks = max(1, min(pk_parts, -(-n_nodes // 3_000_000)))
+    n_blocks = max(1, -(-n_nodes // 3_000_000))
     state_cols = ["id"] + schema.names[len(_ROUND_FIELDS) + 2:]
 
     def src_side(g: pd.DataFrame) -> pa.Table:
@@ -492,30 +473,30 @@ def _vertex_rounds(edges: ray.data.Dataset, state: ray.data.Dataset,
             g.loc[kind == _STATE, state_cols], on="id")
         ids, vals = _combine(joined["dst"].to_numpy(np.int64),
                              send(joined), combine)
-        return _vertex_table(schema, _MSG, ids, pk_parts, m=vals)
+        return _vertex_table(schema, _MSG, ids, m=vals)
 
-    def dst_side(g: pd.DataFrame, total) -> pa.Table:
-        kind = g["kind"].to_numpy()
-        st, msg = g[kind == _STATE], g[kind == _MSG]
-        mids, mvals = _combine(msg["id"].to_numpy(np.int64),
-                               msg["m"].to_numpy(), combine)
-        ids = st["id"].to_numpy(np.int64)
-        pos = np.searchsorted(mids, ids)
-        has = pos < len(mids)
-        has[has] = mids[pos[has]] == ids[has]
-        inbox = np.zeros(len(ids), mvals.dtype)
-        inbox[has] = mvals[pos[has]]
-        cols, s = fold(st, inbox, has, total)
-        return _vertex_table(schema, _STATE, ids, pk_parts, s=s, **cols)
+    def dst_side_at(total):
+        def dst_side(g: pd.DataFrame) -> pa.Table:
+            kind = g["kind"].to_numpy()
+            st, msg = g[kind == _STATE], g[kind == _MSG]
+            mids, mvals = _combine(msg["id"].to_numpy(np.int64),
+                                   msg["m"].to_numpy(), combine)
+            ids = st["id"].to_numpy(np.int64)
+            pos = np.searchsorted(mids, ids)
+            has = pos < len(mids)
+            has[has] = mids[pos[has]] == ids[has]
+            inbox = np.zeros(len(ids), mvals.dtype)
+            inbox[has] = mvals[pos[has]]
+            cols, s = fold(st, inbox, has, total)
+            return _vertex_table(schema, _STATE, ids, s=s, **cols)
+        return dst_side
 
     state = state.repartition(n_blocks).materialize()
     total = 0 if fixpoint else state.sum("s")
     for i in range(max_iter):
-        msgs = state.union(edges).groupby("pk").map_groups(
-            src_side, batch_format="pandas")
-        state = state.union(msgs).groupby("pk").map_groups(
-            dst_side, batch_format="pandas",
-            fn_kwargs={"total": total}).repartition(n_blocks).materialize()
+        msgs = exchange(state.union(edges), src_side, "id")
+        state = exchange(state.union(msgs), dst_side_at(total),
+                         "id").repartition(n_blocks).materialize()
         if not fixpoint and i + 1 == max_iter:
             break
         total = state.sum("s")
@@ -656,11 +637,10 @@ def pagerank_partitioned(edges: ray.data.Dataset, n_nodes: int,
         return round_half_away(x, dec) if round_decimals is not None \
             else x
 
-    pk_parts = _num_parts()
     schema = pa.schema(_ROUND_FIELDS + [
         ("m", pa.float64()), ("s", pa.float64()),
         ("r", pa.float64()), ("od", pa.int64())])
-    ekeyed = _keyed_edges(edges, src_col, dst_col, schema, pk_parts)
+    ekeyed = _keyed_edges(edges, src_col, dst_col, schema)
     # degrees from the MATERIALIZED edge rows (their src column is
     # "id"), not the lazy input — avoids re-executing upstream lineage
     deg = ekeyed.map_batches(
@@ -671,25 +651,23 @@ def pagerank_partitioned(edges: ray.data.Dataset, n_nodes: int,
     def deg_rows(batch: pa.Table) -> pa.Table:
         return _vertex_table(
             schema, _STATE, batch["id"].to_numpy(zero_copy_only=False),
-            pk_parts, od=batch["sum(n)"].to_numpy(zero_copy_only=False))
+            od=batch["sum(n)"].to_numpy(zero_copy_only=False))
 
     def range_rows(batch) -> pa.Table:
-        return _vertex_table(schema, _STATE, batch["id"].astype(np.int64),
-                             pk_parts)
+        return _vertex_table(schema, _STATE, batch["id"].astype(np.int64))
 
     def init(g: pd.DataFrame) -> pa.Table:
         # the dense-id contract adds the out-degree-0 nodes from a
         # range (it streams: no O(n) driver list); degree rows win
         od = g.groupby("id")["od"].max()
         return _vertex_table(schema, _STATE, od.index.to_numpy(np.int64),
-                             pk_parts, r=np.full(len(od), r0),
+                             r=np.full(len(od), r0),
                              od=od.to_numpy(np.int64),
                              s=np.where(od.to_numpy() == 0, r0, 0.0))
 
-    state = ray.data.range(n_nodes).map_batches(
+    state = exchange(ray.data.range(n_nodes).map_batches(
         range_rows, batch_format="numpy").union(
-            deg.map_batches(deg_rows, batch_format="pyarrow")).groupby(
-                "pk").map_groups(init, batch_format="pandas")
+            deg.map_batches(deg_rows, batch_format="pyarrow")), init, "id")
 
     base = (1.0 - damping) / n_nodes
     dec = (round_decimals or 0) + 3
@@ -705,7 +683,7 @@ def pagerank_partitioned(edges: ray.data.Dataset, n_nodes: int,
         return {"r": r, "od": od}, np.where(od == 0, r, 0.0)
 
     ranks = _vertex_rounds(ekeyed, state, schema, send, np.add, fold,
-                           n_iter, n_nodes, pk_parts)
+                           n_iter, n_nodes)
 
     def out_rows(t: pa.Table) -> pa.Table:
         return pa.table({"node": t["id"], "rank": t["r"]})
@@ -867,8 +845,8 @@ def host_link_graph(edges: ray.data.Dataset, hosts: np.ndarray,
     Each batch maps both endpoints vectorized and pre-aggregates with
     an in-batch arrow ``group_by`` (combine-before-shuffle: one slim
     row per distinct host pair per batch, never per link); the single
-    exchange folds pair partials under a coarse hash(src_host,
-    dst_host) partition — disjoint keys, so per-pair sums are global.
+    exchange folds pair partials routed by hash(src_host, dst_host) —
+    disjoint keys, so per-pair sums are global.
     Beyond ``MAX_BROADCAST_NODES`` the mapping no longer broadcasts;
     the fallback is the :func:`pagerank_partitioned` exchange plan
     (node→host as a hash-partitioned table, src-side then dst-side
@@ -879,7 +857,6 @@ def host_link_graph(edges: ray.data.Dataset, hosts: np.ndarray,
             "beyond MAX_BROADCAST_NODES route the mapping through the "
             "pagerank_partitioned-style partitioned join instead")
 
-    pk_parts = _num_parts()
     hosts_arr = pa.array(np.asarray(hosts, dtype=object),
                          type=pa.string())
     hosts_ref = ray.put(hosts_arr)
@@ -896,7 +873,7 @@ def host_link_graph(edges: ray.data.Dataset, hosts: np.ndarray,
             [("src_host", "count")])
         sh = _token_hashes(g["src_host"].to_pylist())
         dh = _token_hashes(g["dst_host"].to_pylist())
-        pk = _partition_key(_mix64(sh ^ _mix64(dh)), pk_parts)
+        pk = sh ^ _mix64(dh)
         return pa.table({
             "src_host": g["src_host"], "dst_host": g["dst_host"],
             "n": pc.cast(g["src_host_count"], pa.int64()),
@@ -909,8 +886,8 @@ def host_link_graph(edges: ray.data.Dataset, hosts: np.ndarray,
         out = out.rename(columns={"n": "n_links"})
         return out[["src_host", "dst_host", "n_links"]]
 
-    return (edges.map_batches(partial, batch_format="pyarrow")
-            .groupby("pk").map_groups(fold, batch_format="pandas"))
+    return exchange(edges.map_batches(partial, batch_format="pyarrow"),
+                    fold, "pk")
 
 
 # ---------------------------------------------------------------------
@@ -957,14 +934,13 @@ def crawl_schedule(statuses: ray.data.Dataset, ranks: np.ndarray,
     weights = dict(weights) if weights is not None else \
         {"new": 1.0, "changed": 0.7, "same": 0.1}
 
-    pk_parts = _num_parts()
     ranks_ref = ray.put(np.asarray(ranks, np.float64))
     hosts_ref = ray.put(pa.array(np.asarray(hosts, dtype=object),
                                  type=pa.string()))
     _EMPTY = pa.schema([
         ("domain", pa.string()), (id_col, pa.int64()),
         (status_col, pa.string()), ("priority", pa.float64()),
-        ("pk", pa.int64())])
+        ("pk", pa.uint64())])
 
     def partial(batch: pa.Table) -> pa.Table:
         if len(batch) == 0:
@@ -998,8 +974,7 @@ def crawl_schedule(statuses: ray.data.Dataset, ranks: np.ndarray,
                              ascending=[True, False, True],
                              kind="mergesort")
               .groupby("domain", as_index=False).head(quota))
-        dh = _token_hashes(df["domain"].tolist())
-        df["pk"] = _partition_key(dh, pk_parts)
+        df["pk"] = _token_hashes(df["domain"].tolist())
         return pa.Table.from_pandas(df, preserve_index=False).cast(
             _EMPTY)
 
@@ -1010,8 +985,8 @@ def crawl_schedule(statuses: ray.data.Dataset, ranks: np.ndarray,
                .groupby("domain", as_index=False).head(quota))
         return out[["domain", id_col, status_col, "priority"]]
 
-    return (statuses.map_batches(partial, batch_format="pyarrow")
-            .groupby("pk").map_groups(fold, batch_format="pandas"))
+    return exchange(statuses.map_batches(partial, batch_format="pyarrow"),
+                    fold, "pk")
 
 
 # ---------------------------------------------------------------------
@@ -1113,23 +1088,21 @@ def _min_labels(edges: ray.data.Dataset, src_col: str, dst_col: str,
     count and 0 is the FIXPOINT (min-propagation is monotone, so the
     test is exact, not heuristic).  Labels stay int64 throughout:
     exact for any id."""
-    pk_parts = _num_parts()
     schema = pa.schema(_ROUND_FIELDS + [
         ("m", pa.int64()), ("s", pa.int64()), ("lbl", pa.int64())])
-    ekeyed = _keyed_edges(edges, src_col, dst_col, schema, pk_parts,
-                          symmetric=True)
+    ekeyed = _keyed_edges(edges, src_col, dst_col, schema, symmetric=True)
 
     def own_label(ids: np.ndarray) -> pa.Table:
-        return _vertex_table(schema, _STATE, ids, pk_parts, lbl=ids)
+        return _vertex_table(schema, _STATE, ids, lbl=ids)
 
     if dense:
         state = ray.data.range(n_nodes).map_batches(
             lambda b: own_label(b["id"].astype(np.int64)),
             batch_format="numpy")
     else:
-        state = ekeyed.groupby("pk").map_groups(
-            lambda g: own_label(np.unique(g["id"].to_numpy(np.int64))),
-            batch_format="pandas")
+        state = exchange(
+            ekeyed, lambda g: own_label(np.unique(g["id"].to_numpy(np.int64))),
+            "id")
 
     def send(joined: pd.DataFrame) -> np.ndarray:
         return joined["lbl"].to_numpy(np.int64)
@@ -1140,7 +1113,7 @@ def _min_labels(edges: ray.data.Dataset, src_col: str, dst_col: str,
         return {"lbl": new}, (new != old).astype(np.int64)
 
     return _vertex_rounds(ekeyed, state, schema, send, np.minimum, fold,
-                          max_iter, n_nodes, pk_parts, fixpoint=name)
+                          max_iter, n_nodes, fixpoint=name)
 
 
 def connected_components_partitioned(edges: ray.data.Dataset,
@@ -1532,11 +1505,11 @@ def coreness(edges: ray.data.Dataset, n_nodes: int,
     Classic peeling is O(E) total but inherently sequential;
     the h-index iteration is the distributable formulation.
 
-    Shape: the canonical symmetric adjacency rows (16 B, pre-keyed by
-    hash(node)) materialize ONCE; the value vector (8 B/node)
-    broadcasts per round (fail-fast past ``MAX_BROADCAST_NODES``);
-    each round is one map pass emitting (pk, node, neighbor-value)
-    slim rows + one ``groupby(pk).map_groups`` computing H per node
+    Shape: the canonical symmetric adjacency rows (16 B) materialize
+    ONCE; the value vector (8 B/node) broadcasts per round (fail-fast
+    past ``MAX_BROADCAST_NODES``); each round is one map pass emitting
+    (node, neighbor-value) slim rows + one exchange by node computing
+    H per node
     with vectorized rank logic (sort + cumcount — no Python per
     node), and an O(n) driver fold + fixpoint test.  H is not
     associative, so per-batch pre-combining can only compress to
@@ -1546,7 +1519,6 @@ def coreness(edges: ray.data.Dataset, n_nodes: int,
         raise ValueError(
             f"coreness broadcasts 8 B × {n_nodes} values; shard the "
             "value vector beyond MAX_BROADCAST_NODES")
-    pk_parts = _num_parts()
 
     def canon(batch: pa.Table) -> pa.Table:
         s = batch[src_col].to_numpy(zero_copy_only=False).astype(
@@ -1560,17 +1532,13 @@ def coreness(edges: ray.data.Dataset, n_nodes: int,
         a, b = k // n_nodes, k % n_nodes
         aa = np.concatenate([a, b])
         bb = np.concatenate([b, a])
-        return pa.table({
-            "pk": pa.array(_partition_key(aa.astype(np.uint64),
-                                          pk_parts)),
-            "a": pa.array(aa), "b": pa.array(bb)})
+        return pa.table({"a": pa.array(aa), "b": pa.array(bb)})
 
     # duplicate (a,b) rows surviving ACROSS batches are removed by the
     # one-time exchange below; within-batch dups die in np.unique
-    sym = (edges.map_batches(canon, batch_format="pyarrow")
-           .groupby("pk").map_groups(
-               lambda g: g.drop_duplicates(["a", "b"]),
-               batch_format="pandas").materialize())
+    sym = exchange(edges.map_batches(canon, batch_format="pyarrow"),
+                   lambda g: g.drop_duplicates(["a", "b"]),
+                   "a").materialize()
 
     # h0 = degree over the deduped adjacency
     deg = np.zeros(n_nodes, np.int64)
@@ -1589,7 +1557,7 @@ def coreness(edges: ray.data.Dataset, n_nodes: int,
         def emit(batch: pa.Table) -> pa.Table:
             v = ray.get(vals_ref)
             return pa.table({
-                "pk": batch["pk"], "node": batch["a"],
+                "node": batch["a"],
                 "val": pa.array(v[batch["b"].to_numpy(
                     zero_copy_only=False)]),
             })
@@ -1606,8 +1574,8 @@ def coreness(edges: ray.data.Dataset, n_nodes: int,
                                  "h": h.to_numpy(np.int64)})
 
         new = np.zeros(n_nodes, np.int64)
-        out = sym.map_batches(emit, batch_format="pyarrow").groupby(
-            "pk").map_groups(h_fold, batch_format="pandas")
+        out = exchange(sym.map_batches(emit, batch_format="pyarrow"),
+                       h_fold, "node")
         for bt in out.iter_batches(batch_format="pyarrow"):
             new[bt["node"].to_numpy(zero_copy_only=False)] = \
                 bt["h"].to_numpy(zero_copy_only=False)

@@ -30,59 +30,11 @@ import ray
 import ray.data
 
 from ..analysis import SimpleAnalyzer
+from .exchange import _mix64, exchange
 
 _MIX = np.uint64(0x9E3779B97F4A7C15)
-_P1 = np.uint64(0xFF51AFD7ED558CCD)
-_P2 = np.uint64(0xC4CEB9FE1A85EC53)
 _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _FNV_PRIME = np.uint64(0x100000001B3)
-
-
-# Coarse shuffle-partition count for groupby-by-hash stages.  Shuffle
-# keys are hashed into this many partitions so per-group dispatch cost
-# is O(num_parts), not O(distinct keys).  The count ADAPTS to the
-# cluster: max(512, 4 × total CPUs), so a 256-node × 32-core cluster
-# gets ~32k partitions (bounded per-group sizes, no starved reducer)
-# while the 32-CPU test box keeps the historical 512 — outputs are
-# partition-count-independent by design (coarse keys are internal
-# routing only), so this changes nothing oracle-visible.
-_NUM_PARTS = 512  # floor; see _num_parts()
-_PARTS_CACHE: int | None = None
-
-
-def _num_parts() -> int:
-    """max(_NUM_PARTS, 4 × cluster CPUs); memoized per process.
-
-    DRIVER-ONLY: every op resolves this once at launch and captures
-    the integer in its UDF closures (``_partition_key(x, pk_parts)``), so
-    all workers route one key to one group no matter when they start —
-    a worker resolving it independently could see a different CPU
-    total mid-registration / under autoscaling and split a key across
-    groups.  On an autoscaling cluster, pin ``_PARTS_CACHE`` on the
-    driver before launching pipelines."""
-    global _PARTS_CACHE
-    if _PARTS_CACHE is None:
-        parts = _NUM_PARTS
-        try:
-            import ray as _ray
-            if _ray.is_initialized():
-                parts = max(parts,
-                            4 * int(_ray.cluster_resources().get("CPU", 0)))
-        except Exception:
-            pass
-        _PARTS_CACHE = parts
-    return _PARTS_CACHE
-
-
-def _mix64(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer — stable, vectorized 64-bit mixing."""
-    x = x.astype(np.uint64, copy=True)
-    x ^= x >> np.uint64(33)
-    x *= _P1
-    x ^= x >> np.uint64(33)
-    x *= _P2
-    x ^= x >> np.uint64(33)
-    return x
 
 
 def _token_hashes(tokens: list[str]) -> np.ndarray:
@@ -107,17 +59,6 @@ def _token_hashes(tokens: list[str]) -> np.ndarray:
             live = lens > j
             h[live] = (h[live] ^ buf[starts[live] + j].astype(np.uint64)) * _FNV_PRIME
     return _mix64(h)
-
-
-def _partition_key(x: np.ndarray, parts: int | None = None) -> np.ndarray:
-    """Deterministic coarse partition id for a uint64 key array.
-
-    ``parts`` MUST be passed inside worker-executed UDFs (resolve
-    ``_num_parts()`` on the driver, capture the int in the closure);
-    the None default is a driver-side convenience only."""
-    if parts is None:
-        parts = _num_parts()
-    return (_mix64(x) % np.uint64(parts)).astype(np.int64)
 
 
 def _shingles_from(th: np.ndarray, k: int = 3) -> np.ndarray:
@@ -192,7 +133,6 @@ def exact_dedup(ds: ray.data.Dataset, key_col="text", id_col="doc_id"):
     hash — per-group dispatch over millions of mostly-singleton hash
     groups is the expensive shape); the per-partition reduction is one
     vectorized pandas groupby-idxmin."""
-    pk_parts = _num_parts()  # driver-resolved; captured by the UDF closures
 
     def add_hash(batch: pa.Table) -> pa.Table:
         import hashlib
@@ -203,24 +143,21 @@ def exact_dedup(ds: ray.data.Dataset, key_col="text", id_col="doc_id"):
             .digest()
             for v in texts
         ]
-        # partition key straight from the first 8 digest bytes — no
+        # routing hash straight from the first 8 digest bytes — no
         # hex round-trip (blake2b itself is C-speed; the digest list
         # is the only per-row Python left and is I/O-bound)
-        pk = _partition_key(
-            np.frombuffer(b"".join(h[:8] for h in hs), np.uint64)
-            if hs else np.empty(0, np.uint64),
-            pk_parts)
+        pk = (np.frombuffer(b"".join(h[:8] for h in hs), np.int64)
+              if hs else np.empty(0, np.int64))
         return batch.append_column(
             "content_hash", pa.array(hs, pa.binary(16))
         ).append_column("pkey", pa.array(pk))
-
-    hashed = ds.map_batches(add_hash, batch_format="pyarrow")
 
     def keep_first(g):
         idx = g.groupby("content_hash")[id_col].idxmin()
         return g.loc[idx.to_numpy()].drop(columns="pkey")
 
-    return hashed.groupby("pkey").map_groups(keep_first, batch_format="pandas")
+    return exchange(ds.map_batches(add_hash, batch_format="pyarrow"),
+                    keep_first, "pkey")
 
 
 # ---------------------------------------------------------------------
@@ -249,6 +186,11 @@ class MinHasher:
         return self.signature_from(_shingle_hashes(tokens, self.shingle_k))
 
 
+# Candidate-pair count up to which minhash_lsh_pairs verifies on the
+# driver; past it the verify is a distributed doc_id join.
+LSH_DRIVER_MAX_PAIRS = 100_000
+
+
 def minhash_lsh_pairs(
     ds: ray.data.Dataset,
     text_col="text",
@@ -257,7 +199,6 @@ def minhash_lsh_pairs(
     bands: int = 16,
     threshold: float = 0.5,
     shingle_k: int = 3,
-    driver_max_pairs: int = 100_000,
 ) -> ray.data.Dataset:
     """Near-duplicate pairs via MinHash banding + exact Jaccard verify.
 
@@ -279,19 +220,20 @@ def minhash_lsh_pairs(
        cross the wire at most once per distinct pair partner, and only
        pairs surfaced by some band are scored.
 
-    Every shuffle groups by a COARSE partition key (hash of the real
-    key mod ``_NUM_PARTS``), not by the raw key: Ray's map_groups pays
-    a per-group pandas dispatch (~0.1 ms), so millions of tiny LSH
-    buckets as groups would cost minutes.  Each partition function
-    re-finds the real buckets vectorized (lexsort + run detection /
-    pandas merge), which keeps function calls O(partitions) while
-    staying deterministic and fully distributed.
+    Every shuffle is an :func:`~alix_ray.ops.exchange.exchange`: rows
+    group by a COARSE partition of a routing hash, not by the raw key —
+    Ray's map_groups pays a per-group pandas dispatch (~0.1 ms), so
+    millions of tiny LSH buckets as groups would cost minutes.  Each
+    partition function re-finds the real buckets vectorized (lexsort +
+    run detection / pandas merge), which keeps function calls
+    O(partitions) while staying deterministic and fully distributed.
+    Up to ``LSH_DRIVER_MAX_PAIRS`` candidate pairs the verify runs on
+    the driver instead (same output).
 
     Returns rows (doc_a, doc_b, jaccard) with doc_a < doc_b, exact
     shingle-set Jaccard ≥ threshold — value-identical to the all-pairs
     oracle restricted to LSH candidates.
     """
-    pk_parts = _num_parts()  # driver-resolved; captured by the UDF closures
     rows_per_band = num_perm // bands
     hasher = MinHasher(num_perm, shingle_k)
 
@@ -329,7 +271,7 @@ def minhash_lsh_pairs(
         n = len(ids)
         band_no = np.tile(np.arange(bands, dtype=np.int64), n)
         flat_bh = bh.reshape(-1)
-        pkey = _partition_key(flat_bh.astype(np.uint64) + np.uint64(0x9E37) * band_no.astype(np.uint64), pk_parts)
+        pkey = flat_bh.astype(np.uint64) + np.uint64(0x9E37) * band_no.astype(np.uint64)
         return pa.table(
             {
                 id_col: pa.array(np.repeat(ids, bands)),
@@ -377,18 +319,16 @@ def minhash_lsh_pairs(
     # the attach stage's doc_id partition (all copies co-locate there).
     # Materialized: the pair set is tiny relative to the corpus by LSH
     # construction and both verify strategies consume it.
-    cand = banded.groupby("pkey").map_groups(
-        part_bucket_pairs, batch_format="pandas"
-    ).materialize()
+    cand = exchange(banded, part_bucket_pairs, "pkey").materialize()
 
     # ---- small-pair-set fast path (the connected_components /
-    # docids auto-select precedent): up to driver_max_pairs the verify
+    # docids auto-select precedent): up to LSH_DRIVER_MAX_PAIRS the verify
     # runs on the driver — one filtered pass over sigs fetches the
     # involved docs' shingle sets (pc.is_in against a broadcast id
     # set), skipping the union + two groupby exchanges entirely.
     # Identical output by construction; the distributed join below is
-    # the >driver_max_pairs path.
-    if cand.count() <= driver_max_pairs:
+    # the >LSH_DRIVER_MAX_PAIRS path.
+    if cand.count() <= LSH_DRIVER_MAX_PAIRS:
         import pandas as pd
 
         pairs = cand.to_pandas()
@@ -440,20 +380,17 @@ def minhash_lsh_pairs(
                 "doc_a": pa.array(np.concatenate([a, a])),
                 "doc_b": pa.array(np.concatenate([b, b])),
                 "shingles": pa.array([None] * (2 * len(a)), pa.large_binary()),
-                "pkey": pa.array(_partition_key(doc.astype(np.uint64), pk_parts)),
             }
         )
 
     def shingle_side(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
-        doc = np.asarray(batch[id_col].to_pylist(), np.int64)
         return pa.table(
             {
                 id_col: batch[id_col],
                 "doc_a": pa.array(np.full(n, -1, np.int64)),
                 "doc_b": pa.array(np.full(n, -1, np.int64)),
                 "shingles": batch["shingles"],
-                "pkey": pa.array(_partition_key(doc.astype(np.uint64), pk_parts)),
             }
         )
 
@@ -463,7 +400,7 @@ def minhash_lsh_pairs(
 
     _ATTACH_SCHEMA = pa.schema(
         [(id_col, pa.int64()), ("doc_a", pa.int64()), ("doc_b", pa.int64()),
-         ("shingles", pa.large_binary()), ("pkey2", pa.int64())]
+         ("shingles", pa.large_binary())]
     )
 
     def part_attach(g):
@@ -474,11 +411,7 @@ def minhash_lsh_pairs(
         need = g[g["doc_a"] >= 0].drop_duplicates([id_col, "doc_a", "doc_b"])
         if len(src) == 0 or len(need) == 0:
             return _ATTACH_SCHEMA.empty_table()
-        out = need.drop(columns=["shingles", "pkey"]).merge(src, on=id_col)
-        pk = _partition_key(
-            out["doc_a"].to_numpy(np.uint64) * _MIX
-            + out["doc_b"].to_numpy(np.uint64),
-            pk_parts)
+        out = need.drop(columns="shingles").merge(src, on=id_col)
         # explicit Arrow schema: a zero-row pandas object column breaks
         # Ray's block size estimation and schema unification
         return pa.table(
@@ -487,7 +420,6 @@ def minhash_lsh_pairs(
                 "doc_a": pa.array(out["doc_a"].to_numpy(np.int64)),
                 "doc_b": pa.array(out["doc_b"].to_numpy(np.int64)),
                 "shingles": pa.array(list(out["shingles"]), pa.large_binary()),
-                "pkey2": pa.array(pk),
             }
         )
 
@@ -522,12 +454,9 @@ def minhash_lsh_pairs(
              "jaccard": pd.Series(out_j, dtype="float64")}
         )
 
-    return (
-        unioned.groupby("pkey")
-        .map_groups(part_attach, batch_format="pandas")
-        .groupby("pkey2")
-        .map_groups(part_verify, batch_format="pandas")
-    )
+    # both sides of a pair meet under its doc_a
+    return exchange(exchange(unioned, part_attach, id_col),
+                    part_verify, "doc_a")
 
 
 # ---------------------------------------------------------------------
@@ -632,6 +561,10 @@ def simhash64(tokens: list[str]) -> int:
     return _simhash_from(_token_hashes(tokens))
 
 
+def _drop_dup_pairs(g: pd.DataFrame) -> pd.DataFrame:
+    return g.drop_duplicates(["doc_a", "doc_b"])
+
+
 def simhash_pairs(ds: ray.data.Dataset, text_col="text", id_col="doc_id",
                   max_hamming: int = 3) -> ray.data.Dataset:
     """Near-dup pairs with hamming(simhash) ≤ max_hamming via 4-block
@@ -642,7 +575,6 @@ def simhash_pairs(ds: ray.data.Dataset, text_col="text", id_col="doc_id",
     Token hash is md5_number_lower (:func:`md5_lower64`), so the pair
     set has an exact DuckDB oracle (recompute signatures in SQL, keep
     ``bit_count(xor()) <= max_hamming`` over all pairs)."""
-    pk_parts = _num_parts()  # driver-resolved; captured by the UDF closures
 
     def sigs(batch: pa.Table) -> pa.Table:
         sa = SimpleAnalyzer()
@@ -657,7 +589,7 @@ def simhash_pairs(ds: ray.data.Dataset, text_col="text", id_col="doc_id",
         blocks = np.tile(np.arange(4, dtype=np.int64), n)
         rep = np.repeat(hs, 4)
         keys = (rep >> (blocks.astype(np.uint64) * np.uint64(16))) & np.uint64(0xFFFF)
-        pkey = _partition_key(keys + np.uint64(0x10000) * blocks.astype(np.uint64), pk_parts)
+        pkey = keys + np.uint64(0x10000) * blocks.astype(np.uint64)
         return pa.table(
             {
                 id_col: pa.array(np.repeat(np.asarray(ids, np.int64), 4)),
@@ -696,26 +628,17 @@ def simhash_pairs(ds: ray.data.Dataset, text_col="text", id_col="doc_id",
             return pd.DataFrame(
                 {"doc_a": pd.Series([], dtype="int64"),
                  "doc_b": pd.Series([], dtype="int64"),
-                 "hamming": pd.Series([], dtype="int64"),
-                 "pkey2": pd.Series([], dtype="int64")}
+                 "hamming": pd.Series([], dtype="int64")}
             )
-        a = np.concatenate(out_a)
-        b = np.concatenate(out_b)
         return pd.DataFrame(
-            {"doc_a": a, "doc_b": b, "hamming": np.concatenate(out_d),
-             "pkey2": _partition_key(a.astype(np.uint64) * _MIX + b.astype(np.uint64), pk_parts)}
+            {"doc_a": np.concatenate(out_a), "doc_b": np.concatenate(out_b),
+             "hamming": np.concatenate(out_d)}
         )
 
-    pairs = (
-        ds.map_batches(sigs, batch_format="pyarrow")
-        .groupby("pkey")
-        .map_groups(part_bucket_pairs, batch_format="pandas")
-    )
-    # same pair can surface from several blocks; all copies share pkey2
-    return pairs.groupby("pkey2").map_groups(
-        lambda g: g.drop_duplicates(["doc_a", "doc_b"]).drop(columns="pkey2"),
-        batch_format="pandas",
-    )
+    pairs = exchange(ds.map_batches(sigs, batch_format="pyarrow"),
+                     part_bucket_pairs, "pkey")
+    # same pair can surface from several blocks; all copies share doc_a
+    return exchange(pairs, _drop_dup_pairs, "doc_a")
 
 
 # ---------------------------------------------------------------------
@@ -779,7 +702,6 @@ def embedding_dup_pairs_ivf(ds: ray.data.Dataset, threshold: float = 0.95,
     depends on (n_lists, n_probe) — with n_probe = n_lists/2 on the
     test corpus the pair set is empirically identical to the exact
     all-pairs oracle (the driver check enforces it)."""
-    pk_parts = _num_parts()  # driver-resolved; captured by the UDF closures
     from .similarity import IvfIndexedSearch, _normalize
 
     sample = ds.limit(fit_sample).to_pandas()
@@ -814,7 +736,6 @@ def embedding_dup_pairs_ivf(ds: ray.data.Dataset, threshold: float = 0.95,
                 "ivf_list": pa.array(lists),
                 "role": pa.array(out_role, pa.int32()),
                 "vec": pa.array(out_vec, pa.large_binary()),
-                "pkey": pa.array(_partition_key(lists.astype(np.uint64), pk_parts)),
             }
         )
 
@@ -844,25 +765,17 @@ def embedding_dup_pairs_ivf(ds: ray.data.Dataset, threshold: float = 0.95,
             return pd.DataFrame(
                 {"doc_a": pd.Series([], dtype="int64"),
                  "doc_b": pd.Series([], dtype="int64"),
-                 "cosine": pd.Series([], dtype="float64"),
-                 "pkey2": pd.Series([], dtype="int64")}
+                 "cosine": pd.Series([], dtype="float64")}
             )
-        a = np.concatenate(out_a)
-        b = np.concatenate(out_b)
         return pd.DataFrame(
-            {"doc_a": a, "doc_b": b, "cosine": np.concatenate(out_s),
-             "pkey2": _partition_key(a.astype(np.uint64) * _MIX
-                                     + b.astype(np.uint64), pk_parts)}
+            {"doc_a": np.concatenate(out_a), "doc_b": np.concatenate(out_b),
+             "cosine": np.concatenate(out_s)}
         )
 
-    pairs = ds.map_batches(emit, batch_format="pyarrow").groupby(
-        "pkey"
-    ).map_groups(part_pairs, batch_format="pandas")
+    pairs = exchange(ds.map_batches(emit, batch_format="pyarrow"),
+                     part_pairs, "ivf_list")
     # a pair can surface from several (prober, list) combinations
-    return pairs.groupby("pkey2").map_groups(
-        lambda g: g.drop_duplicates(["doc_a", "doc_b"]).drop(columns="pkey2"),
-        batch_format="pandas",
-    )
+    return exchange(pairs, _drop_dup_pairs, "doc_a")
 
 
 def embedding_dup_pairs(ds: ray.data.Dataset, threshold: float = 0.95,
@@ -949,11 +862,15 @@ def minhash_cross_pairs(corpus: ray.data.Dataset, ref: ray.data.Dataset,
 # ---------------------------------------------------------------------
 
 
+# Label count up to which cluster_representatives broadcasts the
+# doc → cluster map; past it the quality join is a doc_id exchange.
+CLUSTER_REPS_BROADCAST_MAX = 5_000_000
+
+
 def cluster_representatives(labels: ray.data.Dataset,
                             docs: ray.data.Dataset,
                             quality_col: str = "n_chars",
                             id_col: str = "doc_id",
-                            broadcast_max: int = 5_000_000,
                             ) -> ray.data.Dataset:
     """Elect one representative per near-dup cluster: the member with
     the highest ``quality_col``, ties to the lowest id — the step after
@@ -963,15 +880,14 @@ def cluster_representatives(labels: ray.data.Dataset,
     ``labels`` is (doc_id, cluster_id) — by construction only docs that
     appear in a near-dup pair, i.e. a small fraction of the corpus.
     The quality join auto-selects by label count (the docids/minhash
-    convention): a broadcast doc→cluster dict under ``broadcast_max``
-    (corpus streams, zero shuffles), else a coarse-pkey repartition
-    join.  Either way the final election is one groupby over the
+    convention): a broadcast doc→cluster map up to
+    ``CLUSTER_REPS_BROADCAST_MAX`` labels (corpus streams, zero
+    shuffles), else a doc_id exchange join.  Either way the final election is one groupby over the
     LABELED rows only — never corpus-wide.  Quality values ride as
     float64 in the distributed union (both sides must share one
     schema); ints beyond 2^53 would lose ordering precision there —
     quality metrics are small by nature.  Output
     ``(cluster_id, rep_doc_id, n_docs)``."""
-    pk_parts = _num_parts()  # driver-resolved; captured by the UDF closures
     from ._util import broadcast_cached
 
     def elect(g: pd.DataFrame) -> pd.DataFrame:
@@ -982,7 +898,7 @@ def cluster_representatives(labels: ray.data.Dataset,
 
     labels = labels.materialize()  # consumed twice (count + join input)
     n = labels.count()
-    if n <= broadcast_max:
+    if n <= CLUSTER_REPS_BROADCAST_MAX:
         lab = labels.to_pandas().sort_values(id_col)
         # sorted (keys, values) arrays — int64 end-to-end, no dict and
         # no float64 detour that would corrupt ids above 2^53
@@ -1000,13 +916,12 @@ def cluster_representatives(labels: ray.data.Dataset,
                 id_col: pa.array(ids[keep], pa.int64()),
                 "cluster_id": pa.array(cl),
                 quality_col: _coln(batch, quality_col)[keep],
-                "cpk": pa.array(_partition_key(cl.astype(np.uint64), pk_parts)),
             })
 
         tagged = docs.select_columns([id_col, quality_col]).map_batches(
             tag, batch_format="pyarrow")
     else:
-        # distributed: coarse-pkey union join (minhash-verify shape);
+        # distributed: doc_id union join (minhash-verify shape);
         # one shared schema — quality as float64 on both sides
         def side(is_label: bool):
             def f(batch: pa.Table) -> pa.Table:
@@ -1020,7 +935,6 @@ def cluster_representatives(labels: ray.data.Dataset,
                         np.full(len(ids), np.nan)) if is_label
                     else pa.array(_coln(batch, quality_col)
                                   .astype(np.float64)),
-                    "pk": pa.array(_partition_key(ids.astype(np.uint64), pk_parts)),
                 })
             return f
 
@@ -1031,14 +945,11 @@ def cluster_representatives(labels: ray.data.Dataset,
         def join(g: pd.DataFrame) -> pd.DataFrame:
             lab = g[g["cluster_id"] >= 0][[id_col, "cluster_id"]]
             qual = g[g["cluster_id"] < 0][[id_col, quality_col]]
-            out = lab.merge(qual, on=id_col, how="inner")
-            out["cpk"] = _partition_key(
-                out["cluster_id"].to_numpy(np.uint64), pk_parts)
-            return out
+            return lab.merge(qual, on=id_col, how="inner")
 
-        tagged = both.groupby("pk").map_groups(join, batch_format="pandas")
+        tagged = exchange(both, join, id_col)
 
-    return tagged.groupby("cpk").map_groups(elect, batch_format="pandas")
+    return exchange(tagged, elect, "cluster_id")
 
 
 def _coln(batch: pa.Table, col: str) -> np.ndarray:

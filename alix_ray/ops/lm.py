@@ -11,9 +11,10 @@ Two distributed pieces:
   the only thing shuffled — never token occurrences.
 * :func:`perplexity` — per-doc add-k smoothed bigram perplexity.  The
   model ships ONCE per worker (``ray.put`` + per-process cache) when it
-  fits (``max_broadcast`` grams); beyond that the scorer switches to a
-  hash-partitioned count join (the :func:`~alix_ray.ops.cleaning.
-  line_dedup` pkey pattern) so no single process ever holds the model.
+  fits (``PPL_BROADCAST_MAX_GRAMS`` grams); beyond that the scorer
+  switches to a count join through gram-hash
+  :func:`~alix_ray.ops.exchange.exchange` shuffles, so no single
+  process ever holds the model.
 
 Token profile is :class:`~alix_ray.analysis.SimpleAnalyzer` — the
 DuckDB-mirrorable ``[a-z0-9]+`` split — so the SQL oracle reproduces
@@ -31,9 +32,12 @@ import ray.data
 
 from ..analysis import SimpleAnalyzer
 from ._util import broadcast_cached
+from .exchange import exchange, string_key
 from .textstats import round_half_away
 
-_LM_PARTS = 64  # coarse hash partitions for the join path
+# Gram count up to which perplexity broadcasts the count table; past it
+# the scorer joins occurrences to counts through exchanges.
+PPL_BROADCAST_MAX_GRAMS = 5_000_000
 
 
 def _bigram_rows(batch: pa.Table, text_col: str):
@@ -105,8 +109,7 @@ def _doc_table(batch: pa.Table, owner, idx, logp) -> pa.Table:
 
 def perplexity(ds: ray.data.Dataset, text_col: str = "text",
                add_k: float = 0.5, counts: ray.data.Dataset | None = None,
-               mode: str = "auto",
-               max_broadcast: int = 5_000_000) -> ray.data.Dataset:
+               ) -> ray.data.Dataset:
     """Per-doc bigram perplexity under the corpus (or a supplied) LM.
 
     Output rows ``(doc_id, n_bigrams, avg_logprob, ppl)`` — docs with
@@ -115,22 +118,18 @@ def perplexity(ds: ray.data.Dataset, text_col: str = "text",
     ``P(w2|w1) = (c(w1 w2)+k) / (c(w1)+k·V)``; grams the LM has never
     seen (foreign-LM scoring) use count 0.
 
-    ``mode="auto"`` broadcasts the count table when it has at most
-    ``max_broadcast`` grams (one ``ray.put``, cached per worker
-    process, ``pc.index_in`` hash lookups per batch — no shuffle at
-    all), else joins occurrences to counts by gram-hash partition
+    The count table is broadcast when it has at most
+    ``PPL_BROADCAST_MAX_GRAMS`` grams (one ``ray.put``, cached per
+    worker process, ``pc.index_in`` hash lookups per batch — no shuffle
+    at all), else occurrences join counts by gram-hash exchange
     (coarse shuffles with bounded groups — the 10^9-vocabulary path).
     """
     if counts is None:
         counts = train_bigram_counts(ds, text_col)
     counts = counts.materialize()
-    if mode == "auto":
-        mode = "broadcast" if counts.count() <= max_broadcast else "join"
-    if mode == "broadcast":
+    if counts.count() <= PPL_BROADCAST_MAX_GRAMS:
         return _ppl_broadcast(ds, counts, text_col, add_k)
-    if mode == "join":
-        return _ppl_join(ds, counts, text_col, add_k)
-    raise ValueError(f"unknown mode {mode!r}")
+    return _ppl_join(ds, counts, text_col, add_k)
 
 
 def _ppl_broadcast(ds, counts, text_col, add_k):
@@ -165,7 +164,7 @@ def _ppl_broadcast(ds, counts, text_col, add_k):
 def _ppl_join(ds, counts, text_col, add_k):
     """Scale path: no process holds the LM.  Occurrence rows and count
     rows share one slim schema ``(doc_id, key, carry, cnt)`` and meet
-    inside ``groupby(pkey).map_groups`` — count rows have null doc_id,
+    in an exchange on the gram hash — count rows have null doc_id,
     occurrence rows null cnt.  Two gram-keyed exchanges (bigram count,
     then unigram count), then a doc-keyed sum."""
     n_vocab = counts.filter(expr="order == 1").count()
@@ -194,10 +193,7 @@ def _ppl_join(ds, counts, text_col, add_k):
         return conv
 
     def _pkey(tbl: pa.Table) -> pa.Table:
-        h = pd.util.hash_array(
-            np.asarray(tbl["key"].to_pylist(), dtype=object))
-        return tbl.append_column(
-            "pkey", pa.array((h % _LM_PARTS).astype(np.int64)))
+        return tbl.append_column("pkey", pa.array(string_key(tbl["key"])))
 
     def attach(g: pd.DataFrame) -> pd.DataFrame:
         """Occurrence rows pick up the count for their key (0 when the
@@ -219,11 +215,8 @@ def _ppl_join(ds, counts, text_col, add_k):
     bi_cnt = counts.map_batches(count_rows(2), batch_format="pyarrow")
     uni_cnt = counts.map_batches(count_rows(1), batch_format="pyarrow")
 
-    step1 = (
-        occ_ds.union(bi_cnt)
-        .map_batches(_pkey, batch_format="pyarrow")
-        .groupby("pkey").map_groups(attach, batch_format="pandas")
-    )
+    step1 = exchange(occ_ds.union(bi_cnt).map_batches(
+        _pkey, batch_format="pyarrow"), attach, "pkey")
 
     def attach2(g: pd.DataFrame) -> pd.DataFrame:
         is_cnt = g["doc_id"].isna()
@@ -236,11 +229,8 @@ def _ppl_join(ds, counts, text_col, add_k):
         return pd.DataFrame({"doc_id": rows["doc_id"].to_numpy(np.int64),
                              "logp": logp})
 
-    step2 = (
-        step1.union(uni_cnt)
-        .map_batches(_pkey, batch_format="pyarrow")
-        .groupby("pkey").map_groups(attach2, batch_format="pandas")
-    )
+    step2 = exchange(step1.union(uni_cnt).map_batches(
+        _pkey, batch_format="pyarrow"), attach2, "pkey")
 
     def finish(g: pd.DataFrame) -> pd.DataFrame:
         agg = g.groupby("doc_id", sort=True)["logp"].agg(["sum", "count"])
@@ -252,18 +242,5 @@ def _ppl_join(ds, counts, text_col, add_k):
             "ppl": round_half_away(np.exp(-avg)),
         })
 
-    # final sum groups by a COARSE doc-hash partition (the repo-wide
-    # map_groups discipline — one pandas dispatch per raw doc_id would
-    # be millions of tiny groups); finish() re-groups exactly inside
-    def doc_pkey(tbl: pa.Table) -> pa.Table:
-        ids = tbl["doc_id"].to_numpy(zero_copy_only=False) \
-            .astype(np.uint64)
-        return tbl.append_column(
-            "dkey", pa.array((ids % _LM_PARTS).astype(np.int64)))
-
-    return (
-        step2.map_batches(doc_pkey, batch_format="pyarrow")
-        .groupby("dkey")
-        .map_groups(lambda g: finish(g.drop(columns=["dkey"])),
-                    batch_format="pandas")
-    )
+    # finish() re-groups each partition exactly by doc_id
+    return exchange(step2, finish, "doc_id")

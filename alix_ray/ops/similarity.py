@@ -199,26 +199,24 @@ def tfidf_cosine_pairs(ds: ray.data.Dataset, threshold: float = 0.5,
        hot-term set — Zipf-head stop terms are filtered MAP-SIDE, so
        no downstream group ever receives a stop term's ~corpus-sized
        row set (``idf_join`` enforces this with a hard assert);
-    1. term-pkey groupby over survivors: df per term (all of a term's
+    1. term exchange over survivors: df per term (all of a term's
        rows share a partition, so the local count IS the global df),
        idf attach;
-    2. doc-pkey groupby: per-doc L2 norm, normalize;
-    3. term-pkey groupby: per-term pairwise partial products
+    2. doc exchange: per-doc L2 norm, normalize;
+    3. term exchange: per-term pairwise partial products
        (vectorized self-merge);
-    4. pair-pkey groupby: sum partials, threshold.
+    4. doc_a exchange: sum partials per pair, threshold.
 
     Every shuffled row is (ids, term, one float) — token payloads never
     move; text leaves a worker only as per-(doc,term) counts.  The
-    term→partition routing key (tpk) is :func:`md5_lower64` of the
-    term."""
+    term routing key (tpk) is :func:`md5_lower64` of the term."""
     import pandas as pd
     import pyarrow.compute as pc
 
     from ..analysis import SimpleAnalyzer
     from ._util import broadcast_cached
-    from .dedup import _num_parts, _partition_key, md5_lower64
-
-    pk_parts = _num_parts()  # driver-resolved; captured by the UDF closures
+    from .dedup import md5_lower64
+    from .exchange import exchange
 
     n_docs = float(ds.count())
 
@@ -236,7 +234,7 @@ def tfidf_cosine_pairs(ds: ray.data.Dataset, threshold: float = 0.5,
             "doc_id": g["doc_id"],
             "term": g["term"],
             "tf": pc.cast(g["term_count"], pa.float64()),
-            "tpk": pa.array(_partition_key(md5_lower64(terms), pk_parts)),
+            "tpk": pa.array(md5_lower64(terms)),
         })
 
     # the slim (doc,term,tf) counts table is read twice (stage-0 df
@@ -289,10 +287,9 @@ def tfidf_cosine_pairs(ds: ray.data.Dataset, threshold: float = 0.5,
         dfk = df[df <= df_cap]
         g["w"] = np.log1p(g["tf"].to_numpy()) * np.log(
             (n_docs + 1.0) / (dfk.to_numpy() + 1.0))
-        g["dpk"] = _partition_key(g["doc_id"].to_numpy().astype(np.uint64), pk_parts)
-        return g[["doc_id", "term", "w", "tpk", "dpk"]]
+        return g[["doc_id", "term", "w", "tpk"]]
 
-    w = tf.groupby("tpk").map_groups(idf_join, batch_format="pandas")
+    w = exchange(tf, idf_join, "tpk")
 
     def normalize(g: pd.DataFrame) -> pd.DataFrame:
         g = g.copy()
@@ -301,7 +298,7 @@ def tfidf_cosine_pairs(ds: ray.data.Dataset, threshold: float = 0.5,
         g["w"] = g["w"].to_numpy() / nn
         return g[["doc_id", "term", "w", "tpk"]]
 
-    wn = w.groupby("dpk").map_groups(normalize, batch_format="pandas")
+    wn = exchange(w, normalize, "doc_id")
 
     def pair_partials(g: pd.DataFrame) -> pd.DataFrame:
         m = g.merge(g, on="term")
@@ -311,19 +308,14 @@ def tfidf_cosine_pairs(ds: ray.data.Dataset, threshold: float = 0.5,
                 "doc_a": pd.Series(dtype="int64"),
                 "doc_b": pd.Series(dtype="int64"),
                 "p": pd.Series(dtype="float64"),
-                "ppk": pd.Series(dtype="int64"),
             })
-        a = m["doc_id_x"].to_numpy()
-        b = m["doc_id_y"].to_numpy()
-        pk = _partition_key(a.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-                            + b.astype(np.uint64), pk_parts)
         return pd.DataFrame({
-            "doc_a": a, "doc_b": b,
+            "doc_a": m["doc_id_x"].to_numpy(),
+            "doc_b": m["doc_id_y"].to_numpy(),
             "p": m["w_x"].to_numpy() * m["w_y"].to_numpy(),
-            "ppk": pk,
         })
 
-    parts = wn.groupby("tpk").map_groups(pair_partials, batch_format="pandas")
+    parts = exchange(wn, pair_partials, "tpk")
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         s = g.groupby(["doc_a", "doc_b"])["p"].sum().reset_index()
@@ -334,7 +326,7 @@ def tfidf_cosine_pairs(ds: ray.data.Dataset, threshold: float = 0.5,
             "cosine": s["p"].astype("float64"),
         })
 
-    return parts.groupby("ppk").map_groups(fold, batch_format="pandas")
+    return exchange(parts, fold, "doc_a")
 
 
 # ---------------------------------------------------------------------

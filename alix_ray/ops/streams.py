@@ -4,12 +4,13 @@ event stream — these are the "windowed aggregate / as-of join /
 streaming window" custom-operator class of the graft brief,
 re-expressed as bounded Ray Data transforms).
 
-Shared shape: every operator partitions by a COARSE hash of its
-entity key (user for sessions/attribution, (type, window) for
-windows), computes the per-group logic vectorized (numpy over sorted
-arrays — no per-row Python), and emits plain Arrow rows.  Timestamps
-travel as int64 epoch-microseconds end to end so results compare
-bit-exactly against SQL oracles.
+Shared shape: every operator shuffles through
+:func:`~alix_ray.ops.exchange.exchange` keyed by its entity column
+(user for sessions/attribution, window start for windows, time bucket
+then event for the range join), computes the per-partition logic
+vectorized (numpy over sorted arrays — no per-row Python), and emits
+plain Arrow rows.  Timestamps travel as int64 epoch-microseconds end
+to end so results compare bit-exactly against SQL oracles.
 
 Scale notes (10^12 events): the session/as-of groupbys move only the
 columns used (id, ts, value — never payloads); a user's history must
@@ -27,7 +28,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-from .dedup import _num_parts, _partition_key
+from .exchange import exchange
 
 US = 1_000_000
 
@@ -49,7 +50,6 @@ def sessionize(ds: ray.data.Dataset, gap_sec: int = 1800,
     total_value, start_us, end_us)`` with ``session_ord`` numbered 1..
     per user in time order.  Deterministic tie order: (ts, event_id).
     """
-    pk_parts = _num_parts()  # driver-resolved; captured by the UDF closures
     gap_us = gap_sec * US
 
     def project(batch: pa.Table) -> pa.Table:
@@ -59,7 +59,6 @@ def sessionize(ds: ray.data.Dataset, gap_sec: int = 1800,
             "event_id": batch["event_id"],
             "ts_us": pa.array(_ts_us(batch[ts_col])),
             "value": batch[value_col],
-            "pkey": pa.array(_partition_key(uid.astype(np.uint64), pk_parts)),
         })
 
     def part_sessions(g):
@@ -96,9 +95,8 @@ def sessionize(ds: ray.data.Dataset, gap_sec: int = 1800,
             "end_us": np.maximum.reduceat(ts, starts),
         })
 
-    return ds.map_batches(project, batch_format="pyarrow").groupby(
-        "pkey"
-    ).map_groups(part_sessions, batch_format="pandas")
+    return exchange(ds.map_batches(project, batch_format="pyarrow"),
+                    part_sessions, "user_id")
 
 
 def sliding_window_agg(ds: ray.data.Dataset, window_sec: int = 3600,
@@ -110,7 +108,6 @@ def sliding_window_agg(ds: ray.data.Dataset, window_sec: int = 3600,
     window/slide windows).  Rows: ``(event_type, window_start_us, n,
     total_value)``; empty windows are absent.
     """
-    pk_parts = _num_parts()  # driver-resolved; captured by the UDF closures
     w_us = window_sec * US
     s_us = slide_sec * US
 
@@ -127,13 +124,10 @@ def sliding_window_agg(ds: ray.data.Dataset, window_sec: int = 3600,
         offs = np.arange(int(reps.sum()), dtype=np.int64) - np.repeat(
             np.concatenate(([0], np.cumsum(reps)))[:-1], reps)
         ws = (np.repeat(k_lo, reps) + offs) * s_us
-        t_rep = types.take(pa.array(idx))
-        pk = _partition_key(ws.astype(np.uint64), pk_parts)
         return pa.table({
-            "event_type": t_rep,
+            "event_type": types.take(pa.array(idx)),
             "window_start_us": pa.array(ws),
             "value": pa.array(val[idx]),
-            "pkey": pa.array(pk),
         })
 
     def part_agg(g):
@@ -146,9 +140,8 @@ def sliding_window_agg(ds: ray.data.Dataset, window_sec: int = 3600,
         out["total_value"] = out["total_value"].round(6)
         return out
 
-    return ds.map_batches(expand, batch_format="pyarrow").groupby(
-        "pkey"
-    ).map_groups(part_agg, batch_format="pandas")
+    return exchange(ds.map_batches(expand, batch_format="pyarrow"),
+                    part_agg, "window_start_us")
 
 
 def range_join_count(ds: ray.data.Dataset, probe_type: str = "purchase",
@@ -165,7 +158,6 @@ def range_join_count(ds: ray.data.Dataset, probe_type: str = "purchase",
     searchsorteds over its sorted match timestamps.  Rows:
     ``(event_id, ts_us, n_matches)``.
     """
-    pk_parts = _num_parts()  # driver-resolved; captured by the UDF closures
     r_us = radius_sec * US
     bucket_us = 2 * r_us
 
@@ -191,7 +183,6 @@ def range_join_count(ds: ray.data.Dataset, probe_type: str = "purchase",
         return pa.table({
             "event_id": pa.array(out_eid),
             "ts_us": pa.array(out_ts),
-            "pkey": pa.array(_partition_key(out_b.astype(np.uint64), pk_parts)),
             "bucket": pa.array(out_b),
         })
 
@@ -221,24 +212,16 @@ def range_join_count(ds: ray.data.Dataset, probe_type: str = "purchase",
                            "n_matches": pd.Series(rows_n, dtype="int64")})
         return df.groupby(["event_id", "ts_us"], as_index=False).sum()
 
-    parts = ds.map_batches(expand, batch_format="pyarrow").groupby(
-        "pkey"
-    ).map_groups(part_count, batch_format="pandas")
+    parts = exchange(ds.map_batches(expand, batch_format="pyarrow"),
+                     part_count, "bucket")
+
     # final: sum the per-bucket partials per probe (a probe has 3
     # replicas in up to 3 partitions)
     def final(g):
         return g.groupby(["event_id", "ts_us"], as_index=False)[
             "n_matches"].sum()
 
-    def repkey(batch: pa.Table) -> pa.Table:
-        e = batch["event_id"].to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "pkey2", pa.array(_partition_key(e.astype(np.uint64), pk_parts)))
-
-    return parts.map_batches(repkey, batch_format="pyarrow").groupby(
-        "pkey2"
-    ).map_groups(
-        lambda g: final(g.drop(columns="pkey2")), batch_format="pandas")
+    return exchange(parts, final, "event_id")
 
 
 def asof_attribution(ds: ray.data.Dataset, target_type: str = "purchase",
@@ -252,7 +235,6 @@ def asof_attribution(ds: ray.data.Dataset, target_type: str = "purchase",
     ``src_event_id``/``lag_us`` are -1 when nothing qualifies.  Tie
     rule among equal source timestamps: highest event_id.
     """
-    pk_parts = _num_parts()  # driver-resolved; captured by the UDF closures
     hz_us = horizon_sec * US
 
     def project(batch: pa.Table) -> pa.Table:
@@ -264,7 +246,6 @@ def asof_attribution(ds: ray.data.Dataset, target_type: str = "purchase",
             "event_id": batch["event_id"],
             "ts_us": pa.array(_ts_us(batch[ts_col])),
             "is_target": pc.equal(batch["event_type"], target_type),
-            "pkey": pa.array(_partition_key(uid.astype(np.uint64), pk_parts)),
         }).filter(keep)
         return t
 
@@ -305,6 +286,5 @@ def asof_attribution(ds: ray.data.Dataset, target_type: str = "purchase",
         return pd.DataFrame({k: pd.Series(v, dtype="int64")
                              for k, v in out_rows.items()})
 
-    return ds.map_batches(project, batch_format="pyarrow").groupby(
-        "pkey"
-    ).map_groups(part_attr, batch_format="pandas")
+    return exchange(ds.map_batches(project, batch_format="pyarrow"),
+                    part_attr, "user_id")

@@ -86,9 +86,10 @@ class TestRayOps:
         out = exact_dedup(ds).to_pandas().sort_values("doc_id")
         assert out["doc_id"].tolist() == [1, 2]
 
-    def test_minhash_finds_planted_dup(self, ray_session):
+    def test_minhash_finds_planted_dup(self, ray_session, monkeypatch):
         import ray.data
 
+        from alix_ray.ops import dedup
         from alix_ray.ops.dedup import minhash_lsh_pairs
 
         words = [f"w{i}" for i in range(60)]
@@ -98,10 +99,10 @@ class TestRayOps:
         ds = ray.data.from_items(rows)
         pairs = minhash_lsh_pairs(ds, threshold=0.5).to_pandas()
         assert ((pairs["doc_a"] == 0) & (pairs["doc_b"] == 99)).any()
-        # the >driver_max_pairs distributed verify join returns the
-        # identical pair set (driver_max_pairs=0 forces it)
-        dist = minhash_lsh_pairs(ds, threshold=0.5,
-                                 driver_max_pairs=0).to_pandas()
+        # the >LSH_DRIVER_MAX_PAIRS distributed verify join returns the
+        # identical pair set (a gate of 0 forces it)
+        monkeypatch.setattr(dedup, "LSH_DRIVER_MAX_PAIRS", 0)
+        dist = minhash_lsh_pairs(ds, threshold=0.5).to_pandas()
         key = ["doc_a", "doc_b", "jaccard"]
         assert (pairs[key].sort_values(key).values.tolist()
                 == dist[key].sort_values(key).values.tolist())
@@ -643,7 +644,7 @@ class TestBigramLM:
         assert uni["the"] == 4 and uni["cat"] == 3
         assert bi["the cat"] == 3 and bi["cat sat"] == 2
         v = (counts_df["order"] == 1).sum()
-        got = perplexity(ds, add_k=0.5, mode="broadcast").to_pandas()
+        got = perplexity(ds, add_k=0.5).to_pandas()
         got = got.set_index("doc_id")
         # doc 4 has one token → excluded
         assert 4 not in got.index and len(got) == 3
@@ -661,16 +662,19 @@ class TestBigramLM:
         # repeated common bigrams beat the rare-gram doc
         assert got.loc[2, "ppl"] < got.loc[3, "ppl"]
 
-    def test_join_path_matches_broadcast(self, ray_session):
+    def test_join_path_matches_broadcast(self, ray_session, monkeypatch):
         import ray.data
 
+        from alix_ray.ops import lm
         from alix_ray.ops.lm import perplexity, train_bigram_counts
 
         ds = ray.data.from_pandas(self._docs()).repartition(3)
         counts = train_bigram_counts(ds).materialize()
-        b = (perplexity(ds, counts=counts, mode="broadcast").to_pandas()
+        b = (perplexity(ds, counts=counts).to_pandas()
              .sort_values("doc_id").reset_index(drop=True))
-        j = (perplexity(ds, counts=counts, mode="join").to_pandas()
+        # a gate of -1 sends every count table down the join path
+        monkeypatch.setattr(lm, "PPL_BROADCAST_MAX_GRAMS", -1)
+        j = (perplexity(ds, counts=counts).to_pandas()
              .sort_values("doc_id").reset_index(drop=True))
         pd.testing.assert_frame_equal(b, j[b.columns], check_dtype=False)
 
@@ -683,7 +687,7 @@ class TestBigramLM:
         counts = train_bigram_counts(train).materialize()
         score = ray.data.from_pandas(pd.DataFrame({
             "doc_id": [9], "text": ["wholly novel tokens here"]}))
-        got = perplexity(score, counts=counts, mode="broadcast").to_pandas()
+        got = perplexity(score, counts=counts).to_pandas()
         # every gram unseen → P = k / (0 + k·V) = 1/V per bigram
         v = counts.to_pandas().pipe(lambda d: (d["order"] == 1).sum())
         assert got["ppl"].iloc[0] == pytest.approx(float(v), rel=1e-6)

@@ -131,10 +131,13 @@ def test_blocklist_word_boundaries(ray_session):
 
 
 @pytest.mark.parametrize("broadcast_max", [5_000_000, 0])
-def test_cluster_representatives(ray_session, broadcast_max):
+def test_cluster_representatives(ray_session, monkeypatch, broadcast_max):
     import ray.data
 
+    from alix_ray.ops import dedup
     from alix_ray.ops.dedup import cluster_representatives
+
+    monkeypatch.setattr(dedup, "CLUSTER_REPS_BROADCAST_MAX", broadcast_max)
 
     labels = ray.data.from_items([
         {"doc_id": 1, "cluster_id": 1}, {"doc_id": 2, "cluster_id": 1},
@@ -145,8 +148,7 @@ def test_cluster_representatives(ray_session, broadcast_max):
         {"doc_id": i, "n_chars": c}
         for i, c in [(1, 10), (2, 99), (3, 1), (5, 99), (7, 4), (9, 4)]
     ])
-    df = cluster_representatives(labels, docs,
-                                 broadcast_max=broadcast_max) \
+    df = cluster_representatives(labels, docs) \
         .to_pandas().sort_values("cluster_id")
     # cluster 1: 2 and 5 tie at 99 chars → lowest id 2; cluster 7: tie → 7
     assert list(df["cluster_id"]) == [1, 7]
