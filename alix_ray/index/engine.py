@@ -1490,8 +1490,7 @@ class BM25Index:
         return stats
 
     def theme_terms(self, focus_mask: np.ndarray, k: int = 20,
-                    mode: str = "BM25", min_focus_df: int = 1,
-                    distributed: bool | None = None):
+                    mode: str = "BM25", min_focus_df: int = 1):
         """Rank vocabulary terms against a focus doc set — vectorized.
 
         Reference: ``IdfTermScorer.BM25.termScore()``
@@ -1510,17 +1509,16 @@ class BM25Index:
 
         Returns top-k ``(term, score)``, score desc / term asc.
 
-        ``distributed=None`` auto-routes: above
-        ``THEME_DISTRIBUTED_MIN_BYTES`` of postings the per-term stats
-        come from the Ray job (:meth:`_theme_stats_ray`) instead of the
-        in-process artifact stream — both paths are oracle-green and
-        agree at round-6 (asserted by test).
+        The route is chosen by postings size: above
+        ``THEME_DISTRIBUTED_MIN_BYTES`` the per-term stats come from the
+        Ray job (:meth:`_theme_stats_ray`) instead of the in-process
+        artifact stream — both paths are oracle-green and agree at
+        round-6 (asserted by test, which sets the gate to -1 to force
+        the Ray job).
         """
         fm = np.asarray(focus_mask, bool)
-        if distributed is None:
-            distributed = (self.postings.total_bytes
-                           > self.THEME_DISTRIBUTED_MIN_BYTES)
-        st = self._theme_stats_ray(fm) if distributed \
+        st = self._theme_stats_ray(fm) \
+            if self.postings.total_bytes > self.THEME_DISTRIBUTED_MIN_BYTES \
             else self._theme_stats(fm)
         keep = st["fdf"] >= min_focus_df
         N = float(self.n_docs)

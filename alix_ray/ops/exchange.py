@@ -53,23 +53,33 @@ def num_partitions() -> int:
     return max(MIN_PARTS, 4 * int(cpus))
 
 
+def _route(batch: pa.Table, key: str, parts: np.uint64) -> pa.Table:
+    """Append the partition column ``splitmix64(key) mod parts``.
+
+    The schema metadata (pandas index info left by ``from_pandas`` and
+    by pandas-format ops) is dropped: it holds a dict, which makes
+    ``pa.Schema`` unhashable, and Ray's reduce tasks hash the block
+    schemas to unify them (one "Failed to hash the schemas" warning
+    per task otherwise)."""
+    h = batch[key].to_numpy(zero_copy_only=False)
+    return batch.replace_schema_metadata(None).append_column(
+        _PART, pa.array((_mix64(h) % parts).astype(np.int64)))
+
+
 def exchange(ds: ray.data.Dataset, fn, key: str) -> ray.data.Dataset:
     """Group ``ds`` by a coarse partition of its integer ``key`` column
     and apply ``fn`` (pandas in, pandas or Arrow out) to each partition.
 
-    The count is resolved once per call and captured by the routing
-    closure, so every worker agrees on it.  ``fn`` sees all of the
+    The count is resolved once per call and passed to every routing
+    task, so every worker agrees on it.  ``fn`` sees all of the
     partition's rows, ``key`` included, but not the partition column."""
     parts = np.uint64(num_partitions())
-
-    def route(batch: pa.Table) -> pa.Table:
-        h = batch[key].to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            _PART, pa.array((_mix64(h) % parts).astype(np.int64)))
 
     def call(g):
         return fn(g.drop(columns=_PART))
 
     call.__name__ = getattr(fn, "__name__", call.__name__)  # stats name
-    return ds.map_batches(route, batch_format="pyarrow").groupby(
-        _PART).map_groups(call, batch_format="pandas")
+    return ds.map_batches(
+        _route, batch_format="pyarrow",
+        fn_kwargs={"key": key, "parts": parts},
+    ).groupby(_PART).map_groups(call, batch_format="pandas")

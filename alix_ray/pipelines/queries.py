@@ -1,5 +1,10 @@
 """Driver-contract queries over ``/root/testdata/sf*`` + DuckDB oracles.
 
+Add a query by defining ``q_<name>(sf_dir) -> pd.DataFrame`` under
+``@query(oracle=SQL)``, with the SQL defined above it; that registers
+it as ``<name>`` in :data:`QUERIES` and the SQL in :data:`ORACLES`.
+Use a bare ``@query()`` when no SQL oracle exists (rows-only check).
+
 Every oracle-checked query pins its column names AND value rounding to
 the SQL text (driver compares row-count + schema + order-insensitive
 value hash).  Token semantics for SQL-checked queries use the simple
@@ -24,6 +29,30 @@ import ray.data
 from ..stages.store import resolve_stage
 
 from .. import IDF_EXP, K1, B
+
+# name -> query callable and name -> DuckDB oracle SQL, filled by @query
+QUERIES: dict = {}
+ORACLES: dict = {}
+
+
+def query(oracle: str | None = None):
+    """Register ``q_<name>`` as query ``<name>`` (the Op.java
+    registration analog, like :func:`alix_ray.index.registry.op`) and
+    ``oracle`` as its SQL unless it is ``None``."""
+
+    def deco(fn):
+        name = fn.__name__.removeprefix("q_")
+        if name == fn.__name__:
+            raise ValueError(f"query {fn.__name__!r} lacks the q_ prefix")
+        if name in QUERIES:
+            raise ValueError(f"query {name!r} is already registered")
+        QUERIES[name] = fn
+        if oracle is not None:
+            ORACLES[name] = oracle
+        return fn
+
+    return deco
+
 
 # shared SQL fragment: the token CTE (the analyzer mirror)
 TOKS = (
@@ -94,18 +123,28 @@ def _index(sf_dir: str, profile: str = "simple"):
     return BM25Index(build_documents_index(sf_dir, profile))
 
 
-# ---------------------------------------------------------------------
-# index-core queries (oracle-checked)
-# ---------------------------------------------------------------------
+def _hits_frame(res) -> pd.DataFrame:
+    """A ranked ``[(doc_id, score)]`` hit list as a frame, scores
+    rounded like the oracles' ``round(score, 6)``."""
+    from ..ops.textstats import round_half_away
+
+    return pd.DataFrame({
+        "doc_id": [d for d, _ in res],
+        "score": round_half_away([s for _, s in res]),
+    })
 
 
-def q_term_stats(sf_dir: str) -> pd.DataFrame:
-    ix = _index(sf_dir)
-    t = pq.read_table(resolve_stage(ix.dir, "term_stats"))
+def _term_stats_frame(index_dir: str) -> pd.DataFrame:
+    t = pq.read_table(resolve_stage(index_dir, "term_stats"))
     df = t.to_pandas()[["term", "df", "cf"]]
     df["df"] = df["df"].astype("int64")
     df["cf"] = df["cf"].astype("int64")
     return df.sort_values("term").reset_index(drop=True)
+
+
+# ---------------------------------------------------------------------
+# index-core queries (oracle-checked)
+# ---------------------------------------------------------------------
 
 
 SQL_TERM_STATS = f"""
@@ -115,12 +154,9 @@ FROM toks GROUP BY term ORDER BY term
 """
 
 
-def q_doc_token_counts(sf_dir: str) -> pd.DataFrame:
-    ix = _index(sf_dir)
-    t = pq.read_table(resolve_stage(ix.dir, "doc_stats"))
-    df = t.to_pandas()[["doc_id", "tokens"]].rename(columns={"tokens": "n_tokens"})
-    df["n_tokens"] = df["n_tokens"].astype("int64")
-    return df.sort_values("doc_id").reset_index(drop=True)
+@query(oracle=SQL_TERM_STATS)
+def q_term_stats(sf_dir: str) -> pd.DataFrame:
+    return _term_stats_frame(_index(sf_dir).dir)
 
 
 SQL_DOC_TOKEN_COUNTS = """
@@ -131,13 +167,13 @@ FROM documents ORDER BY doc_id
 """
 
 
-def q_top_terms(sf_dir: str) -> pd.DataFrame:
-    df = q_term_stats(sf_dir)
-    return (
-        df.sort_values(["cf", "term"], ascending=[False, True])
-        .head(50)[["term", "cf"]]
-        .reset_index(drop=True)
-    )
+@query(oracle=SQL_DOC_TOKEN_COUNTS)
+def q_doc_token_counts(sf_dir: str) -> pd.DataFrame:
+    ix = _index(sf_dir)
+    t = pq.read_table(resolve_stage(ix.dir, "doc_stats"))
+    df = t.to_pandas()[["doc_id", "tokens"]].rename(columns={"tokens": "n_tokens"})
+    df["n_tokens"] = df["n_tokens"].astype("int64")
+    return df.sort_values("doc_id").reset_index(drop=True)
 
 
 SQL_TOP_TERMS = f"""
@@ -147,16 +183,13 @@ FROM toks GROUP BY term ORDER BY cf DESC, term LIMIT 50
 """
 
 
-def q_bm25_top10(sf_dir: str) -> pd.DataFrame:
-    ix = _index(sf_dir)
-    res = ix.search_exact(list(BM25_QUERY_TERMS), 10)
-    from ..ops.textstats import round_half_away
-
-    return pd.DataFrame(
-        {
-            "doc_id": [d for d, _ in res],
-            "score": round_half_away([s for _, s in res]),
-        }
+@query(oracle=SQL_TOP_TERMS)
+def q_top_terms(sf_dir: str) -> pd.DataFrame:
+    df = q_term_stats(sf_dir)
+    return (
+        df.sort_values(["cf", "term"], ascending=[False, True])
+        .head(50)[["term", "cf"]]
+        .reset_index(drop=True)
     )
 
 
@@ -196,6 +229,18 @@ FROM scored {final_where} ORDER BY scored.score DESC, doc_id LIMIT {k} OFFSET {o
 SQL_BM25_TOP10 = _sql_bm25(BM25_QUERY_TERMS, 10)
 
 
+@query(oracle=SQL_BM25_TOP10)
+def q_bm25_top10(sf_dir: str) -> pd.DataFrame:
+    ix = _index(sf_dir)
+    return _hits_frame(ix.search_exact(list(BM25_QUERY_TERMS), 10))
+
+
+SQL_DEDUP_EXACT = """
+SELECT min(doc_id)::BIGINT AS doc_id FROM documents GROUP BY text ORDER BY doc_id
+"""
+
+
+@query(oracle=SQL_DEDUP_EXACT)
 def q_dedup_exact(sf_dir: str) -> pd.DataFrame:
     from ..ops.dedup import exact_dedup
 
@@ -205,11 +250,10 @@ def q_dedup_exact(sf_dir: str) -> pd.DataFrame:
     )
 
 
-SQL_DEDUP_EXACT = """
-SELECT min(doc_id)::BIGINT AS doc_id FROM documents GROUP BY text ORDER BY doc_id
-"""
+SQL_LANG_COUNTS = "SELECT lang, count(*)::BIGINT AS n FROM documents GROUP BY lang ORDER BY lang"
 
 
+@query(oracle=SQL_LANG_COUNTS)
 def q_lang_counts(sf_dir: str) -> pd.DataFrame:
     from ..ops.analytics import facet_counts
 
@@ -218,9 +262,10 @@ def q_lang_counts(sf_dir: str) -> pd.DataFrame:
     return df.sort_values("lang").reset_index(drop=True)
 
 
-SQL_LANG_COUNTS = "SELECT lang, count(*)::BIGINT AS n FROM documents GROUP BY lang ORDER BY lang"
+SQL_SOURCE_COUNTS = "SELECT source, count(*)::BIGINT AS n FROM documents GROUP BY source ORDER BY source"
 
 
+@query(oracle=SQL_SOURCE_COUNTS)
 def q_source_counts(sf_dir: str) -> pd.DataFrame:
     from ..ops.analytics import facet_counts
 
@@ -229,9 +274,14 @@ def q_source_counts(sf_dir: str) -> pd.DataFrame:
     return df.sort_values("source").reset_index(drop=True)
 
 
-SQL_SOURCE_COUNTS = "SELECT source, count(*)::BIGINT AS n FROM documents GROUP BY source ORDER BY source"
+SQL_CHRONO = """
+SELECT (year(ts) * 100 + month(ts))::BIGINT AS bucket,
+       count(*)::BIGINT AS n, round(sum(value), 6) AS total
+FROM events GROUP BY bucket ORDER BY bucket
+"""
 
 
+@query(oracle=SQL_CHRONO)
 def q_chrono(sf_dir: str) -> pd.DataFrame:
     from ..ops.analytics import chrono_histogram
 
@@ -244,38 +294,6 @@ def q_chrono(sf_dir: str) -> pd.DataFrame:
 
     df["total"] = round_half_away(df["total"].to_numpy())
     return df.sort_values("bucket").reset_index(drop=True)
-
-
-SQL_CHRONO = """
-SELECT (year(ts) * 100 + month(ts))::BIGINT AS bucket,
-       count(*)::BIGINT AS n, round(sum(value), 6) AS total
-FROM events GROUP BY bucket ORDER BY bucket
-"""
-
-
-def q_keyness_chi2(sf_dir: str) -> pd.DataFrame:
-    """Focus = lang='en' docs vs the rest; signed Chi2 keyness
-    (KeynessScorer.java:77-122), top 30."""
-    from ..ops.analytics import keyness_chi2, term_stats_ds
-
-    docs = _docs(sf_dir, ["text", "lang"])
-    focus = term_stats_ds(docs.filter(expr=f"lang == '{KEYNESS_FOCUS_LANG}'")).to_pandas()
-    other = term_stats_ds(docs.filter(expr=f"lang != '{KEYNESS_FOCUS_LANG}'")).to_pandas()
-    merged = focus.merge(other, on="term", how="outer", suffixes=("_f", "_o")).fillna(0)
-    fo_tokens = float(merged["cf_f"].sum())
-    ot_tokens = float(merged["cf_o"].sum())
-    chi2 = keyness_chi2(
-        merged["cf_f"].to_numpy(np.float64), fo_tokens,
-        merged["cf_o"].to_numpy(np.float64), ot_tokens,
-    )
-    from ..ops.textstats import round_half_away
-
-    out = pd.DataFrame({"term": merged["term"], "chi2": round_half_away(chi2)})
-    return (
-        out.sort_values(["chi2", "term"], ascending=[False, True])
-        .head(KEYNESS_TOP)
-        .reset_index(drop=True)
-    )
 
 
 SQL_KEYNESS_CHI2 = f"""
@@ -313,13 +331,30 @@ FROM x2 ORDER BY chi2 DESC, term LIMIT {KEYNESS_TOP}
 """
 
 
-def q_suggest(sf_dir: str) -> pd.DataFrame:
-    from ..ops.analytics import suggest
+@query(oracle=SQL_KEYNESS_CHI2)
+def q_keyness_chi2(sf_dir: str) -> pd.DataFrame:
+    """Focus = lang='en' docs vs the rest; signed Chi2 keyness
+    (KeynessScorer.java:77-122), top 30."""
+    from ..ops.analytics import keyness_chi2, term_stats_ds
 
-    df = q_term_stats(sf_dir)
-    out = suggest(df, SUGGEST_PREFIX, 10)[["term", "cf"]]
-    out["cf"] = out["cf"].astype("int64")
-    return out.reset_index(drop=True)
+    docs = _docs(sf_dir, ["text", "lang"])
+    focus = term_stats_ds(docs.filter(expr=f"lang == '{KEYNESS_FOCUS_LANG}'")).to_pandas()
+    other = term_stats_ds(docs.filter(expr=f"lang != '{KEYNESS_FOCUS_LANG}'")).to_pandas()
+    merged = focus.merge(other, on="term", how="outer", suffixes=("_f", "_o")).fillna(0)
+    fo_tokens = float(merged["cf_f"].sum())
+    ot_tokens = float(merged["cf_o"].sum())
+    chi2 = keyness_chi2(
+        merged["cf_f"].to_numpy(np.float64), fo_tokens,
+        merged["cf_o"].to_numpy(np.float64), ot_tokens,
+    )
+    from ..ops.textstats import round_half_away
+
+    out = pd.DataFrame({"term": merged["term"], "chi2": round_half_away(chi2)})
+    return (
+        out.sort_values(["chi2", "term"], ascending=[False, True])
+        .head(KEYNESS_TOP)
+        .reset_index(drop=True)
+    )
 
 
 SQL_SUGGEST = f"""
@@ -330,16 +365,14 @@ GROUP BY term ORDER BY cf DESC, term LIMIT 10
 """
 
 
-def q_cooc(sf_dir: str) -> pd.DataFrame:
-    from ..ops.analytics import cooc_window
+@query(oracle=SQL_SUGGEST)
+def q_suggest(sf_dir: str) -> pd.DataFrame:
+    from ..ops.analytics import suggest
 
-    df = cooc_window(_docs_text(sf_dir), COOC_PIVOT, window=2).to_pandas()
-    df["n"] = df["n"].astype("int64")
-    return (
-        df.sort_values(["n", "coterm"], ascending=[False, True])
-        .head(20)
-        .reset_index(drop=True)
-    )
+    df = q_term_stats(sf_dir)
+    out = suggest(df, SUGGEST_PREFIX, 10)[["term", "cf"]]
+    out["cf"] = out["cf"].astype("int64")
+    return out.reset_index(drop=True)
 
 
 SQL_COOC = f"""
@@ -360,10 +393,17 @@ GROUP BY coterm ORDER BY n DESC, coterm LIMIT 20
 """
 
 
-def q_jaccard_pairs(sf_dir: str) -> pd.DataFrame:
-    from ..ops.dedup import jaccard_pairs_exact
+@query(oracle=SQL_COOC)
+def q_cooc(sf_dir: str) -> pd.DataFrame:
+    from ..ops.analytics import cooc_window
 
-    return jaccard_pairs_exact(_docs_text(sf_dir), JACCARD_THRESHOLD)
+    df = cooc_window(_docs_text(sf_dir), COOC_PIVOT, window=2).to_pandas()
+    df["n"] = df["n"].astype("int64")
+    return (
+        df.sort_values(["n", "coterm"], ascending=[False, True])
+        .head(20)
+        .reset_index(drop=True)
+    )
 
 
 SQL_JACCARD_PAIRS = f"""
@@ -385,20 +425,11 @@ ORDER BY doc_a, doc_b
 """
 
 
-def q_ann_topk(sf_dir: str) -> pd.DataFrame:
-    from ..ops.similarity import brute_force_topk
+@query(oracle=SQL_JACCARD_PAIRS)
+def q_jaccard_pairs(sf_dir: str) -> pd.DataFrame:
+    from ..ops.dedup import jaccard_pairs_exact
 
-    emb = ray.data.read_parquet(os.path.join(sf_dir, "embeddings.parquet"))
-    head = pq.read_table(os.path.join(sf_dir, "embeddings.parquet")).to_pandas()
-    head = head[head["vec_id"] < ANN_QUERIES].sort_values("vec_id")
-    Q = np.array(head["embedding"].tolist(), np.float64)
-    res = brute_force_topk(emb, Q, ANN_K)
-    res["query_id"] = res["query_id"].astype("int64")
-    res["vec_id"] = res["vec_id"].astype("int64")
-    from ..ops.textstats import round_half_away
-
-    res["score"] = round_half_away(res["score"].to_numpy())
-    return res.reset_index(drop=True)
+    return jaccard_pairs_exact(_docs_text(sf_dir), JACCARD_THRESHOLD)
 
 
 SQL_ANN_TOPK = f"""
@@ -417,6 +448,33 @@ ORDER BY query_id, rnk
 """
 
 
+@query(oracle=SQL_ANN_TOPK)
+def q_ann_topk(sf_dir: str) -> pd.DataFrame:
+    from ..ops.similarity import brute_force_topk
+
+    emb = ray.data.read_parquet(os.path.join(sf_dir, "embeddings.parquet"))
+    head = pq.read_table(os.path.join(sf_dir, "embeddings.parquet")).to_pandas()
+    head = head[head["vec_id"] < ANN_QUERIES].sort_values("vec_id")
+    Q = np.array(head["embedding"].tolist(), np.float64)
+    res = brute_force_topk(emb, Q, ANN_K)
+    res["query_id"] = res["query_id"].astype("int64")
+    res["vec_id"] = res["vec_id"].astype("int64")
+    from ..ops.textstats import round_half_away
+
+    res["score"] = round_half_away(res["score"].to_numpy())
+    return res.reset_index(drop=True)
+
+
+SQL_EMBEDDING_DUPS = f"""
+SELECT a.vec_id AS doc_a, b.vec_id AS doc_b,
+  round(list_cosine_similarity(a.embedding::DOUBLE[], b.embedding::DOUBLE[]), 6) AS cosine
+FROM embeddings a JOIN embeddings b ON a.vec_id < b.vec_id
+WHERE list_cosine_similarity(a.embedding::DOUBLE[], b.embedding::DOUBLE[]) >= {EMB_DUP_THRESHOLD}
+ORDER BY doc_a, doc_b
+"""
+
+
+@query(oracle=SQL_EMBEDDING_DUPS)
 def q_embedding_dups(sf_dir: str) -> pd.DataFrame:
     """Embedding near-dup pairs via the IVF partition join (the scale
     path: no driver-side corpus matrix, list-sharded exact scoring).
@@ -440,23 +498,6 @@ def q_embedding_dups(sf_dir: str) -> pd.DataFrame:
     return df.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
 
 
-SQL_EMBEDDING_DUPS = f"""
-SELECT a.vec_id AS doc_a, b.vec_id AS doc_b,
-  round(list_cosine_similarity(a.embedding::DOUBLE[], b.embedding::DOUBLE[]), 6) AS cosine
-FROM embeddings a JOIN embeddings b ON a.vec_id < b.vec_id
-WHERE list_cosine_similarity(a.embedding::DOUBLE[], b.embedding::DOUBLE[]) >= {EMB_DUP_THRESHOLD}
-ORDER BY doc_a, doc_b
-"""
-
-
-def q_quality(sf_dir: str) -> pd.DataFrame:
-    from ..ops.textstats import quality_metrics
-
-    df = quality_metrics(_docs_text(sf_dir)).to_pandas()
-    df["n_tokens"] = df["n_tokens"].astype("int64")
-    return df.sort_values("doc_id").reset_index(drop=True)
-
-
 _STOP_EN = "'the','a','of','and','to','in','is','it','that','for','on','with','as','are','was'"
 SQL_QUALITY = f"""
 WITH base AS (
@@ -476,12 +517,12 @@ FROM base ORDER BY doc_id
 """
 
 
-def q_token_counts(sf_dir: str) -> pd.DataFrame:
-    """Per-doc whitespace + BPE-ish-regex token counts (training-data
-    budget metric; see ops/textstats.py:token_counts)."""
-    from ..ops.textstats import token_counts
+@query(oracle=SQL_QUALITY)
+def q_quality(sf_dir: str) -> pd.DataFrame:
+    from ..ops.textstats import quality_metrics
 
-    df = token_counts(_docs_text(sf_dir)).to_pandas()
+    df = quality_metrics(_docs_text(sf_dir)).to_pandas()
+    df["n_tokens"] = df["n_tokens"].astype("int64")
     return df.sort_values("doc_id").reset_index(drop=True)
 
 
@@ -498,9 +539,27 @@ FROM documents ORDER BY doc_id
 """
 
 
+@query(oracle=SQL_TOKEN_COUNTS)
+def q_token_counts(sf_dir: str) -> pd.DataFrame:
+    """Per-doc whitespace + BPE-ish-regex token counts (training-data
+    budget metric; see ops/textstats.py:token_counts)."""
+    from ..ops.textstats import token_counts
+
+    df = token_counts(_docs_text(sf_dir)).to_pandas()
+    return df.sort_values("doc_id").reset_index(drop=True)
+
+
 HH_K = 30
 
 
+SQL_HEAVY_HITTERS = f"""
+WITH toks AS ({TOKS})
+SELECT term, count(*)::BIGINT AS cf FROM toks
+GROUP BY term ORDER BY cf DESC, term LIMIT {HH_K}
+"""
+
+
+@query(oracle=SQL_HEAVY_HITTERS)
 def q_heavy_hitters(sf_dir: str) -> pd.DataFrame:
     """Exact corpus top-k tokens WITHOUT a full-vocabulary shuffle
     (two-pass threshold-bounded candidates; ops/textstats.py)."""
@@ -510,15 +569,20 @@ def q_heavy_hitters(sf_dir: str) -> pd.DataFrame:
     return df.reset_index(drop=True)
 
 
-SQL_HEAVY_HITTERS = f"""
-WITH toks AS ({TOKS})
-SELECT term, count(*)::BIGINT AS cf FROM toks
-GROUP BY term ORDER BY cf DESC, term LIMIT {HH_K}
-"""
-
 QUOTA_N = 5
 
 
+SQL_QUOTA_CAP = f"""
+SELECT doc_id, source, n_chars FROM (
+  SELECT doc_id, source, n_chars,
+    row_number() OVER (PARTITION BY source
+                       ORDER BY n_chars DESC, doc_id) AS rn
+  FROM documents) WHERE rn <= {QUOTA_N}
+ORDER BY source, doc_id
+"""
+
+
+@query(oracle=SQL_QUOTA_CAP)
 def q_quota_cap(sf_dir: str) -> pd.DataFrame:
     """Per-source quota: best N docs per source (longest first,
     doc_id tie-break) — the training-mix anti-spam cap."""
@@ -533,16 +597,15 @@ def q_quota_cap(sf_dir: str) -> pd.DataFrame:
             .sort_values(["source", "doc_id"]).reset_index(drop=True))
 
 
-SQL_QUOTA_CAP = f"""
-SELECT doc_id, source, n_chars FROM (
-  SELECT doc_id, source, n_chars,
-    row_number() OVER (PARTITION BY source
-                       ORDER BY n_chars DESC, doc_id) AS rn
-  FROM documents) WHERE rn <= {QUOTA_N}
-ORDER BY source, doc_id
+SQL_MIX_SAMPLE = """
+SELECT doc_id, source FROM documents
+WHERE md5_number_lower('mix:' || doc_id) % 1000000
+      < (CAST(substr(source, 4) AS INT) % 4 + 1) * 250000
+ORDER BY doc_id
 """
 
 
+@query(oracle=SQL_MIX_SAMPLE)
 def q_mix_sample(sf_dir: str) -> pd.DataFrame:
     """Deterministic weighted corpus mix: keep (suffix%4+1)/4 of each
     source srcN by hash threshold (ops/mixing.py mix_sample)."""
@@ -561,30 +624,9 @@ def q_mix_sample(sf_dir: str) -> pd.DataFrame:
     return df.sort_values("doc_id").reset_index(drop=True)
 
 
-SQL_MIX_SAMPLE = """
-SELECT doc_id, source FROM documents
-WHERE md5_number_lower('mix:' || doc_id) % 1000000
-      < (CAST(substr(source, 4) AS INT) % 4 + 1) * 250000
-ORDER BY doc_id
-"""
-
-
 # ---------------------------------------------------------------------
-# rows-only queries (no SQL-expressible oracle)
+# near-duplicate detection, language id, fingerprints
 # ---------------------------------------------------------------------
-
-
-def q_minhash_pairs(sf_dir: str) -> pd.DataFrame:
-    """MinHash-LSH near-dup pairs, exact-shingle-verified.  Oracle:
-    all-pairs 3-shingle Jaccard ≥ threshold in SQL — sound because the
-    emitted jaccard is the EXACT verified value, and complete on this
-    corpus because every qualifying pair lands well above the banding
-    recall knee (16 bands × 4 rows: P(miss) < 1e-6 at J ≥ 0.85)."""
-    from ..ops.dedup import minhash_lsh_pairs
-
-    df = minhash_lsh_pairs(_docs_text(sf_dir), threshold=0.5).to_pandas()
-    df["jaccard"] = df["jaccard"].round(6)
-    return df.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
 
 
 # 3-token shingles (docs shorter than 3 tokens fall back to their
@@ -622,18 +664,18 @@ ORDER BY doc_a, doc_b
 """
 
 
-def q_dedup_clusters(sf_dir: str) -> pd.DataFrame:
-    """Near-dup clusters: MinHash-LSH pairs → distributed connected
-    components (min-label propagation), cluster id = min doc id.
-    Oracle: recursive-CTE transitive closure over the exact shingle
-    pair set."""
-    from ..ops.dedup import connected_components, minhash_lsh_pairs
+@query(oracle=SQL_MINHASH_PAIRS)
+def q_minhash_pairs(sf_dir: str) -> pd.DataFrame:
+    """MinHash-LSH near-dup pairs, exact-shingle-verified.  Oracle:
+    all-pairs 3-shingle Jaccard ≥ threshold in SQL — sound because the
+    emitted jaccard is the EXACT verified value, and complete on this
+    corpus because every qualifying pair lands well above the banding
+    recall knee (16 bands × 4 rows: P(miss) < 1e-6 at J ≥ 0.85)."""
+    from ..ops.dedup import minhash_lsh_pairs
 
-    pairs = minhash_lsh_pairs(_docs_text(sf_dir), threshold=0.5)
-    df = connected_components(pairs).to_pandas()
-    df["doc_id"] = df["doc_id"].astype("int64")
-    df["cluster_id"] = df["cluster_id"].astype("int64")
-    return df.sort_values("doc_id").reset_index(drop=True)
+    df = minhash_lsh_pairs(_docs_text(sf_dir), threshold=0.5).to_pandas()
+    df["jaccard"] = df["jaccard"].round(6)
+    return df.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
 
 
 SQL_DEDUP_CLUSTERS = f"""
@@ -650,16 +692,19 @@ FROM reach GROUP BY u ORDER BY doc_id
 """
 
 
-def q_simhash_pairs(sf_dir: str) -> pd.DataFrame:
-    """SimHash near-dup pairs — oracle-checked: token hash is
-    md5_number_lower, so DuckDB recomputes the 64-bit signatures
-    bit-identically and the 4-block banding is COMPLETE at hamming ≤ 3
-    (pigeonhole), making the all-pairs SQL set exactly the op's set."""
-    from ..ops.dedup import simhash_pairs
+@query(oracle=SQL_DEDUP_CLUSTERS)
+def q_dedup_clusters(sf_dir: str) -> pd.DataFrame:
+    """Near-dup clusters: MinHash-LSH pairs → distributed connected
+    components (min-label propagation), cluster id = min doc id.
+    Oracle: recursive-CTE transitive closure over the exact shingle
+    pair set."""
+    from ..ops.dedup import connected_components, minhash_lsh_pairs
 
-    df = simhash_pairs(_docs_text(sf_dir)).to_pandas()
-    df["hamming"] = df["hamming"].astype("int64")
-    return df.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
+    pairs = minhash_lsh_pairs(_docs_text(sf_dir), threshold=0.5)
+    df = connected_components(pairs).to_pandas()
+    df["doc_id"] = df["doc_id"].astype("int64")
+    df["cluster_id"] = df["cluster_id"].astype("int64")
+    return df.sort_values("doc_id").reset_index(drop=True)
 
 
 SQL_SIMHASH_PAIRS = f"""
@@ -688,20 +733,17 @@ ORDER BY doc_a, doc_b
 """
 
 
-def q_langid(sf_dir: str) -> pd.DataFrame:
-    """Function-word language ID counts — oracle-checked: the heuristic
-    is per-language hit counts + argmax with first-alphabetical ties,
-    a closed-form SQL CASE."""
-    from ..ops.textstats import LangId
+@query(oracle=SQL_SIMHASH_PAIRS)
+def q_simhash_pairs(sf_dir: str) -> pd.DataFrame:
+    """SimHash near-dup pairs — oracle-checked: token hash is
+    md5_number_lower, so DuckDB recomputes the 64-bit signatures
+    bit-identically and the 4-block banding is COMPLETE at hamming ≤ 3
+    (pigeonhole), making the all-pairs SQL set exactly the op's set."""
+    from ..ops.dedup import simhash_pairs
 
-    ds = _docs_text(sf_dir).map_batches(
-        LangId, batch_format="pyarrow", concurrency=2
-    )
-    from ray.data.aggregate import Count
-
-    df = ds.groupby("lang_guess").aggregate(Count(alias_name="n")).to_pandas()
-    df["n"] = df["n"].astype("int64")
-    return df.sort_values("lang_guess").reset_index(drop=True)
+    df = simhash_pairs(_docs_text(sf_dir)).to_pandas()
+    df["hamming"] = df["hamming"].astype("int64")
+    return df.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
 
 
 def _sql_langid() -> str:
@@ -735,13 +777,21 @@ FROM guesses GROUP BY lang_guess ORDER BY lang_guess
 SQL_LANGID = _sql_langid()
 
 
-def q_fingerprint(sf_dir: str) -> pd.DataFrame:
-    """Winnowing fingerprints — oracle-checked: md5 gram hashes +
-    exploded (doc_id, fp) rows mirror a DuckDB window-min exactly."""
-    from ..ops.textstats import fingerprint
+@query(oracle=SQL_LANGID)
+def q_langid(sf_dir: str) -> pd.DataFrame:
+    """Function-word language ID counts — oracle-checked: the heuristic
+    is per-language hit counts + argmax with first-alphabetical ties,
+    a closed-form SQL CASE."""
+    from ..ops.textstats import LangId
 
-    df = fingerprint(_docs_text(sf_dir)).to_pandas()
-    return df.sort_values(["doc_id", "fp"]).reset_index(drop=True)
+    ds = _docs_text(sf_dir).map_batches(
+        LangId, batch_format="pyarrow", concurrency=2
+    )
+    from ray.data.aggregate import Count
+
+    df = ds.groupby("lang_guess").aggregate(Count(alias_name="n")).to_pandas()
+    df["n"] = df["n"].astype("int64")
+    return df.sort_values("lang_guess").reset_index(drop=True)
 
 
 SQL_FINGERPRINT = """
@@ -777,6 +827,16 @@ ORDER BY doc_id, fp
 """
 
 
+@query(oracle=SQL_FINGERPRINT)
+def q_fingerprint(sf_dir: str) -> pd.DataFrame:
+    """Winnowing fingerprints — oracle-checked: md5 gram hashes +
+    exploded (doc_id, fp) rows mirror a DuckDB window-min exactly."""
+    from ..ops.textstats import fingerprint
+
+    df = fingerprint(_docs_text(sf_dir)).to_pandas()
+    return df.sort_values(["doc_id", "fp"]).reset_index(drop=True)
+
+
 def _events(sf_dir: str) -> ray.data.Dataset:
     return ray.data.read_parquet(os.path.join(sf_dir, "events.parquet"))
 
@@ -785,17 +845,6 @@ SESSION_GAP_SEC = 1800
 SLIDE_WINDOW_SEC = 3600
 SLIDE_STEP_SEC = 900
 ATTR_HORIZON_SEC = 86400
-
-
-def q_sessions(sf_dir: str) -> pd.DataFrame:
-    """Gap-based sessionization over the event stream (streaming-window
-    operator class) — oracle: lag()/cumsum window SQL."""
-    from ..ops.streams import sessionize
-
-    df = sessionize(_events(sf_dir), gap_sec=SESSION_GAP_SEC).to_pandas()
-    for c in ("user_id", "session_ord", "n_events", "start_us", "end_us"):
-        df[c] = df[c].astype("int64")
-    return df.sort_values(["user_id", "session_ord"]).reset_index(drop=True)
 
 
 SQL_SESSIONS = f"""
@@ -818,18 +867,16 @@ ORDER BY user_id, session_ord
 """
 
 
-def q_sliding_windows(sf_dir: str) -> pd.DataFrame:
-    """Sliding-window aggregate per event type (each event lands in
-    window/slide windows) — oracle: generate_series window expansion."""
-    from ..ops.streams import sliding_window_agg
+@query(oracle=SQL_SESSIONS)
+def q_sessions(sf_dir: str) -> pd.DataFrame:
+    """Gap-based sessionization over the event stream (streaming-window
+    operator class) — oracle: lag()/cumsum window SQL."""
+    from ..ops.streams import sessionize
 
-    df = sliding_window_agg(
-        _events(sf_dir), window_sec=SLIDE_WINDOW_SEC,
-        slide_sec=SLIDE_STEP_SEC).to_pandas()
-    df["window_start_us"] = df["window_start_us"].astype("int64")
-    df["n"] = df["n"].astype("int64")
-    return df.sort_values(["event_type", "window_start_us"]).reset_index(
-        drop=True)
+    df = sessionize(_events(sf_dir), gap_sec=SESSION_GAP_SEC).to_pandas()
+    for c in ("user_id", "session_ord", "n_events", "start_us", "end_us"):
+        df[c] = df[c].astype("int64")
+    return df.sort_values(["user_id", "session_ord"]).reset_index(drop=True)
 
 
 _W_US = SLIDE_WINDOW_SEC * 1_000_000
@@ -860,16 +907,19 @@ ORDER BY event_type, window_start_us
 """
 
 
-def q_attribution(sf_dir: str) -> pd.DataFrame:
-    """As-of join within the stream: each purchase gets its most recent
-    strictly-earlier click by the same user within the horizon —
-    oracle: LEFT JOIN LATERAL ... ORDER BY ts DESC LIMIT 1."""
-    from ..ops.streams import asof_attribution
+@query(oracle=SQL_SLIDING_WINDOWS)
+def q_sliding_windows(sf_dir: str) -> pd.DataFrame:
+    """Sliding-window aggregate per event type (each event lands in
+    window/slide windows) — oracle: generate_series window expansion."""
+    from ..ops.streams import sliding_window_agg
 
-    df = asof_attribution(
-        _events(sf_dir), target_type="purchase", source_type="click",
-        horizon_sec=ATTR_HORIZON_SEC).to_pandas()
-    return df.sort_values("event_id").reset_index(drop=True)
+    df = sliding_window_agg(
+        _events(sf_dir), window_sec=SLIDE_WINDOW_SEC,
+        slide_sec=SLIDE_STEP_SEC).to_pandas()
+    df["window_start_us"] = df["window_start_us"].astype("int64")
+    df["n"] = df["n"].astype("int64")
+    return df.sort_values(["event_type", "window_start_us"]).reset_index(
+        drop=True)
 
 
 SQL_ATTRIBUTION = f"""
@@ -889,20 +939,20 @@ ORDER BY tr.event_id
 """
 
 
-RANGE_RADIUS_SEC = 900
+@query(oracle=SQL_ATTRIBUTION)
+def q_attribution(sf_dir: str) -> pd.DataFrame:
+    """As-of join within the stream: each purchase gets its most recent
+    strictly-earlier click by the same user within the horizon —
+    oracle: LEFT JOIN LATERAL ... ORDER BY ts DESC LIMIT 1."""
+    from ..ops.streams import asof_attribution
 
-
-def q_range_join(sf_dir: str) -> pd.DataFrame:
-    """Non-equi range join (bucketed time join): errors within ±radius
-    of each purchase — oracle: correlated |Δt| ≤ radius count."""
-    from ..ops.streams import range_join_count
-
-    df = range_join_count(
-        _events(sf_dir), probe_type="purchase", match_type="error",
-        radius_sec=RANGE_RADIUS_SEC).to_pandas()
-    for c in df.columns:
-        df[c] = df[c].astype("int64")
+    df = asof_attribution(
+        _events(sf_dir), target_type="purchase", source_type="click",
+        horizon_sec=ATTR_HORIZON_SEC).to_pandas()
     return df.sort_values("event_id").reset_index(drop=True)
+
+
+RANGE_RADIUS_SEC = 900
 
 
 SQL_RANGE_JOIN = f"""
@@ -916,9 +966,34 @@ ORDER BY p.event_id
 """
 
 
+@query(oracle=SQL_RANGE_JOIN)
+def q_range_join(sf_dir: str) -> pd.DataFrame:
+    """Non-equi range join (bucketed time join): errors within ±radius
+    of each purchase — oracle: correlated |Δt| ≤ radius count."""
+    from ..ops.streams import range_join_count
+
+    df = range_join_count(
+        _events(sf_dir), probe_type="purchase", match_type="error",
+        radius_sec=RANGE_RADIUS_SEC).to_pandas()
+    for c in df.columns:
+        df[c] = df[c].astype("int64")
+    return df.sort_values("event_id").reset_index(drop=True)
+
+
 PRICING_CUTOFF = "1998-09-02"
 
 
+SQL_REVENUE_BY_NATION = """
+SELECT n.n_name, round(sum(o.o_totalprice), 2) AS revenue,
+       count(*)::BIGINT AS n
+FROM orders o
+JOIN customer c ON o.o_custkey = c.c_custkey
+JOIN nation n ON c.c_nationkey = n.n_nationkey
+GROUP BY n.n_name ORDER BY n.n_name
+"""
+
+
+@query(oracle=SQL_REVENUE_BY_NATION)
 def q_revenue_by_nation(sf_dir: str) -> pd.DataFrame:
     """Broadcast-side join pattern: orders stream through map_batches
     against a ray.put customer→nation dictionary (sorted-key binary
@@ -942,16 +1017,21 @@ def q_revenue_by_nation(sf_dir: str) -> pd.DataFrame:
     return df.rename(columns={"name": "n_name", "total": "revenue"})
 
 
-SQL_REVENUE_BY_NATION = """
-SELECT n.n_name, round(sum(o.o_totalprice), 2) AS revenue,
-       count(*)::BIGINT AS n
-FROM orders o
-JOIN customer c ON o.o_custkey = c.c_custkey
-JOIN nation n ON c.c_nationkey = n.n_nationkey
-GROUP BY n.n_name ORDER BY n.n_name
+SQL_PRICING_SUMMARY = f"""
+SELECT l_returnflag, l_linestatus,
+  round(sum(l_quantity), 2) AS sum_qty,
+  round(sum(l_extendedprice), 2) AS sum_base_price,
+  round(sum(l_extendedprice * (1 - l_discount)), 4) AS sum_disc_price,
+  count(*)::BIGINT AS n
+FROM lineitem
+WHERE epoch_us(l_shipdate) <=
+  epoch_us(TIMESTAMP '{PRICING_CUTOFF} 23:59:59.999999')
+GROUP BY l_returnflag, l_linestatus
+ORDER BY l_returnflag, l_linestatus
 """
 
 
+@query(oracle=SQL_PRICING_SUMMARY)
 def q_pricing_summary(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q1 shape (combine-before-shuffle): per-batch Arrow
     group_by partials over lineitem, one tiny final merge."""
@@ -970,20 +1050,7 @@ def q_pricing_summary(sf_dir: str) -> pd.DataFrame:
     return pricing_summary(li, cutoff)
 
 
-SQL_PRICING_SUMMARY = f"""
-SELECT l_returnflag, l_linestatus,
-  round(sum(l_quantity), 2) AS sum_qty,
-  round(sum(l_extendedprice), 2) AS sum_base_price,
-  round(sum(l_extendedprice * (1 - l_discount)), 4) AS sum_disc_price,
-  count(*)::BIGINT AS n
-FROM lineitem
-WHERE epoch_us(l_shipdate) <=
-  epoch_us(TIMESTAMP '{PRICING_CUTOFF} 23:59:59.999999')
-GROUP BY l_returnflag, l_linestatus
-ORDER BY l_returnflag, l_linestatus
-"""
-
-
+@query()
 def q_multimodal(sf_dir: str) -> pd.DataFrame:
     """Multimodal actor-pool plumbing end-to-end (rows-only: decoders
     are container-stubbed with deterministic fakes — the schema, small
@@ -1048,6 +1115,7 @@ def q_multimodal(sf_dir: str) -> pd.DataFrame:
     return df.sort_values("media_id").reset_index(drop=True)
 
 
+@query()
 def q_bm25_french(sf_dir: str) -> pd.DataFrame:
     """French-chain index over documents (rows-only: lemmatization is
     not SQL-expressible)."""
@@ -1058,6 +1126,7 @@ def q_bm25_french(sf_dir: str) -> pd.DataFrame:
     )
 
 
+@query()
 def q_pages_extract(sf_dir: str) -> pd.DataFrame:
     """Flagship extraction over the self-generated pages corpus
     (rows-only; the per-row byte-identity invariant is asserted here —
@@ -1108,6 +1177,7 @@ WAND_BATTERY: tuple = (
 )
 
 
+@query()
 def q_ann_ivf(sf_dir: str) -> pd.DataFrame:
     """IVF-flat ANN over PARTITIONED-Parquet buckets (probes prune
     whole files) vs brute force.  Rows-only with an inline gate: mean
@@ -1163,32 +1233,6 @@ def q_ann_ivf(sf_dir: str) -> pd.DataFrame:
         shutil.rmtree(bucket_dir, ignore_errors=True)
 
 
-def q_wand_consistency(sf_dir: str) -> pd.DataFrame:
-    """Serving-path top-10 (``search_terms``) for a fixed query
-    battery, oracle-checked against DuckDB BM25.  Rank identity
-    ``search_terms == search_block_window == search_exact`` is ALSO
-    asserted inline (raises on divergence), plus a seeded 50-query
-    random audit — so the oracle covers scores and the audit covers
-    the block-max skip logic."""
-    ix = _index(sf_dir)
-    rng = np.random.default_rng(42)
-    terms = list(ix.lexicon)
-    for _ in range(50):
-        qs = [terms[i] for i in rng.choice(len(terms), rng.integers(1, 4))]
-        exact = ix.search_exact(qs, 10)
-        if not (exact == ix.search_terms(qs, 10)
-                == ix.search_block_window(qs, 10)):
-            raise AssertionError(f"scorer rank divergence on {qs!r}")
-    rows = []
-    for qid, qs in enumerate(WAND_BATTERY):
-        res = ix.search_terms(list(qs), 10)
-        if res != ix.search_exact(list(qs), 10):
-            raise AssertionError(f"scorer rank divergence on {qs!r}")
-        for rank, (doc, score) in enumerate(res):
-            rows.append((qid, rank, doc, round(score, 6)))
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score"])
-
-
 def _sql_bm25_ranked(qid: int, terms: tuple, k: int = 10) -> str:
     """One battery query's (query_id, rank, doc_id, score) block —
     rank/order by RAW float score (the engine's ranking), rounded score
@@ -1227,78 +1271,36 @@ SQL_WAND_CONSISTENCY = "\nUNION ALL\n".join(
 )
 
 
+@query(oracle=SQL_WAND_CONSISTENCY)
+def q_wand_consistency(sf_dir: str) -> pd.DataFrame:
+    """Serving-path top-10 (``search_terms``) for a fixed query
+    battery, oracle-checked against DuckDB BM25.  Rank identity
+    ``search_terms == search_block_window == search_exact`` is ALSO
+    asserted inline (raises on divergence), plus a seeded 50-query
+    random audit — so the oracle covers scores and the audit covers
+    the block-max skip logic."""
+    ix = _index(sf_dir)
+    rng = np.random.default_rng(42)
+    terms = list(ix.lexicon)
+    for _ in range(50):
+        qs = [terms[i] for i in rng.choice(len(terms), rng.integers(1, 4))]
+        exact = ix.search_exact(qs, 10)
+        if not (exact == ix.search_terms(qs, 10)
+                == ix.search_block_window(qs, 10)):
+            raise AssertionError(f"scorer rank divergence on {qs!r}")
+    rows = []
+    for qid, qs in enumerate(WAND_BATTERY):
+        res = ix.search_terms(list(qs), 10)
+        if res != ix.search_exact(list(qs), 10):
+            raise AssertionError(f"scorer rank divergence on {qs!r}")
+        for rank, (doc, score) in enumerate(res):
+            rows.append((qid, rank, doc, round(score, 6)))
+    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score"])
+
+
 # ---------------------------------------------------------------------
-# registry
+# reference-tool parity: token dump, keyness, snippets, themes, spans
 # ---------------------------------------------------------------------
-
-QUERIES = {
-    "term_stats": q_term_stats,
-    "doc_token_counts": q_doc_token_counts,
-    "top_terms": q_top_terms,
-    "bm25_top10": q_bm25_top10,
-    "dedup_exact": q_dedup_exact,
-    "lang_counts": q_lang_counts,
-    "source_counts": q_source_counts,
-    "chrono": q_chrono,
-    "keyness_chi2": q_keyness_chi2,
-    "suggest": q_suggest,
-    "cooc": q_cooc,
-    "jaccard_pairs": q_jaccard_pairs,
-    "ann_topk": q_ann_topk,
-    "embedding_dups": q_embedding_dups,
-    "quality": q_quality,
-    "token_counts": q_token_counts,
-    "heavy_hitters": q_heavy_hitters,
-    "quota_cap": q_quota_cap,
-    "mix_sample": q_mix_sample,
-    "minhash_pairs": q_minhash_pairs,
-    "simhash_pairs": q_simhash_pairs,
-    "langid": q_langid,
-    "fingerprint": q_fingerprint,
-    "multimodal": q_multimodal,
-    "sessions": q_sessions,
-    "sliding_windows": q_sliding_windows,
-    "attribution": q_attribution,
-    "revenue_by_nation": q_revenue_by_nation,
-    "pricing_summary": q_pricing_summary,
-    "range_join": q_range_join,
-    "bm25_french": q_bm25_french,
-    "pages_extract": q_pages_extract,
-    "wand_consistency": q_wand_consistency,
-    "ann_ivf": q_ann_ivf,
-    "dedup_clusters": q_dedup_clusters,
-}
-
-ORACLES = {
-    "term_stats": SQL_TERM_STATS,
-    "doc_token_counts": SQL_DOC_TOKEN_COUNTS,
-    "top_terms": SQL_TOP_TERMS,
-    "bm25_top10": SQL_BM25_TOP10,
-    "dedup_exact": SQL_DEDUP_EXACT,
-    "lang_counts": SQL_LANG_COUNTS,
-    "source_counts": SQL_SOURCE_COUNTS,
-    "chrono": SQL_CHRONO,
-    "keyness_chi2": SQL_KEYNESS_CHI2,
-    "suggest": SQL_SUGGEST,
-    "cooc": SQL_COOC,
-    "jaccard_pairs": SQL_JACCARD_PAIRS,
-    "ann_topk": SQL_ANN_TOPK,
-    "embedding_dups": SQL_EMBEDDING_DUPS,
-    "quality": SQL_QUALITY,
-    "token_counts": SQL_TOKEN_COUNTS,
-    "heavy_hitters": SQL_HEAVY_HITTERS,
-    "quota_cap": SQL_QUOTA_CAP,
-    "mix_sample": SQL_MIX_SAMPLE,
-}
-
-def q_token_dump(sf_dir: str) -> pd.DataFrame:
-    """Token-table export (SQLite-exporter / TermRail analog) with
-    1-based positions."""
-    from ..ops.export import token_table
-
-    df = token_table(_docs_text(sf_dir)).to_pandas()
-    df["pos"] = df["pos"].astype("int64")
-    return df.sort_values(["doc_id", "pos"]).reset_index(drop=True)
 
 
 SQL_TOKEN_DUMP = """
@@ -1312,27 +1314,15 @@ FROM base ORDER BY doc_id, pos
 """
 
 
-def q_keyness_g2(sf_dir: str) -> pd.DataFrame:
-    """Signed log-likelihood G2 keyness (KeynessScorer.java:165-207)."""
-    from ..ops.analytics import keyness_g2, term_stats_ds
-    from ..ops.textstats import round_half_away
+@query(oracle=SQL_TOKEN_DUMP)
+def q_token_dump(sf_dir: str) -> pd.DataFrame:
+    """Token-table export (SQLite-exporter / TermRail analog) with
+    1-based positions."""
+    from ..ops.export import token_table
 
-    docs = _docs(sf_dir, ["text", "lang"])
-    focus = term_stats_ds(docs.filter(expr=f"lang == '{KEYNESS_FOCUS_LANG}'")).to_pandas()
-    other = term_stats_ds(docs.filter(expr=f"lang != '{KEYNESS_FOCUS_LANG}'")).to_pandas()
-    merged = focus.merge(other, on="term", how="outer", suffixes=("_f", "_o")).fillna(0)
-    fo_tokens = float(merged["cf_f"].sum())
-    ot_tokens = float(merged["cf_o"].sum())
-    g2 = keyness_g2(
-        merged["cf_f"].to_numpy(np.float64), fo_tokens,
-        merged["cf_o"].to_numpy(np.float64), ot_tokens,
-    )
-    out = pd.DataFrame({"term": merged["term"], "g2": round_half_away(g2)})
-    return (
-        out.sort_values(["g2", "term"], ascending=[False, True])
-        .head(KEYNESS_TOP)
-        .reset_index(drop=True)
-    )
+    df = token_table(_docs_text(sf_dir)).to_pandas()
+    df["pos"] = df["pos"].astype("int64")
+    return df.sort_values(["doc_id", "pos"]).reset_index(drop=True)
 
 
 SQL_KEYNESS_G2 = f"""
@@ -1370,22 +1360,28 @@ FROM g ORDER BY g2 DESC, term LIMIT {KEYNESS_TOP}
 """
 
 
-def q_snippets(sf_dir: str) -> pd.DataFrame:
-    """Merged snippets for the BM25 query terms — oracle-checked on
-    the structural projection (doc, rank, score, token span): the
-    DocSnippets merge rule is a gaps-and-islands SQL, the ThemeWords
-    score a distinct-term idf sum.  The html hilite stays in the op
-    output (renderers use it) but is not SQL-expressible."""
-    from ..ops.snippets import snippets_pipeline
+@query(oracle=SQL_KEYNESS_G2)
+def q_keyness_g2(sf_dir: str) -> pd.DataFrame:
+    """Signed log-likelihood G2 keyness (KeynessScorer.java:165-207)."""
+    from ..ops.analytics import keyness_g2, term_stats_ds
+    from ..ops.textstats import round_half_away
 
-    ix = _index(sf_dir)
-    idf = {t: ix.idf(t) for t in BM25_QUERY_TERMS}
-    df = snippets_pipeline(
-        _docs_text(sf_dir), list(BM25_QUERY_TERMS), idf=idf
-    ).to_pandas()
-    df = df[["doc_id", "snippet_rank", "score", "start_tok", "end_tok"]]
-    df["snippet_rank"] = df["snippet_rank"].astype("int64")
-    return df.sort_values(["doc_id", "snippet_rank"]).reset_index(drop=True)
+    docs = _docs(sf_dir, ["text", "lang"])
+    focus = term_stats_ds(docs.filter(expr=f"lang == '{KEYNESS_FOCUS_LANG}'")).to_pandas()
+    other = term_stats_ds(docs.filter(expr=f"lang != '{KEYNESS_FOCUS_LANG}'")).to_pandas()
+    merged = focus.merge(other, on="term", how="outer", suffixes=("_f", "_o")).fillna(0)
+    fo_tokens = float(merged["cf_f"].sum())
+    ot_tokens = float(merged["cf_o"].sum())
+    g2 = keyness_g2(
+        merged["cf_f"].to_numpy(np.float64), fo_tokens,
+        merged["cf_o"].to_numpy(np.float64), ot_tokens,
+    )
+    out = pd.DataFrame({"term": merged["term"], "g2": round_half_away(g2)})
+    return (
+        out.sort_values(["g2", "term"], ascending=[False, True])
+        .head(KEYNESS_TOP)
+        .reset_index(drop=True)
+    )
 
 
 # DocSnippets online merge = islands of match positions with gaps > 6;
@@ -1442,6 +1438,26 @@ FROM ranked WHERE snippet_rank < 2 ORDER BY doc_id, snippet_rank
 """
 
 
+@query(oracle=SQL_SNIPPETS)
+def q_snippets(sf_dir: str) -> pd.DataFrame:
+    """Merged snippets for the BM25 query terms — oracle-checked on
+    the structural projection (doc, rank, score, token span): the
+    DocSnippets merge rule is a gaps-and-islands SQL, the ThemeWords
+    score a distinct-term idf sum.  The html hilite stays in the op
+    output (renderers use it) but is not SQL-expressible."""
+    from ..ops.snippets import snippets_pipeline
+
+    ix = _index(sf_dir)
+    idf = {t: ix.idf(t) for t in BM25_QUERY_TERMS}
+    df = snippets_pipeline(
+        _docs_text(sf_dir), list(BM25_QUERY_TERMS), idf=idf
+    ).to_pandas()
+    df = df[["doc_id", "snippet_rank", "score", "start_tok", "end_tok"]]
+    df["snippet_rank"] = df["snippet_rank"].astype("int64")
+    return df.sort_values(["doc_id", "snippet_rank"]).reset_index(drop=True)
+
+
+@query()
 def q_w2v_corpus(sf_dir: str) -> pd.DataFrame:
     """POS-filtered word2vec corpus lines (rows-only)."""
     from ..ops.export import w2v_corpus
@@ -1450,7 +1466,7 @@ def q_w2v_corpus(sf_dir: str) -> pd.DataFrame:
     return df.reset_index(drop=True)
 
 
-
+@query()
 def q_clades(sf_dir: str) -> pd.DataFrame:
     """Correspondence-analysis 2-D coords of top terms × source
     categories (ContingencySvd/OpClades analog; rows-only — SVD sign
@@ -1467,16 +1483,6 @@ def q_clades(sf_dir: str) -> pd.DataFrame:
     out["dim2"] = out["dim2"].round(6)
     out["weight"] = out["weight"].astype("int64")
     return out.sort_values(["kind", "label"]).reset_index(drop=True)
-
-
-def q_cooc_profile(sf_dir: str) -> pd.DataFrame:
-    """Term × distance cooc grid around the pivot (CoocProfile analog)."""
-    from ..ops.analytics import cooc_profile
-
-    df = cooc_profile(_docs_text(sf_dir), COOC_PIVOT, radius=3).to_pandas()
-    df["distance"] = df["distance"].astype("int64")
-    df["n"] = df["n"].astype("int64")
-    return df.sort_values(["coterm", "distance"]).reset_index(drop=True)
 
 
 SQL_COOC_PROFILE = f"""
@@ -1498,26 +1504,15 @@ GROUP BY coterm, distance ORDER BY coterm, distance
 """
 
 
-def q_theme_terms(sf_dir: str) -> pd.DataFrame:
-    """Theme terms for the lang='en' doc subset, BM25 + contrastive
-    modes (IdfTermScorer.termScore) — oracle-checked: every mode's
-    score is a closed-form aggregate over (term × part) sums, so the
-    whole family is SQL-expressible (SQL_THEME_TERMS)."""
-    import pyarrow.parquet as _pq
+@query(oracle=SQL_COOC_PROFILE)
+def q_cooc_profile(sf_dir: str) -> pd.DataFrame:
+    """Term × distance cooc grid around the pivot (CoocProfile analog)."""
+    from ..ops.analytics import cooc_profile
 
-    ix = _index(sf_dir)
-    docs = _pq.read_table(resolve_stage(ix.dir, "docs"),
-                          columns=["doc_id"]).to_pandas()
-    full = _pq.read_table(os.path.join(sf_dir, "documents.parquet"),
-                          columns=["doc_id", "lang"]).to_pandas()
-    mask = np.zeros(ix.cfg["max_doc_id"] + 1, bool)
-    en = full[full["lang"] == "en"]["doc_id"].to_numpy()
-    mask[en] = True
-    rows = []
-    for mode in ("BM25", "MINUS", "WEIGHTED", "IRDF", "RSJ", "FACTOR", "DKL"):
-        for rank, (term, score) in enumerate(ix.theme_terms(mask, k=10, mode=mode)):
-            rows.append((mode, rank, term, round(score, 6)))
-    return pd.DataFrame(rows, columns=["mode", "rank", "term", "score"])
+    df = cooc_profile(_docs_text(sf_dir), COOC_PIVOT, radius=3).to_pandas()
+    df["distance"] = df["distance"].astype("int64")
+    df["n"] = df["n"].astype("int64")
+    return df.sort_values(["coterm", "distance"]).reset_index(drop=True)
 
 
 # Closed-form SQL mirror of IdfTermScorer.termScore (all 7 modes).
@@ -1609,27 +1604,34 @@ WHERE rank < 10 ORDER BY mode, rank
 """
 
 
+@query(oracle=SQL_THEME_TERMS)
+def q_theme_terms(sf_dir: str) -> pd.DataFrame:
+    """Theme terms for the lang='en' doc subset, BM25 + contrastive
+    modes (IdfTermScorer.termScore) — oracle-checked: every mode's
+    score is a closed-form aggregate over (term × part) sums, so the
+    whole family is SQL-expressible (SQL_THEME_TERMS)."""
+    import pyarrow.parquet as _pq
+
+    ix = _index(sf_dir)
+    docs = _pq.read_table(resolve_stage(ix.dir, "docs"),
+                          columns=["doc_id"]).to_pandas()
+    full = _pq.read_table(os.path.join(sf_dir, "documents.parquet"),
+                          columns=["doc_id", "lang"]).to_pandas()
+    mask = np.zeros(ix.cfg["max_doc_id"] + 1, bool)
+    en = full[full["lang"] == "en"]["doc_id"].to_numpy()
+    mask[en] = True
+    rows = []
+    for mode in ("BM25", "MINUS", "WEIGHTED", "IRDF", "RSJ", "FACTOR", "DKL"):
+        for rank, (term, score) in enumerate(ix.theme_terms(mask, k=10, mode=mode)):
+            rows.append((mode, rank, term, round(score, 6)))
+    return pd.DataFrame(rows, columns=["mode", "rank", "term", "score"])
+
+
 SPAN_BATTERY = (
     (("table", "stream"), 2),
     (("table", "stream"), 8),
     (("key", "value"), 1),
 )
-
-
-def q_span_near(sf_dir: str) -> pd.DataFrame:
-    """Unordered span-near BM25 top-k over the rail artifact
-    (SpanNearQuery relevance mode).  Oracle-checked: the simple profile
-    has contiguous positions, so the two-term window condition is
-    exactly ``|pos_a − pos_b| ≤ slop + 1`` over the token CTE and the
-    score is the plain two-term BM25 sum."""
-    ix = _index(sf_dir, profile="simple_pos")
-    rows = []
-    for qid, (terms, slop) in enumerate(SPAN_BATTERY):
-        for rank, (doc, score) in enumerate(
-            ix.search_span(list(terms), k=10, slop=slop)
-        ):
-            rows.append((qid, rank, doc, round(score, 6)))
-    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score"])
 
 
 def _sql_span_near(qid: int, t1: str, t2: str, slop: int, k: int = 10) -> str:
@@ -1680,18 +1682,21 @@ SQL_SPAN_NEAR = "\nUNION ALL\n".join(
 )
 
 
-def q_contrastive_terms(sf_dir: str) -> pd.DataFrame:
-    """/terms contrastive mode: LL-tail over the lang partition, focus
-    'en'.  Oracle-checked: with the 5-language partition the 20% tail
-    of 4 pairwise comparisons is the single worst one, so the score is
-    ``min_p G2(focus, p) × (fdf/focusDocs)^0.3`` — closed-form SQL."""
-    from ..ops.analytics import contrastive_terms
-    from ..ops.textstats import round_half_away
-
-    df = contrastive_terms(_docs(sf_dir, ["text", "lang"]), "lang",
-                           KEYNESS_FOCUS_LANG, k=20)
-    df["score"] = round_half_away(df["score"].to_numpy())
-    return df.reset_index(drop=True)
+@query(oracle=SQL_SPAN_NEAR)
+def q_span_near(sf_dir: str) -> pd.DataFrame:
+    """Unordered span-near BM25 top-k over the rail artifact
+    (SpanNearQuery relevance mode).  Oracle-checked: the simple profile
+    has contiguous positions, so the two-term window condition is
+    exactly ``|pos_a − pos_b| ≤ slop + 1`` over the token CTE and the
+    score is the plain two-term BM25 sum."""
+    ix = _index(sf_dir, profile="simple_pos")
+    rows = []
+    for qid, (terms, slop) in enumerate(SPAN_BATTERY):
+        for rank, (doc, score) in enumerate(
+            ix.search_span(list(terms), k=10, slop=slop)
+        ):
+            rows.append((qid, rank, doc, round(score, 6)))
+    return pd.DataFrame(rows, columns=["query_id", "rank", "doc_id", "score"])
 
 
 # Pairwise signed G2 of the focus language against EVERY other
@@ -1752,38 +1757,20 @@ SELECT term, round(score, 6) AS score
 FROM scored ORDER BY scored.score DESC, term LIMIT 20
 """
 
-QUERIES.update({
-    "contrastive_terms": q_contrastive_terms,
-    "span_near": q_span_near,
-    "cooc_profile": q_cooc_profile,
-    "theme_terms": q_theme_terms,
-    "clades": q_clades,
-    "token_dump": q_token_dump,
-    "keyness_g2": q_keyness_g2,
-    "snippets": q_snippets,
-    "w2v_corpus": q_w2v_corpus,
-})
-ORACLES.update({
-    "cooc_profile": SQL_COOC_PROFILE,
-    "token_dump": SQL_TOKEN_DUMP,
-    "keyness_g2": SQL_KEYNESS_G2,
-    "theme_terms": SQL_THEME_TERMS,
-    "span_near": SQL_SPAN_NEAR,
-    "wand_consistency": SQL_WAND_CONSISTENCY,
-    "minhash_pairs": SQL_MINHASH_PAIRS,
-    "contrastive_terms": SQL_CONTRASTIVE_TERMS,
-    "dedup_clusters": SQL_DEDUP_CLUSTERS,
-    "snippets": SQL_SNIPPETS,
-    "langid": SQL_LANGID,
-    "simhash_pairs": SQL_SIMHASH_PAIRS,
-    "fingerprint": SQL_FINGERPRINT,
-    "sessions": SQL_SESSIONS,
-    "sliding_windows": SQL_SLIDING_WINDOWS,
-    "attribution": SQL_ATTRIBUTION,
-    "revenue_by_nation": SQL_REVENUE_BY_NATION,
-    "pricing_summary": SQL_PRICING_SUMMARY,
-    "range_join": SQL_RANGE_JOIN,
-})
+
+@query(oracle=SQL_CONTRASTIVE_TERMS)
+def q_contrastive_terms(sf_dir: str) -> pd.DataFrame:
+    """/terms contrastive mode: LL-tail over the lang partition, focus
+    'en'.  Oracle-checked: with the 5-language partition the 20% tail
+    of 4 pairwise comparisons is the single worst one, so the score is
+    ``min_p G2(focus, p) × (fdf/focusDocs)^0.3`` — closed-form SQL."""
+    from ..ops.analytics import contrastive_terms
+    from ..ops.textstats import round_half_away
+
+    df = contrastive_terms(_docs(sf_dir, ["text", "lang"]), "lang",
+                           KEYNESS_FOCUS_LANG, k=20)
+    df["score"] = round_half_away(df["score"].to_numpy())
+    return df.reset_index(drop=True)
 
 
 # ---------------------------------------------------------------------
@@ -1821,17 +1808,6 @@ _SQL_SALT = (
 )
 
 
-def q_pii_redact(sf_dir: str) -> pd.DataFrame:
-    """PII redaction (emails → IPv4 → phones) with per-family counts
-    over deterministically salted docs (ops/cleaning.py:pii_redact)."""
-    from ..ops.cleaning import pii_redact
-
-    df = pii_redact(_salted_docs(sf_dir)).to_pandas()
-    for c in ("n_emails", "n_ips", "n_phones"):
-        df[c] = df[c].astype("int64")
-    return df.sort_values("doc_id").reset_index(drop=True)
-
-
 SQL_PII_REDACT = """
 WITH s0 AS (SELECT doc_id, @SALT@ AS t FROM documents),
 s1 AS (SELECT doc_id,
@@ -1857,14 +1833,15 @@ def _fill_pii_sql() -> str:
             .replace("@PHONE@", PHONE_RE))
 
 
-def q_repetition(sf_dir: str) -> pd.DataFrame:
-    """Gopher-style repetition features per doc
-    (ops/cleaning.py:repetition_metrics)."""
-    from ..ops.cleaning import repetition_metrics
+@query(oracle=_fill_pii_sql())
+def q_pii_redact(sf_dir: str) -> pd.DataFrame:
+    """PII redaction (emails → IPv4 → phones) with per-family counts
+    over deterministically salted docs (ops/cleaning.py:pii_redact)."""
+    from ..ops.cleaning import pii_redact
 
-    df = repetition_metrics(_docs_text(sf_dir)).to_pandas()
-    df["n_tokens"] = df["n_tokens"].astype("int64")
-    df["max_run"] = df["max_run"].astype("int64")
+    df = pii_redact(_salted_docs(sf_dir)).to_pandas()
+    for c in ("n_emails", "n_ips", "n_phones"):
+        df[c] = df[c].astype("int64")
     return df.sort_values("doc_id").reset_index(drop=True)
 
 
@@ -1903,6 +1880,18 @@ ORDER BY doc_id
 """
 
 
+@query(oracle=SQL_REPETITION)
+def q_repetition(sf_dir: str) -> pd.DataFrame:
+    """Gopher-style repetition features per doc
+    (ops/cleaning.py:repetition_metrics)."""
+    from ..ops.cleaning import repetition_metrics
+
+    df = repetition_metrics(_docs_text(sf_dir)).to_pandas()
+    df["n_tokens"] = df["n_tokens"].astype("int64")
+    df["max_run"] = df["max_run"].astype("int64")
+    return df.sort_values("doc_id").reset_index(drop=True)
+
+
 DECON_N = 3       # 13 in production; testdata docs are short and the
 DECON_MOD = 23    # vocab tiny, so 3-grams give a meaningful overlap set
 
@@ -1924,18 +1913,6 @@ def _decon_parts(sf_dir: str):
     return part(False), part(True)
 
 
-def q_decontaminate(sf_dir: str) -> pd.DataFrame:
-    """Benchmark decontamination: distinct shared token n-grams per
-    scanned doc vs the deterministic benchmark slice doc_id %% 23 == 0
-    (ops/cleaning.py:decontaminate)."""
-    from ..ops.cleaning import decontaminate
-
-    corpus, bench = _decon_parts(sf_dir)
-    df = decontaminate(corpus, bench, n=DECON_N).to_pandas()
-    df["n_contaminated"] = df["n_contaminated"].astype("int64")
-    return df.sort_values("doc_id").reset_index(drop=True)
-
-
 SQL_DECONTAMINATE = f"""
 WITH arr AS (
   SELECT doc_id, list_filter(regexp_split_to_array(lower(text),
@@ -1951,11 +1928,43 @@ GROUP BY g2.doc_id ORDER BY doc_id
 """
 
 
+@query(oracle=SQL_DECONTAMINATE)
+def q_decontaminate(sf_dir: str) -> pd.DataFrame:
+    """Benchmark decontamination: distinct shared token n-grams per
+    scanned doc vs the deterministic benchmark slice doc_id %% 23 == 0
+    (ops/cleaning.py:decontaminate)."""
+    from ..ops.cleaning import decontaminate
+
+    corpus, bench = _decon_parts(sf_dir)
+    df = decontaminate(corpus, bench, n=DECON_N).to_pandas()
+    df["n_contaminated"] = df["n_contaminated"].astype("int64")
+    return df.sort_values("doc_id").reset_index(drop=True)
+
+
 LINE_W = 12  # testdata text has no newlines; both sides derive
              # deterministic 12-token lines so the global line dedup
              # is exercised on real cross-doc duplicates
 
 
+SQL_LINE_DEDUP = f"""
+WITH arr AS (
+  SELECT doc_id, list_filter(regexp_split_to_array(lower(text),
+    '[^a-z0-9]+'), x -> x <> '') AS a FROM documents),
+lines AS (SELECT doc_id, i AS line_no,
+    array_to_string(a[(i-1)*{LINE_W}+1 : least(i*{LINE_W}, len(a))], ' ')
+      AS line
+  FROM arr, LATERAL (SELECT unnest(generate_series(1,
+    CAST(ceil(len(a) / {LINE_W}.0) AS BIGINT))) AS i) s),
+kept AS (SELECT doc_id, line_no, line FROM (
+  SELECT doc_id, line_no, line,
+    row_number() OVER (PARTITION BY line ORDER BY doc_id, line_no) AS rn
+  FROM lines) WHERE rn = 1)
+SELECT doc_id, string_agg(line, chr(10) ORDER BY line_no) AS text
+FROM kept GROUP BY doc_id ORDER BY doc_id
+"""
+
+
+@query(oracle=SQL_LINE_DEDUP)
 def q_line_dedup(sf_dir: str) -> pd.DataFrame:
     """C4-style global keep-first line dedup
     (ops/cleaning.py:line_dedup_from_lines) over derived 12-token
@@ -1991,38 +2000,6 @@ def q_line_dedup(sf_dir: str) -> pd.DataFrame:
     return df.sort_values("doc_id").reset_index(drop=True)
 
 
-SQL_LINE_DEDUP = f"""
-WITH arr AS (
-  SELECT doc_id, list_filter(regexp_split_to_array(lower(text),
-    '[^a-z0-9]+'), x -> x <> '') AS a FROM documents),
-lines AS (SELECT doc_id, i AS line_no,
-    array_to_string(a[(i-1)*{LINE_W}+1 : least(i*{LINE_W}, len(a))], ' ')
-      AS line
-  FROM arr, LATERAL (SELECT unnest(generate_series(1,
-    CAST(ceil(len(a) / {LINE_W}.0) AS BIGINT))) AS i) s),
-kept AS (SELECT doc_id, line_no, line FROM (
-  SELECT doc_id, line_no, line,
-    row_number() OVER (PARTITION BY line ORDER BY doc_id, line_no) AS rn
-  FROM lines) WHERE rn = 1)
-SELECT doc_id, string_agg(line, chr(10) ORDER BY line_no) AS text
-FROM kept GROUP BY doc_id ORDER BY doc_id
-"""
-
-
-QUERIES.update({
-    "pii_redact": q_pii_redact,
-    "repetition": q_repetition,
-    "decontaminate": q_decontaminate,
-    "line_dedup": q_line_dedup,
-})
-ORACLES.update({
-    "pii_redact": _fill_pii_sql(),
-    "repetition": SQL_REPETITION,
-    "decontaminate": SQL_DECONTAMINATE,
-    "line_dedup": SQL_LINE_DEDUP,
-})
-
-
 # ---------------------------------------------------------------------
 # incremental index lifecycle (add → delete → compact) — the Lucene
 # IndexWriter protocol over generations (index/incremental.py)
@@ -2035,6 +2012,17 @@ INCR_DELETE_MOD = 7
 INCR_DELETE_REM = 3
 
 
+SQL_INCREMENTAL = f"""
+WITH toks AS (
+  SELECT doc_id, unnest(list_filter(regexp_split_to_array(lower(text),
+    '[^a-z0-9]+'), x -> x <> '')) AS term
+  FROM documents WHERE doc_id % {INCR_DELETE_MOD} <> {INCR_DELETE_REM})
+SELECT term, count(DISTINCT doc_id)::BIGINT AS df, count(*)::BIGINT AS cf
+FROM toks GROUP BY term ORDER BY term
+"""
+
+
+@query(oracle=SQL_INCREMENTAL)
 def q_incremental(sf_dir: str) -> pd.DataFrame:
     """Full incremental lifecycle: build a base generation over ~70% of
     the documents, add the rest as a delta generation, tombstone every
@@ -2073,25 +2061,7 @@ def q_incremental(sf_dir: str) -> pd.DataFrame:
 
     ix = BM25Index(_INCR_CACHE[key])
     assert len(ix.gen_dirs) == 1 and not len(ix.deleted)
-    t = pq.read_table(resolve_stage(ix.gen_dirs[0], "term_stats"))
-    df = t.to_pandas()[["term", "df", "cf"]]
-    df["df"] = df["df"].astype("int64")
-    df["cf"] = df["cf"].astype("int64")
-    return df.sort_values("term").reset_index(drop=True)
-
-
-SQL_INCREMENTAL = f"""
-WITH toks AS (
-  SELECT doc_id, unnest(list_filter(regexp_split_to_array(lower(text),
-    '[^a-z0-9]+'), x -> x <> '')) AS term
-  FROM documents WHERE doc_id % {INCR_DELETE_MOD} <> {INCR_DELETE_REM})
-SELECT term, count(DISTINCT doc_id)::BIGINT AS df, count(*)::BIGINT AS cf
-FROM toks GROUP BY term ORDER BY term
-"""
-
-
-QUERIES.update({"incremental": q_incremental})
-ORACLES.update({"incremental": SQL_INCREMENTAL})
+    return _term_stats_frame(ix.gen_dirs[0])
 
 
 # ---------------------------------------------------------------------
@@ -2099,22 +2069,6 @@ ORACLES.update({"incremental": SQL_INCREMENTAL})
 # ---------------------------------------------------------------------
 
 SUBSTR_W = 8
-
-
-def q_substring_dups(sf_dir: str) -> pd.DataFrame:
-    """Redundant occurrences of duplicated 8-token windows across the
-    corpus (keep-first in global (doc_id, pos) order) — the windowed
-    exact-substring dedup (ops/cleaning.substring_dup_spans)."""
-    from ..ops.cleaning import substring_dup_spans
-
-    df = substring_dup_spans(_docs_text(sf_dir), w=SUBSTR_W).to_pandas()
-    if "doc_id" not in df.columns:  # no duplicated window anywhere:
-        # all-empty map_groups output is schemaless (the decontaminate
-        # precedent) — return the oracle's empty shape
-        return pd.DataFrame({"doc_id": pd.Series([], dtype="int64"),
-                             "pos": pd.Series([], dtype="int64")})
-    df["pos"] = df["pos"].astype("int64")
-    return df.sort_values(["doc_id", "pos"]).reset_index(drop=True)
 
 
 SQL_SUBSTRING_DUPS = f"""
@@ -2135,8 +2089,21 @@ ORDER BY doc_id, pos
 """
 
 
-QUERIES.update({"substring_dups": q_substring_dups})
-ORACLES.update({"substring_dups": SQL_SUBSTRING_DUPS})
+@query(oracle=SQL_SUBSTRING_DUPS)
+def q_substring_dups(sf_dir: str) -> pd.DataFrame:
+    """Redundant occurrences of duplicated 8-token windows across the
+    corpus (keep-first in global (doc_id, pos) order) — the windowed
+    exact-substring dedup (ops/cleaning.substring_dup_spans)."""
+    from ..ops.cleaning import substring_dup_spans
+
+    df = substring_dup_spans(_docs_text(sf_dir), w=SUBSTR_W).to_pandas()
+    if "doc_id" not in df.columns:  # no duplicated window anywhere:
+        # all-empty map_groups output is schemaless (the decontaminate
+        # precedent) — return the oracle's empty shape
+        return pd.DataFrame({"doc_id": pd.Series([], dtype="int64"),
+                             "pos": pd.Series([], dtype="int64")})
+    df["pos"] = df["pos"].astype("int64")
+    return df.sort_values(["doc_id", "pos"]).reset_index(drop=True)
 
 
 # ---------------------------------------------------------------------
@@ -2144,16 +2111,6 @@ ORACLES.update({"substring_dups": SQL_SUBSTRING_DUPS})
 # ---------------------------------------------------------------------
 
 LM_ADD_K = 0.5
-
-
-def q_lm_perplexity(sf_dir: str) -> pd.DataFrame:
-    """Per-doc add-k bigram perplexity under the corpus's own LM
-    (ops/lm.py: one-pass partial counts -> one sum shuffle -> broadcast
-    or gram-partitioned-join scoring)."""
-    from ..ops.lm import perplexity
-
-    df = perplexity(_docs_text(sf_dir), add_k=LM_ADD_K).to_pandas()
-    return df.sort_values("doc_id").reset_index(drop=True)
 
 
 SQL_LM_PERPLEXITY = f"""
@@ -2185,8 +2142,15 @@ FROM scored GROUP BY doc_id ORDER BY doc_id
 """
 
 
-QUERIES.update({"lm_perplexity": q_lm_perplexity})
-ORACLES.update({"lm_perplexity": SQL_LM_PERPLEXITY})
+@query(oracle=SQL_LM_PERPLEXITY)
+def q_lm_perplexity(sf_dir: str) -> pd.DataFrame:
+    """Per-doc add-k bigram perplexity under the corpus's own LM
+    (ops/lm.py: one-pass partial counts -> one sum shuffle -> broadcast
+    or gram-partitioned-join scoring)."""
+    from ..ops.lm import perplexity
+
+    df = perplexity(_docs_text(sf_dir), add_k=LM_ADD_K).to_pandas()
+    return df.sort_values("doc_id").reset_index(drop=True)
 
 
 # ---------------------------------------------------------------------
@@ -2195,21 +2159,6 @@ ORACLES.update({"lm_perplexity": SQL_LM_PERPLEXITY})
 
 DSIR_BUCKETS = 8192
 DSIR_ADD = 1.0
-
-
-def q_dsir_weights(sf_dir: str) -> pd.DataFrame:
-    """Importance weight of every doc toward the lang='en' target
-    distribution via hashed unigram+bigram features (ops/dsir.py:
-    one bincount-partial counting pass, broadcast log-ratio table,
-    one scoring pass — token occurrences never shuffle)."""
-    from ..ops.dsir import dsir_weights
-
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text", "lang"],
-    ).repartition(64)
-    df = dsir_weights(docs, buckets=DSIR_BUCKETS, add=DSIR_ADD).to_pandas()
-    return df.sort_values("doc_id").reset_index(drop=True)
 
 
 SQL_DSIR_WEIGHTS = f"""
@@ -2252,8 +2201,20 @@ GROUP BY h.doc_id ORDER BY h.doc_id
 """
 
 
-QUERIES.update({"dsir_weights": q_dsir_weights})
-ORACLES.update({"dsir_weights": SQL_DSIR_WEIGHTS})
+@query(oracle=SQL_DSIR_WEIGHTS)
+def q_dsir_weights(sf_dir: str) -> pd.DataFrame:
+    """Importance weight of every doc toward the lang='en' target
+    distribution via hashed unigram+bigram features (ops/dsir.py:
+    one bincount-partial counting pass, broadcast log-ratio table,
+    one scoring pass — token occurrences never shuffle)."""
+    from ..ops.dsir import dsir_weights
+
+    docs = ray.data.read_parquet(
+        os.path.join(sf_dir, "documents.parquet"),
+        columns=["doc_id", "text", "lang"],
+    ).repartition(64)
+    df = dsir_weights(docs, buckets=DSIR_BUCKETS, add=DSIR_ADD).to_pandas()
+    return df.sort_values("doc_id").reset_index(drop=True)
 
 
 # ---------------------------------------------------------------------
@@ -2261,17 +2222,6 @@ ORACLES.update({"dsir_weights": SQL_DSIR_WEIGHTS})
 # ---------------------------------------------------------------------
 
 PACK_SEQ_LEN = 512
-
-
-def q_pack_offsets(sf_dir: str) -> pd.DataFrame:
-    """Every doc's position in the concatenated training token stream
-    (ops/packing.py: hierarchical scan — per-shard partials, driver
-    scan over shard totals, broadcast bases; one slim shuffle)."""
-    from ..ops.packing import pack_offsets
-
-    df = pack_offsets(_docs_text(sf_dir), seq_len=PACK_SEQ_LEN,
-                      shard_size=100).to_pandas()
-    return df.sort_values("doc_id").reset_index(drop=True)
 
 
 SQL_PACK_OFFSETS = f"""
@@ -2293,8 +2243,16 @@ FROM s ORDER BY doc_id
 """
 
 
-QUERIES.update({"pack_offsets": q_pack_offsets})
-ORACLES.update({"pack_offsets": SQL_PACK_OFFSETS})
+@query(oracle=SQL_PACK_OFFSETS)
+def q_pack_offsets(sf_dir: str) -> pd.DataFrame:
+    """Every doc's position in the concatenated training token stream
+    (ops/packing.py: hierarchical scan — per-shard partials, driver
+    scan over shard totals, broadcast bases; one slim shuffle)."""
+    from ..ops.packing import pack_offsets
+
+    df = pack_offsets(_docs_text(sf_dir), seq_len=PACK_SEQ_LEN,
+                      shard_size=100).to_pandas()
+    return df.sort_values("doc_id").reset_index(drop=True)
 
 
 # ---------------------------------------------------------------------
@@ -2302,20 +2260,6 @@ ORACLES.update({"pack_offsets": SQL_PACK_OFFSETS})
 # ---------------------------------------------------------------------
 
 SPLIT_FRACS = {"train": 0.9, "val": 0.05, "test": 0.05}
-
-
-def q_hash_split(sf_dir: str) -> pd.DataFrame:
-    """Deterministic split assignment by md5 hash ranges
-    (ops/mixing.py hash_split — shuffle-free, partition-invariant)."""
-    from ..ops.mixing import hash_split
-
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "source"],
-    ).repartition(16)
-    df = hash_split(docs, SPLIT_FRACS).to_pandas()
-    return (df[["doc_id", "source", "split"]]
-            .sort_values("doc_id").reset_index(drop=True))
 
 
 SQL_HASH_SPLIT = """
@@ -2331,8 +2275,19 @@ FROM documents ORDER BY doc_id
 """
 
 
-QUERIES.update({"hash_split": q_hash_split})
-ORACLES.update({"hash_split": SQL_HASH_SPLIT})
+@query(oracle=SQL_HASH_SPLIT)
+def q_hash_split(sf_dir: str) -> pd.DataFrame:
+    """Deterministic split assignment by md5 hash ranges
+    (ops/mixing.py hash_split — shuffle-free, partition-invariant)."""
+    from ..ops.mixing import hash_split
+
+    docs = ray.data.read_parquet(
+        os.path.join(sf_dir, "documents.parquet"),
+        columns=["doc_id", "source"],
+    ).repartition(16)
+    df = hash_split(docs, SPLIT_FRACS).to_pandas()
+    return (df[["doc_id", "source", "split"]]
+            .sort_values("doc_id").reset_index(drop=True))
 
 
 # ---------------------------------------------------------------------
@@ -2341,17 +2296,6 @@ ORACLES.update({"hash_split": SQL_HASH_SPLIT})
 # ---------------------------------------------------------------------
 
 KW_K = 10
-
-
-def q_keywords(sf_dir: str) -> pd.DataFrame:
-    """Per-doc top-10 keywords under the reference's three Distrib
-    scorers (freq / G test / freq·idf), stop words excluded — the
-    Keywords CLI report on the SQL-mirrorable simple profile."""
-    from ..ops.reports import keywords_report
-
-    df = keywords_report(_docs_text(sf_dir), k=KW_K).to_pandas()
-    return (df.sort_values(["doc_id", "metric", "rank"])
-            .reset_index(drop=True))
 
 
 SQL_KEYWORDS = f"""
@@ -2402,6 +2346,19 @@ WHERE rank <= {KW_K} ORDER BY doc_id, metric, rank
 """
 
 
+@query(oracle=SQL_KEYWORDS)
+def q_keywords(sf_dir: str) -> pd.DataFrame:
+    """Per-doc top-10 keywords under the reference's three Distrib
+    scorers (freq / G test / freq·idf), stop words excluded — the
+    Keywords CLI report on the SQL-mirrorable simple profile."""
+    from ..ops.reports import keywords_report
+
+    df = keywords_report(_docs_text(sf_dir), k=KW_K).to_pandas()
+    return (df.sort_values(["doc_id", "metric", "rank"])
+            .reset_index(drop=True))
+
+
+@query()
 def q_unknowns(sf_dir: str) -> pd.DataFrame:
     """Freqlist of lexicon-unknown forms (Unknowns CLI; French chain
     — rows-only, the chain is non-SQL)."""
@@ -2410,6 +2367,7 @@ def q_unknowns(sf_dir: str) -> pd.DataFrame:
     return unknowns_report(_docs_text(sf_dir), k=200)
 
 
+@query()
 def q_names(sf_dir: str) -> pd.DataFrame:
     """Freqlist of maximal proper-name runs (Names CLI; French chain
     — rows-only).  Runs over the self-generated pages corpus, whose
@@ -2425,14 +2383,7 @@ def q_names(sf_dir: str) -> pd.DataFrame:
     return names_report(pages, k=200)
 
 
-QUERIES.update({
-    "keywords": q_keywords,
-    "unknowns": q_unknowns,
-    "names": q_names,
-})
-ORACLES.update({"keywords": SQL_KEYWORDS})
-
-
+@query()
 def q_balinoms(sf_dir: str) -> pd.DataFrame:
     """Person-name XML tagging over the pages corpus (Balinoms CLI;
     rows-only — French chain).  Returns per-doc name counts; the
@@ -2461,30 +2412,11 @@ def q_balinoms(sf_dir: str) -> pd.DataFrame:
             .sort_values("doc_id").reset_index(drop=True))
 
 
-QUERIES.update({"balinoms": q_balinoms})
-
-
 # ---------------------------------------------------------------------
 # exact distributed quantiles — histogram scan, no sort
 # ---------------------------------------------------------------------
 
 QUANTILE_QS = (0.5, 0.9, 0.99)
-
-
-def q_quantiles(sf_dir: str) -> pd.DataFrame:
-    """Exact rank-based quantiles of n_chars (ops/stats.py: one
-    value_counts pass + tiny distinct-value groupby; pinned lower-
-    quantile semantics shared with the oracle by construction)."""
-    from ..ops.stats import exact_quantiles
-
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["n_chars"],
-    ).repartition(16)
-    df = exact_quantiles(docs, "n_chars", QUANTILE_QS)
-    df["value"] = df["value"].astype("int64")
-    df["rank"] = df["rank"].astype("int64")
-    df["n"] = df["n"].astype("int64")
-    return df.sort_values("q").reset_index(drop=True)
 
 
 SQL_QUANTILES = """
@@ -2508,8 +2440,21 @@ SELECT q, value, rank, n FROM (
 """
 
 
-QUERIES.update({"quantiles": q_quantiles})
-ORACLES.update({"quantiles": SQL_QUANTILES})
+@query(oracle=SQL_QUANTILES)
+def q_quantiles(sf_dir: str) -> pd.DataFrame:
+    """Exact rank-based quantiles of n_chars (ops/stats.py: one
+    value_counts pass + tiny distinct-value groupby; pinned lower-
+    quantile semantics shared with the oracle by construction)."""
+    from ..ops.stats import exact_quantiles
+
+    docs = ray.data.read_parquet(
+        os.path.join(sf_dir, "documents.parquet"), columns=["n_chars"],
+    ).repartition(16)
+    df = exact_quantiles(docs, "n_chars", QUANTILE_QS)
+    df["value"] = df["value"].astype("int64")
+    df["rank"] = df["rank"].astype("int64")
+    df["n"] = df["n"].astype("int64")
+    return df.sort_values("q").reset_index(drop=True)
 
 
 # ---------------------------------------------------------------------
@@ -2520,23 +2465,6 @@ ORACLES.update({"quantiles": SQL_QUANTILES})
 CURATE_MIN_TOKENS = 32
 CURATE_MIN_ALPHA = 0.8
 CURATE_SEQ_LEN = 512
-
-
-def q_curate(sf_dir: str) -> pd.DataFrame:
-    """End-to-end training-data curation over documents: vectorized
-    quality gate (map-side, no join), content-hash keep-first dedup,
-    deterministic train split, packing offsets for the training
-    stream.  Every stage is an existing oracle-checked operator; the
-    composition itself is oracled as one SQL CTE chain."""
-    from ..ops.packing import pack_offsets
-    from .curate import curate
-
-    split = curate(_docs_text(sf_dir), min_tokens=CURATE_MIN_TOKENS,
-                   min_alpha=CURATE_MIN_ALPHA, fractions=SPLIT_FRACS)
-    train = split.filter(expr="split == 'train'")
-    df = pack_offsets(train, seq_len=CURATE_SEQ_LEN,
-                      shard_size=100).to_pandas()
-    return df.sort_values("doc_id").reset_index(drop=True)
 
 
 SQL_CURATE = f"""
@@ -2567,10 +2495,25 @@ FROM s ORDER BY doc_id
 """
 
 
-QUERIES.update({"curate": q_curate})
-ORACLES.update({"curate": SQL_CURATE})
+@query(oracle=SQL_CURATE)
+def q_curate(sf_dir: str) -> pd.DataFrame:
+    """End-to-end training-data curation over documents: vectorized
+    quality gate (map-side, no join), content-hash keep-first dedup,
+    deterministic train split, packing offsets for the training
+    stream.  Every stage is an existing oracle-checked operator; the
+    composition itself is oracled as one SQL CTE chain."""
+    from ..ops.packing import pack_offsets
+    from .curate import curate
+
+    split = curate(_docs_text(sf_dir), min_tokens=CURATE_MIN_TOKENS,
+                   min_alpha=CURATE_MIN_ALPHA, fractions=SPLIT_FRACS)
+    train = split.filter(expr="split == 'train'")
+    df = pack_offsets(train, seq_len=CURATE_SEQ_LEN,
+                      shard_size=100).to_pandas()
+    return df.sort_values("doc_id").reset_index(drop=True)
 
 
+@query()
 def q_expressions(sf_dir: str) -> pd.DataFrame:
     """Freqlist of 3-word open-class expression chunks (Expressions
     CLI; French chain — rows-only)."""
@@ -2579,31 +2522,9 @@ def q_expressions(sf_dir: str) -> pd.DataFrame:
     return expressions_report(_docs_text(sf_dir), k=200)
 
 
-QUERIES.update({"expressions": q_expressions})
-
-
 # ---------------------------------------------------------------------
 # cross-corpus near-dup decontamination — minhash over the union
 # ---------------------------------------------------------------------
-
-
-def q_cross_dedup(sf_dir: str) -> pd.DataFrame:
-    """Near-dup pairs between the corpus slice and the benchmark slice
-    (doc_id % 23 == 0, the decontaminate partition) — fuzzy-copy
-    contamination that exact n-gram matching misses
-    (ops/dedup.py minhash_cross_pairs).  Banding is 64 bands × 2 rows
-    so the all-pairs SQL oracle is sound at the query threshold:
-    P(miss) = (1 - J²)⁶⁴ ≤ 1e-8 for J ≥ 0.5 — fuzzy contamination
-    lives exactly in the mid-Jaccard band the default 16×4 banding
-    would miss with probability up to 0.36."""
-    from ..ops.dedup import minhash_cross_pairs
-
-    corpus, bench = _decon_parts(sf_dir)
-    df = minhash_cross_pairs(corpus, bench, threshold=0.5,
-                             num_perm=128, bands=64).to_pandas()
-    df["jaccard"] = df["jaccard"].round(6)
-    return (df.sort_values(["doc_id", "ref_id"])
-            .reset_index(drop=True))
 
 
 SQL_CROSS_DEDUP = f"""
@@ -2640,8 +2561,24 @@ ORDER BY doc_id, ref_id
 """
 
 
-QUERIES.update({"cross_dedup": q_cross_dedup})
-ORACLES.update({"cross_dedup": SQL_CROSS_DEDUP})
+@query(oracle=SQL_CROSS_DEDUP)
+def q_cross_dedup(sf_dir: str) -> pd.DataFrame:
+    """Near-dup pairs between the corpus slice and the benchmark slice
+    (doc_id % 23 == 0, the decontaminate partition) — fuzzy-copy
+    contamination that exact n-gram matching misses
+    (ops/dedup.py minhash_cross_pairs).  Banding is 64 bands × 2 rows
+    so the all-pairs SQL oracle is sound at the query threshold:
+    P(miss) = (1 - J²)⁶⁴ ≤ 1e-8 for J ≥ 0.5 — fuzzy contamination
+    lives exactly in the mid-Jaccard band the default 16×4 banding
+    would miss with probability up to 0.36."""
+    from ..ops.dedup import minhash_cross_pairs
+
+    corpus, bench = _decon_parts(sf_dir)
+    df = minhash_cross_pairs(corpus, bench, threshold=0.5,
+                             num_perm=128, bands=64).to_pandas()
+    df["jaccard"] = df["jaccard"].round(6)
+    return (df.sort_values(["doc_id", "ref_id"])
+            .reset_index(drop=True))
 
 
 # ---------------------------------------------------------------------
@@ -2649,6 +2586,29 @@ ORACLES.update({"cross_dedup": SQL_CROSS_DEDUP})
 # ---------------------------------------------------------------------
 
 
+SQL_CORPUS_CARD = """
+WITH s AS (
+  SELECT doc_id, source,
+    CASE
+      WHEN md5_number_lower('split:' || doc_id) % 1000000 < 900000
+        THEN 'train'
+      WHEN md5_number_lower('split:' || doc_id) % 1000000 < 950000
+        THEN 'val'
+      ELSE 'test'
+    END AS split,
+    len(list_filter(regexp_split_to_array(lower(text), '[^a-z0-9]+'),
+        x -> x <> ''))::BIGINT AS n_tokens,
+    round(len(regexp_replace(text, '[^A-Za-z]', '', 'g'))::DOUBLE /
+      greatest(len(text), 1), 6) AS alpha
+  FROM documents)
+SELECT source, split, count(*)::BIGINT AS n_docs,
+  sum(n_tokens)::BIGINT AS n_tokens,
+  round(sum(alpha) / count(*), 6) AS mean_alpha
+FROM s GROUP BY source, split ORDER BY source, split
+"""
+
+
+@query(oracle=SQL_CORPUS_CARD)
 def q_corpus_card(sf_dir: str) -> pd.DataFrame:
     """Training-mix report: docs / tokens / mean alpha ratio per
     (source, split) — the dataset-card numbers.  Per-batch partial
@@ -2701,44 +2661,6 @@ def q_corpus_card(sf_dir: str) -> pd.DataFrame:
     return out.sort_values(["source", "split"]).reset_index(drop=True)
 
 
-SQL_CORPUS_CARD = """
-WITH s AS (
-  SELECT doc_id, source,
-    CASE
-      WHEN md5_number_lower('split:' || doc_id) % 1000000 < 900000
-        THEN 'train'
-      WHEN md5_number_lower('split:' || doc_id) % 1000000 < 950000
-        THEN 'val'
-      ELSE 'test'
-    END AS split,
-    len(list_filter(regexp_split_to_array(lower(text), '[^a-z0-9]+'),
-        x -> x <> ''))::BIGINT AS n_tokens,
-    round(len(regexp_replace(text, '[^A-Za-z]', '', 'g'))::DOUBLE /
-      greatest(len(text), 1), 6) AS alpha
-  FROM documents)
-SELECT source, split, count(*)::BIGINT AS n_docs,
-  sum(n_tokens)::BIGINT AS n_tokens,
-  round(sum(alpha) / count(*), 6) AS mean_alpha
-FROM s GROUP BY source, split ORDER BY source, split
-"""
-
-
-QUERIES.update({"corpus_card": q_corpus_card})
-ORACLES.update({"corpus_card": SQL_CORPUS_CARD})
-
-
-def q_pack_chunks(sf_dir: str) -> pd.DataFrame:
-    """Dataloader chunk manifest: per-(doc, window) token spans
-    (ops/packing.py pack_chunks — vectorized expansion over the
-    distributed prefix sum)."""
-    from ..ops.packing import pack_chunks
-
-    df = pack_chunks(_docs_text(sf_dir), seq_len=PACK_SEQ_LEN,
-                     shard_size=100).to_pandas()
-    return (df.sort_values(["doc_id", "chunk_id"])
-            .reset_index(drop=True))
-
-
 SQL_PACK_CHUNKS = f"""
 WITH c AS (
   SELECT doc_id,
@@ -2762,8 +2684,17 @@ FROM x ORDER BY doc_id, chunk_id
 """
 
 
-QUERIES.update({"pack_chunks": q_pack_chunks})
-ORACLES.update({"pack_chunks": SQL_PACK_CHUNKS})
+@query(oracle=SQL_PACK_CHUNKS)
+def q_pack_chunks(sf_dir: str) -> pd.DataFrame:
+    """Dataloader chunk manifest: per-(doc, window) token spans
+    (ops/packing.py pack_chunks — vectorized expansion over the
+    distributed prefix sum)."""
+    from ..ops.packing import pack_chunks
+
+    df = pack_chunks(_docs_text(sf_dir), seq_len=PACK_SEQ_LEN,
+                     shard_size=100).to_pandas()
+    return (df.sort_values(["doc_id", "chunk_id"])
+            .reset_index(drop=True))
 
 
 # ---------------------------------------------------------------------
@@ -2773,6 +2704,7 @@ ORACLES.update({"pack_chunks": SQL_PACK_CHUNKS})
 BPE_MERGES = 60
 
 
+@query()
 def q_bpe_vocab(sf_dir: str) -> pd.DataFrame:
     """Learned BPE merge table + per-doc encoded token counts summary
     (ops/bpe.py: word-count precompute, merge rounds over the word
@@ -2793,30 +2725,11 @@ def q_bpe_vocab(sf_dir: str) -> pd.DataFrame:
     return out
 
 
-QUERIES.update({"bpe_vocab": q_bpe_vocab})
-
-
 # ---------------------------------------------------------------------
 # embedding k-means (fixed-iteration Lloyd's) — full oracle
 # ---------------------------------------------------------------------
 
 KMEANS_K = 4
-
-
-def q_kmeans(sf_dir: str) -> pd.DataFrame:
-    """Distributed Lloyd's k-means (k=4, one centroid update, seeds =
-    the 4 smallest vec_ids) over the embeddings table; output the final
-    assignment + distance.  The oracle replays the identical schedule
-    in SQL: seed CTE → window argmin → per-dimension AVG → final window
-    argmin — tie rule (distance, cluster id) pinned on both sides."""
-    from ..ops.semdedup import kmeans_assign
-    from ..ops.textstats import round_half_away
-
-    emb = ray.data.read_parquet(os.path.join(sf_dir, "embeddings.parquet"))
-    df = kmeans_assign(emb, k=KMEANS_K, iters=1).to_pandas()
-    df["vec_id"] = df["vec_id"].astype("int64")
-    df["dist"] = round_half_away(df["dist"].to_numpy())
-    return df.sort_values("vec_id").reset_index(drop=True)
 
 
 SQL_KMEANS = f"""
@@ -2847,8 +2760,22 @@ SELECT vec_id, cluster::BIGINT AS cluster, dist
 FROM d2 WHERE rnk = 1 ORDER BY vec_id
 """
 
-QUERIES.update({"kmeans": q_kmeans})
-ORACLES.update({"kmeans": SQL_KMEANS})
+
+@query(oracle=SQL_KMEANS)
+def q_kmeans(sf_dir: str) -> pd.DataFrame:
+    """Distributed Lloyd's k-means (k=4, one centroid update, seeds =
+    the 4 smallest vec_ids) over the embeddings table; output the final
+    assignment + distance.  The oracle replays the identical schedule
+    in SQL: seed CTE → window argmin → per-dimension AVG → final window
+    argmin — tie rule (distance, cluster id) pinned on both sides."""
+    from ..ops.semdedup import kmeans_assign
+    from ..ops.textstats import round_half_away
+
+    emb = ray.data.read_parquet(os.path.join(sf_dir, "embeddings.parquet"))
+    df = kmeans_assign(emb, k=KMEANS_K, iters=1).to_pandas()
+    df["vec_id"] = df["vec_id"].astype("int64")
+    df["dist"] = round_half_away(df["dist"].to_numpy())
+    return df.sort_values("vec_id").reset_index(drop=True)
 
 
 # ---------------------------------------------------------------------
@@ -2856,20 +2783,6 @@ ORACLES.update({"kmeans": SQL_KMEANS})
 # ---------------------------------------------------------------------
 
 SEMDEDUP_TAU = 0.3
-
-
-def q_semdedup(sf_dir: str) -> pd.DataFrame:
-    """SemDeDup (Abbas et al. 2023) over the embeddings table using the
-    stored ``label`` as the cluster (q_kmeans is the companion that
-    PRODUCES such a clustering): drop every vector with an earlier
-    same-cluster neighbor at cosine ≥ τ.  Pairwise earlier-neighbor
-    semantics — exactly the oracle's NOT EXISTS."""
-    from ..ops.semdedup import semdedup_prune
-
-    emb = ray.data.read_parquet(os.path.join(sf_dir, "embeddings.parquet"))
-    df = semdedup_prune(emb, tau=SEMDEDUP_TAU).to_pandas()
-    df["vec_id"] = df["vec_id"].astype("int64")
-    return df.sort_values("vec_id").reset_index(drop=True)
 
 
 SQL_SEMDEDUP = f"""
@@ -2883,8 +2796,20 @@ SELECT e.vec_id, e.label::BIGINT AS cluster,
 FROM embeddings e ORDER BY vec_id
 """
 
-QUERIES.update({"semdedup": q_semdedup})
-ORACLES.update({"semdedup": SQL_SEMDEDUP})
+
+@query(oracle=SQL_SEMDEDUP)
+def q_semdedup(sf_dir: str) -> pd.DataFrame:
+    """SemDeDup (Abbas et al. 2023) over the embeddings table using the
+    stored ``label`` as the cluster (q_kmeans is the companion that
+    PRODUCES such a clustering): drop every vector with an earlier
+    same-cluster neighbor at cosine ≥ τ.  Pairwise earlier-neighbor
+    semantics — exactly the oracle's NOT EXISTS."""
+    from ..ops.semdedup import semdedup_prune
+
+    emb = ray.data.read_parquet(os.path.join(sf_dir, "embeddings.parquet"))
+    df = semdedup_prune(emb, tau=SEMDEDUP_TAU).to_pandas()
+    df["vec_id"] = df["vec_id"].astype("int64")
+    return df.sort_values("vec_id").reset_index(drop=True)
 
 
 # ---------------------------------------------------------------------
@@ -2901,6 +2826,17 @@ _BLOCKLIST_RX = _blocklist_regex(BLOCKLIST)
 _BLOCKLIST_RX_SQL = _BLOCKLIST_RX.replace("'", "''")
 
 
+SQL_BLOCKLIST = f"""
+SELECT doc_id,
+  len(regexp_extract_all(lower(coalesce(text, '')),
+      '{_BLOCKLIST_RX_SQL}'))::BIGINT AS n_bad,
+  len(regexp_extract_all(lower(coalesce(text, '')),
+      '{_BLOCKLIST_RX_SQL}')) = 0 AS kept
+FROM documents ORDER BY doc_id
+"""
+
+
+@query(oracle=SQL_BLOCKLIST)
 def q_blocklist(sf_dir: str) -> pd.DataFrame:
     """C4-style bad-word gate: per-doc blocklist match count + keep
     flag; the RE2 pattern is shared verbatim with the oracle."""
@@ -2911,41 +2847,9 @@ def q_blocklist(sf_dir: str) -> pd.DataFrame:
     return df.sort_values("doc_id").reset_index(drop=True)
 
 
-SQL_BLOCKLIST = f"""
-SELECT doc_id,
-  len(regexp_extract_all(lower(coalesce(text, '')),
-      '{_BLOCKLIST_RX_SQL}'))::BIGINT AS n_bad,
-  len(regexp_extract_all(lower(coalesce(text, '')),
-      '{_BLOCKLIST_RX_SQL}')) = 0 AS kept
-FROM documents ORDER BY doc_id
-"""
-
-QUERIES.update({"blocklist": q_blocklist})
-ORACLES.update({"blocklist": SQL_BLOCKLIST})
-
-
 # ---------------------------------------------------------------------
 # near-dup cluster representative election — full oracle
 # ---------------------------------------------------------------------
-
-
-def q_cluster_reps(sf_dir: str) -> pd.DataFrame:
-    """The step after near-dup clustering: per cluster keep the member
-    with the most characters (ties → lowest doc id).  Pipeline =
-    minhash pairs → connected components → quality-join → election;
-    oracle = the recursive-CTE closure + one window."""
-    from ..ops.dedup import (cluster_representatives, connected_components,
-                             minhash_lsh_pairs)
-
-    pairs = minhash_lsh_pairs(_docs_text(sf_dir), threshold=0.5)
-    labels = connected_components(pairs)
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "n_chars"])
-    df = cluster_representatives(labels, docs).to_pandas()
-    for c in ("cluster_id", "rep_doc_id", "n_docs"):
-        df[c] = df[c].astype("int64")
-    return df.sort_values("cluster_id").reset_index(drop=True)
 
 
 SQL_CLUSTER_REPS = f"""
@@ -2972,8 +2876,25 @@ SELECT cluster_id::BIGINT AS cluster_id, doc_id::BIGINT AS rep_doc_id,
 FROM ranked WHERE rnk = 1 ORDER BY cluster_id
 """
 
-QUERIES.update({"cluster_reps": q_cluster_reps})
-ORACLES.update({"cluster_reps": SQL_CLUSTER_REPS})
+
+@query(oracle=SQL_CLUSTER_REPS)
+def q_cluster_reps(sf_dir: str) -> pd.DataFrame:
+    """The step after near-dup clustering: per cluster keep the member
+    with the most characters (ties → lowest doc id).  Pipeline =
+    minhash pairs → connected components → quality-join → election;
+    oracle = the recursive-CTE closure + one window."""
+    from ..ops.dedup import (cluster_representatives, connected_components,
+                             minhash_lsh_pairs)
+
+    pairs = minhash_lsh_pairs(_docs_text(sf_dir), threshold=0.5)
+    labels = connected_components(pairs)
+    docs = ray.data.read_parquet(
+        os.path.join(sf_dir, "documents.parquet"),
+        columns=["doc_id", "n_chars"])
+    df = cluster_representatives(labels, docs).to_pandas()
+    for c in ("cluster_id", "rep_doc_id", "n_docs"):
+        df[c] = df[c].astype("int64")
+    return df.sort_values("cluster_id").reset_index(drop=True)
 
 
 # ---------------------------------------------------------------------
@@ -2984,6 +2905,28 @@ TFIDF_PAIR_THRESHOLD = 0.5
 TFIDF_DF_CAP = 100
 
 
+SQL_TFIDF_PAIRS = f"""
+WITH toks AS ({TOKS}),
+tf AS (SELECT doc_id, term, count(*)::DOUBLE AS tf
+       FROM toks GROUP BY doc_id, term),
+dft AS (SELECT term, count(*)::DOUBLE AS df FROM tf GROUP BY term),
+n AS (SELECT count(*)::DOUBLE AS n FROM documents),
+w AS (SELECT tf.doc_id, tf.term,
+             ln(1 + tf.tf) * ln((n.n + 1) / (dft.df + 1)) AS w
+      FROM tf JOIN dft USING (term) CROSS JOIN n
+      WHERE dft.df <= greatest({TFIDF_DF_CAP}, n.n // 5)),
+nrm AS (SELECT doc_id, sqrt(sum(w * w)) AS nn FROM w GROUP BY doc_id),
+wn AS (SELECT w.doc_id, w.term, w.w / nrm.nn AS w
+       FROM w JOIN nrm USING (doc_id)),
+p AS (SELECT a.doc_id AS doc_a, b.doc_id AS doc_b, sum(a.w * b.w) AS c
+      FROM wn a JOIN wn b ON a.term = b.term AND a.doc_id < b.doc_id
+      GROUP BY doc_a, doc_b)
+SELECT doc_a, doc_b, round(c, 6) AS cosine FROM p
+WHERE c >= {TFIDF_PAIR_THRESHOLD} ORDER BY doc_a, doc_b
+"""
+
+
+@query(oracle=SQL_TFIDF_PAIRS)
 def q_tfidf_pairs(sf_dir: str) -> pd.DataFrame:
     """Lexical near-dup pairs by tf-idf cosine over distinctive terms
     (df ≤ cap) — the DISCO shape: four slim shuffles, no broadcast.
@@ -3007,36 +2950,13 @@ def q_tfidf_pairs(sf_dir: str) -> pd.DataFrame:
     return df.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
 
 
-SQL_TFIDF_PAIRS = f"""
-WITH toks AS ({TOKS}),
-tf AS (SELECT doc_id, term, count(*)::DOUBLE AS tf
-       FROM toks GROUP BY doc_id, term),
-dft AS (SELECT term, count(*)::DOUBLE AS df FROM tf GROUP BY term),
-n AS (SELECT count(*)::DOUBLE AS n FROM documents),
-w AS (SELECT tf.doc_id, tf.term,
-             ln(1 + tf.tf) * ln((n.n + 1) / (dft.df + 1)) AS w
-      FROM tf JOIN dft USING (term) CROSS JOIN n
-      WHERE dft.df <= greatest({TFIDF_DF_CAP}, n.n // 5)),
-nrm AS (SELECT doc_id, sqrt(sum(w * w)) AS nn FROM w GROUP BY doc_id),
-wn AS (SELECT w.doc_id, w.term, w.w / nrm.nn AS w
-       FROM w JOIN nrm USING (doc_id)),
-p AS (SELECT a.doc_id AS doc_a, b.doc_id AS doc_b, sum(a.w * b.w) AS c
-      FROM wn a JOIN wn b ON a.term = b.term AND a.doc_id < b.doc_id
-      GROUP BY doc_a, doc_b)
-SELECT doc_a, doc_b, round(c, 6) AS cosine FROM p
-WHERE c >= {TFIDF_PAIR_THRESHOLD} ORDER BY doc_a, doc_b
-"""
-
-QUERIES.update({"tfidf_pairs": q_tfidf_pairs})
-ORACLES.update({"tfidf_pairs": SQL_TFIDF_PAIRS})
-
-
 # ---------------------------------------------------------------------
 # PQ-compressed ANN — rows-only (ADC has no SQL form), driver-replay
 # bit-identity asserted inline
 # ---------------------------------------------------------------------
 
 
+@query()
 def q_ann_pq(sf_dir: str) -> pd.DataFrame:
     """Product-quantized ADC top-k (the ANN shape whose index fits in
     memory at 10^12 vectors: 8 uint8 codes per 64-dim vector).  No SQL
@@ -3085,28 +3005,9 @@ def q_ann_pq(sf_dir: str) -> pd.DataFrame:
     return out
 
 
-QUERIES.update({"ann_pq": q_ann_pq})
-
-
 # ---------------------------------------------------------------------
 # per-source stratified quantiles — full oracle
 # ---------------------------------------------------------------------
-
-
-def q_quantiles_by_source(sf_dir: str) -> pd.DataFrame:
-    """Exact n_chars quantiles PER SOURCE (the per-domain keep-bar
-    primitive); same pinned lower-quantile semantics as `quantiles`,
-    stratified via one multi-key (source, value) count shuffle."""
-    from ..ops.stats import grouped_quantiles
-
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["source", "n_chars"]).repartition(16)
-    df = grouped_quantiles(docs, "source", "n_chars", QUANTILE_QS)
-    df["value"] = df["value"].astype("int64")
-    df["rank"] = df["rank"].astype("int64")
-    df["n"] = df["n"].astype("int64")
-    return df.sort_values(["source", "q"]).reset_index(drop=True)
 
 
 SQL_QUANTILES_BY_SOURCE = """
@@ -3131,8 +3032,22 @@ SELECT source, q, value, rank, n FROM (
 ) ORDER BY source, q
 """
 
-QUERIES.update({"quantiles_by_source": q_quantiles_by_source})
-ORACLES.update({"quantiles_by_source": SQL_QUANTILES_BY_SOURCE})
+
+@query(oracle=SQL_QUANTILES_BY_SOURCE)
+def q_quantiles_by_source(sf_dir: str) -> pd.DataFrame:
+    """Exact n_chars quantiles PER SOURCE (the per-domain keep-bar
+    primitive); same pinned lower-quantile semantics as `quantiles`,
+    stratified via one multi-key (source, value) count shuffle."""
+    from ..ops.stats import grouped_quantiles
+
+    docs = ray.data.read_parquet(
+        os.path.join(sf_dir, "documents.parquet"),
+        columns=["source", "n_chars"]).repartition(16)
+    df = grouped_quantiles(docs, "source", "n_chars", QUANTILE_QS)
+    df["value"] = df["value"].astype("int64")
+    df["rank"] = df["rank"].astype("int64")
+    df["n"] = df["n"].astype("int64")
+    return df.sort_values(["source", "q"]).reset_index(drop=True)
 
 
 # ---------------------------------------------------------------------
@@ -3140,6 +3055,26 @@ ORACLES.update({"quantiles_by_source": SQL_QUANTILES_BY_SOURCE})
 # ---------------------------------------------------------------------
 
 
+SQL_CRAWL_DIFF = """
+WITH a AS (
+  SELECT doc_id, md5_number_lower(text) AS h
+  FROM documents WHERE doc_id % 3 <> 0),
+b AS (
+  SELECT doc_id,
+         md5_number_lower(text || CASE WHEN doc_id % 7 = 0
+                                       THEN ' [edited v2]' ELSE '' END) AS h
+  FROM documents WHERE doc_id % 5 <> 0)
+SELECT COALESCE(a.doc_id, b.doc_id)::BIGINT AS doc_id,
+       CASE WHEN a.doc_id IS NULL THEN 'new'
+            WHEN b.doc_id IS NULL THEN 'deleted'
+            WHEN a.h <> b.h THEN 'changed'
+            ELSE 'same' END AS status
+FROM a FULL OUTER JOIN b ON a.doc_id = b.doc_id
+ORDER BY doc_id
+"""
+
+
+@query(oracle=SQL_CRAWL_DIFF)
 def q_crawl_diff(sf_dir: str) -> pd.DataFrame:
     """Two deterministic snapshot views of the documents table (old =
     doc_id%3≠0, new = doc_id%5≠0 with every %7==0 text edited) diffed
@@ -3170,28 +3105,6 @@ def q_crawl_diff(sf_dir: str) -> pd.DataFrame:
     df = snapshot_diff(old, new).to_pandas()
     df["doc_id"] = df["doc_id"].astype("int64")
     return df.sort_values("doc_id").reset_index(drop=True)
-
-
-SQL_CRAWL_DIFF = """
-WITH a AS (
-  SELECT doc_id, md5_number_lower(text) AS h
-  FROM documents WHERE doc_id % 3 <> 0),
-b AS (
-  SELECT doc_id,
-         md5_number_lower(text || CASE WHEN doc_id % 7 = 0
-                                       THEN ' [edited v2]' ELSE '' END) AS h
-  FROM documents WHERE doc_id % 5 <> 0)
-SELECT COALESCE(a.doc_id, b.doc_id)::BIGINT AS doc_id,
-       CASE WHEN a.doc_id IS NULL THEN 'new'
-            WHEN b.doc_id IS NULL THEN 'deleted'
-            WHEN a.h <> b.h THEN 'changed'
-            ELSE 'same' END AS status
-FROM a FULL OUTER JOIN b ON a.doc_id = b.doc_id
-ORDER BY doc_id
-"""
-
-QUERIES.update({"crawl_diff": q_crawl_diff})
-ORACLES.update({"crawl_diff": SQL_CRAWL_DIFF})
 
 
 # ---------------------------------------------------------------------
@@ -3239,22 +3152,6 @@ def _synth_urls(batch: pa.Table) -> pa.Table:
     return batch.append_column("url", pa.array(urls, pa.string()))
 
 
-def q_domain_stats(sf_dir: str) -> pd.DataFrame:
-    """URL canonicalization (five shared-RE2 passes) + per-domain page/
-    distinct-url/char totals (ops/crawl.py — combine-before-shuffle
-    partials, the tracking-param noise collapses under the kernel)."""
-    from ..ops.crawl import domain_stats
-
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "source", "n_chars"]).map_batches(
-            _synth_urls, batch_format="pyarrow")
-    df = domain_stats(docs).to_pandas()
-    for c in ("n_pages", "n_urls", "total_chars"):
-        df[c] = df[c].astype("int64")
-    return df.sort_values("domain").reset_index(drop=True)
-
-
 def _sql_domain_stats() -> str:
     """The oracle mirrors the op's normalization STAGES with shared
     constants: regex passes share pattern strings verbatim; the
@@ -3300,8 +3197,21 @@ FROM norm GROUP BY domain ORDER BY domain
 """
 
 
-QUERIES.update({"domain_stats": q_domain_stats})
-ORACLES.update({"domain_stats": _sql_domain_stats()})
+@query(oracle=_sql_domain_stats())
+def q_domain_stats(sf_dir: str) -> pd.DataFrame:
+    """URL canonicalization (five shared-RE2 passes) + per-domain page/
+    distinct-url/char totals (ops/crawl.py — combine-before-shuffle
+    partials, the tracking-param noise collapses under the kernel)."""
+    from ..ops.crawl import domain_stats
+
+    docs = ray.data.read_parquet(
+        os.path.join(sf_dir, "documents.parquet"),
+        columns=["doc_id", "source", "n_chars"]).map_batches(
+            _synth_urls, batch_format="pyarrow")
+    df = domain_stats(docs).to_pandas()
+    for c in ("n_pages", "n_urls", "total_chars"):
+        df[c] = df[c].astype("int64")
+    return df.sort_values("domain").reset_index(drop=True)
 
 
 # ---------------------------------------------------------------------
@@ -3354,15 +3264,6 @@ def _run_pagerank_query(sf_dir: str,
     return df.sort_values("node").reset_index(drop=True)
 
 
-def q_pagerank(sf_dir: str) -> pd.DataFrame:
-    """Link-graph PageRank over a deterministic 2-out-degree synthetic
-    graph (src=doc_id → (7·id+1)%N and (13·id+3)%N).  Fixed-iteration
-    broadcast-rank shape (ops/crawl.py:pagerank); round-before-
-    aggregate at 12/9 decimals makes the result partition-order
-    independent, mirrored exactly by the chained-CTE oracle."""
-    return _run_pagerank_query(sf_dir)
-
-
 def _sql_pagerank() -> str:
     head = f"""
 WITH consts AS (SELECT count(*)::DOUBLE AS n FROM documents),
@@ -3390,10 +3291,20 @@ r{k} AS (
             f"FROM r{PR_ITER} ORDER BY node")
 
 
-QUERIES.update({"pagerank": q_pagerank})
-ORACLES.update({"pagerank": _sql_pagerank()})
+SQL_PAGERANK = _sql_pagerank()
 
 
+@query(oracle=SQL_PAGERANK)
+def q_pagerank(sf_dir: str) -> pd.DataFrame:
+    """Link-graph PageRank over a deterministic 2-out-degree synthetic
+    graph (src=doc_id → (7·id+1)%N and (13·id+3)%N).  Fixed-iteration
+    broadcast-rank shape (ops/crawl.py:pagerank); round-before-
+    aggregate at 12/9 decimals makes the result partition-order
+    independent, mirrored exactly by the chained-CTE oracle."""
+    return _run_pagerank_query(sf_dir)
+
+
+@query(oracle=SQL_PAGERANK)
 def q_pagerank_dist(sf_dir: str) -> pd.DataFrame:
     """The beyond-broadcast PageRank (`pagerank_partitioned`: ranks as
     a hash-partitioned table, two slim shuffles per iteration, nothing
@@ -3401,10 +3312,6 @@ def q_pagerank_dist(sf_dir: str) -> pd.DataFrame:
     shared round-before-aggregate schedule, so it earns the SAME
     chained-CTE oracle."""
     return _run_pagerank_query(sf_dir, partitioned=True)
-
-
-QUERIES.update({"pagerank_dist": q_pagerank_dist})
-ORACLES.update({"pagerank_dist": _sql_pagerank()})
 
 
 # ---------------------------------------------------------------------
@@ -3415,6 +3322,36 @@ ANCHOR_TOP_K = 3
 ANCHOR_CHARS = 40
 
 
+SQL_ANCHOR_TERMS = f"""
+WITH edges AS (
+  SELECT doc_id AS src,
+         (doc_id * 7 + 1) % (SELECT count(*) FROM documents) AS dst
+  FROM documents
+  UNION ALL
+  SELECT doc_id,
+         (doc_id * 13 + 3) % (SELECT count(*) FROM documents)
+  FROM documents),
+anchors AS (
+  SELECT e.dst,
+         unnest(list_filter(regexp_split_to_array(
+             lower(substr(d.text, 1, {ANCHOR_CHARS})), '[^a-z0-9]+'),
+             x -> x <> '')) AS term
+  FROM edges e JOIN documents d ON d.doc_id = e.src),
+counts AS (
+  SELECT dst, term, count(*)::BIGINT AS n
+  FROM anchors GROUP BY dst, term),
+ranked AS (
+  SELECT dst, term, n,
+         row_number() OVER (PARTITION BY dst
+                            ORDER BY n DESC, term) AS rk
+  FROM counts)
+SELECT dst::BIGINT AS dst, term, n FROM ranked
+WHERE rk <= {ANCHOR_TOP_K}
+ORDER BY dst, n DESC, term
+"""
+
+
+@query(oracle=SQL_ANCHOR_TERMS)
 def q_anchor_terms(sf_dir: str) -> pd.DataFrame:
     """Per-target top-k anchor terms over the deterministic pagerank
     link graph (src=doc_id → (7·id+1)%N and (13·id+3)%N), each link's
@@ -3449,72 +3386,11 @@ def q_anchor_terms(sf_dir: str) -> pd.DataFrame:
                               drop=True)
 
 
-SQL_ANCHOR_TERMS = f"""
-WITH edges AS (
-  SELECT doc_id AS src,
-         (doc_id * 7 + 1) % (SELECT count(*) FROM documents) AS dst
-  FROM documents
-  UNION ALL
-  SELECT doc_id,
-         (doc_id * 13 + 3) % (SELECT count(*) FROM documents)
-  FROM documents),
-anchors AS (
-  SELECT e.dst,
-         unnest(list_filter(regexp_split_to_array(
-             lower(substr(d.text, 1, {ANCHOR_CHARS})), '[^a-z0-9]+'),
-             x -> x <> '')) AS term
-  FROM edges e JOIN documents d ON d.doc_id = e.src),
-counts AS (
-  SELECT dst, term, count(*)::BIGINT AS n
-  FROM anchors GROUP BY dst, term),
-ranked AS (
-  SELECT dst, term, n,
-         row_number() OVER (PARTITION BY dst
-                            ORDER BY n DESC, term) AS rk
-  FROM counts)
-SELECT dst::BIGINT AS dst, term, n FROM ranked
-WHERE rk <= {ANCHOR_TOP_K}
-ORDER BY dst, n DESC, term
-"""
-
-
-QUERIES.update({"anchor_terms": q_anchor_terms})
-ORACLES.update({"anchor_terms": SQL_ANCHOR_TERMS})
-
-
 # ---------------------------------------------------------------------
 # HITS hubs / authorities — full oracle (chained per-sweep CTEs)
 # ---------------------------------------------------------------------
 
 HITS_ITER = 4
-
-
-def q_hits(sf_dir: str) -> pd.DataFrame:
-    """Fixed-iteration HITS hubs/authorities over a deterministic
-    NON-regular link graph (src=doc_id → (7·id+1)%N and (id²+3)%N —
-    the quadratic map is non-bijective, so in-degrees genuinely vary;
-    the pagerank graph's two linear maps are both bijections mod N,
-    which makes every centrality EXACTLY uniform and the oracle
-    non-discriminative).  Broadcast-sweep shape (ops/crawl.py:hits —
-    sparse per-batch partials, L1 normalization each sweep);
-    round-before-aggregate at 9 decimals makes the result
-    partition-order independent, mirrored exactly by the chained-CTE
-    oracle (one authority + one hub CTE pair per iteration)."""
-    from ..ops.crawl import hits
-    from ..ops.textstats import round_half_away
-
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id"])
-    n = docs.count()
-
-    edges = docs.map_batches(
-        _mk_edges_fn(n, [lambda i: i * 7 + 1, lambda i: i * i + 3]),
-        batch_format="pyarrow")
-    df = hits(edges, n, n_iter=HITS_ITER).to_pandas()
-    df["hub"] = round_half_away(df["hub"].to_numpy())
-    df["auth"] = round_half_away(df["auth"].to_numpy())
-    df["node"] = df["node"].astype("int64")
-    return df.sort_values("node").reset_index(drop=True)
 
 
 def _sql_hits() -> str:
@@ -3552,8 +3428,33 @@ FROM h{HITS_ITER} h JOIN a{HITS_ITER} a ON a.id = h.id
 ORDER BY node""")
 
 
-QUERIES.update({"hits": q_hits})
-ORACLES.update({"hits": _sql_hits()})
+@query(oracle=_sql_hits())
+def q_hits(sf_dir: str) -> pd.DataFrame:
+    """Fixed-iteration HITS hubs/authorities over a deterministic
+    NON-regular link graph (src=doc_id → (7·id+1)%N and (id²+3)%N —
+    the quadratic map is non-bijective, so in-degrees genuinely vary;
+    the pagerank graph's two linear maps are both bijections mod N,
+    which makes every centrality EXACTLY uniform and the oracle
+    non-discriminative).  Broadcast-sweep shape (ops/crawl.py:hits —
+    sparse per-batch partials, L1 normalization each sweep);
+    round-before-aggregate at 9 decimals makes the result
+    partition-order independent, mirrored exactly by the chained-CTE
+    oracle (one authority + one hub CTE pair per iteration)."""
+    from ..ops.crawl import hits
+    from ..ops.textstats import round_half_away
+
+    docs = ray.data.read_parquet(
+        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id"])
+    n = docs.count()
+
+    edges = docs.map_batches(
+        _mk_edges_fn(n, [lambda i: i * 7 + 1, lambda i: i * i + 3]),
+        batch_format="pyarrow")
+    df = hits(edges, n, n_iter=HITS_ITER).to_pandas()
+    df["hub"] = round_half_away(df["hub"].to_numpy())
+    df["auth"] = round_half_away(df["auth"].to_numpy())
+    df["node"] = df["node"].astype("int64")
+    return df.sort_values("node").reset_index(drop=True)
 
 
 # ---------------------------------------------------------------------
@@ -3561,6 +3462,24 @@ ORACLES.update({"hits": _sql_hits()})
 # ---------------------------------------------------------------------
 
 
+SQL_DEGREE_DIST = """
+WITH edges AS (
+  SELECT doc_id AS src, (doc_id * 7 + 1) % (SELECT count(*) FROM documents) AS dst FROM documents
+  UNION ALL
+  SELECT doc_id, (doc_id * doc_id + 3) % (SELECT count(*) FROM documents) FROM documents),
+outd AS (SELECT src AS id, count(*)::BIGINT AS deg FROM edges GROUP BY src),
+ind  AS (SELECT dst AS id, count(*)::BIGINT AS deg FROM edges GROUP BY dst),
+both_d AS (
+  SELECT 'out' AS direction, deg FROM outd
+  UNION ALL
+  SELECT 'in', deg FROM ind)
+SELECT direction, deg::BIGINT AS degree, count(*)::BIGINT AS n_nodes
+FROM both_d GROUP BY direction, deg
+ORDER BY direction, degree
+"""
+
+
+@query(oracle=SQL_DEGREE_DIST)
 def q_degree_dist(sf_dir: str) -> pd.DataFrame:
     """Out-/in-degree histogram of the deterministic NON-regular link
     graph (src=doc_id → (7·id+1)%N and (id²+3)%N — the quadratic map
@@ -3583,32 +3502,28 @@ def q_degree_dist(sf_dir: str) -> pd.DataFrame:
     return df.sort_values(["direction", "degree"]).reset_index(drop=True)
 
 
-SQL_DEGREE_DIST = """
-WITH edges AS (
-  SELECT doc_id AS src, (doc_id * 7 + 1) % (SELECT count(*) FROM documents) AS dst FROM documents
-  UNION ALL
-  SELECT doc_id, (doc_id * doc_id + 3) % (SELECT count(*) FROM documents) FROM documents),
-outd AS (SELECT src AS id, count(*)::BIGINT AS deg FROM edges GROUP BY src),
-ind  AS (SELECT dst AS id, count(*)::BIGINT AS deg FROM edges GROUP BY dst),
-both_d AS (
-  SELECT 'out' AS direction, deg FROM outd
-  UNION ALL
-  SELECT 'in', deg FROM ind)
-SELECT direction, deg::BIGINT AS degree, count(*)::BIGINT AS n_nodes
-FROM both_d GROUP BY direction, deg
-ORDER BY direction, degree
-"""
-
-
-QUERIES.update({"degree_dist": q_degree_dist})
-ORACLES.update({"degree_dist": SQL_DEGREE_DIST})
-
-
 # ---------------------------------------------------------------------
 # host-level link graph — full oracle
 # ---------------------------------------------------------------------
 
 
+SQL_HOST_GRAPH = """
+WITH edges AS (
+  SELECT doc_id AS src, (doc_id * 7 + 1) % (SELECT count(*) FROM documents) AS dst FROM documents
+  UNION ALL
+  SELECT doc_id, (doc_id * 13 + 3) % (SELECT count(*) FROM documents) FROM documents),
+hg AS (
+  SELECT ds.source AS src_host, dd.source AS dst_host
+  FROM edges e
+  JOIN documents ds ON ds.doc_id = e.src
+  JOIN documents dd ON dd.doc_id = e.dst)
+SELECT src_host, dst_host, count(*)::BIGINT AS n_links
+FROM hg GROUP BY src_host, dst_host
+ORDER BY src_host, dst_host
+"""
+
+
+@query(oracle=SQL_HOST_GRAPH)
 def q_host_graph(sf_dir: str) -> pd.DataFrame:
     """Collapse the deterministic page link graph to the host level
     (host = the documents table's ``source`` column), one
@@ -3636,31 +3551,48 @@ def q_host_graph(sf_dir: str) -> pd.DataFrame:
         drop=True)
 
 
-SQL_HOST_GRAPH = """
-WITH edges AS (
-  SELECT doc_id AS src, (doc_id * 7 + 1) % (SELECT count(*) FROM documents) AS dst FROM documents
-  UNION ALL
-  SELECT doc_id, (doc_id * 13 + 3) % (SELECT count(*) FROM documents) FROM documents),
-hg AS (
-  SELECT ds.source AS src_host, dd.source AS dst_host
-  FROM edges e
-  JOIN documents ds ON ds.doc_id = e.src
-  JOIN documents dd ON dd.doc_id = e.dst)
-SELECT src_host, dst_host, count(*)::BIGINT AS n_links
-FROM hg GROUP BY src_host, dst_host
-ORDER BY src_host, dst_host
-"""
-
-
-QUERIES.update({"host_graph": q_host_graph})
-ORACLES.update({"host_graph": SQL_HOST_GRAPH})
-
-
 # ---------------------------------------------------------------------
 # recrawl schedule — full oracle
 # ---------------------------------------------------------------------
 
 
+SQL_CRAWL_SCHEDULE = """
+WITH a AS (
+  SELECT doc_id, md5_number_lower(text) AS h
+  FROM documents WHERE doc_id % 3 <> 0),
+b AS (
+  SELECT doc_id,
+         md5_number_lower(text || CASE WHEN doc_id % 7 = 0
+                                       THEN ' [edited v2]' ELSE '' END) AS h
+  FROM documents WHERE doc_id % 5 <> 0),
+st AS (
+  SELECT COALESCE(a.doc_id, b.doc_id) AS doc_id,
+         CASE WHEN a.doc_id IS NULL THEN 'new'
+              WHEN b.doc_id IS NULL THEN 'deleted'
+              WHEN a.h <> b.h THEN 'changed'
+              ELSE 'same' END AS status
+  FROM a FULL OUTER JOIN b ON a.doc_id = b.doc_id),
+pri AS (
+  SELECT d.source AS domain, st.doc_id, st.status,
+         round((((st.doc_id * 37 + 11) % 1000) / 1000.0 + 0.001)
+               * CASE st.status WHEN 'new' THEN 1.0
+                                WHEN 'changed' THEN 0.7
+                                WHEN 'same' THEN 0.1
+                                ELSE 0.0 END, 9) AS priority
+  FROM st JOIN documents d ON d.doc_id = st.doc_id
+  WHERE st.status <> 'deleted'),
+rk AS (
+  SELECT *, row_number() OVER (PARTITION BY domain
+                               ORDER BY priority DESC, doc_id) AS rn
+  FROM pri)
+SELECT domain, doc_id::BIGINT AS doc_id, status,
+       round(priority, 6) AS priority
+FROM rk WHERE rn <= 10
+ORDER BY domain, priority DESC, doc_id
+"""
+
+
+@query(oracle=SQL_CRAWL_SCHEDULE)
 def q_crawl_schedule(sf_dir: str) -> pd.DataFrame:
     """End-to-end recrawl wave: the crawl_diff snapshot statuses ×
     a deterministic per-page rank × the documents' source as host,
@@ -3715,45 +3647,6 @@ def q_crawl_schedule(sf_dir: str) -> pd.DataFrame:
         drop=True)
 
 
-SQL_CRAWL_SCHEDULE = """
-WITH a AS (
-  SELECT doc_id, md5_number_lower(text) AS h
-  FROM documents WHERE doc_id % 3 <> 0),
-b AS (
-  SELECT doc_id,
-         md5_number_lower(text || CASE WHEN doc_id % 7 = 0
-                                       THEN ' [edited v2]' ELSE '' END) AS h
-  FROM documents WHERE doc_id % 5 <> 0),
-st AS (
-  SELECT COALESCE(a.doc_id, b.doc_id) AS doc_id,
-         CASE WHEN a.doc_id IS NULL THEN 'new'
-              WHEN b.doc_id IS NULL THEN 'deleted'
-              WHEN a.h <> b.h THEN 'changed'
-              ELSE 'same' END AS status
-  FROM a FULL OUTER JOIN b ON a.doc_id = b.doc_id),
-pri AS (
-  SELECT d.source AS domain, st.doc_id, st.status,
-         round((((st.doc_id * 37 + 11) % 1000) / 1000.0 + 0.001)
-               * CASE st.status WHEN 'new' THEN 1.0
-                                WHEN 'changed' THEN 0.7
-                                WHEN 'same' THEN 0.1
-                                ELSE 0.0 END, 9) AS priority
-  FROM st JOIN documents d ON d.doc_id = st.doc_id
-  WHERE st.status <> 'deleted'),
-rk AS (
-  SELECT *, row_number() OVER (PARTITION BY domain
-                               ORDER BY priority DESC, doc_id) AS rn
-  FROM pri)
-SELECT domain, doc_id::BIGINT AS doc_id, status,
-       round(priority, 6) AS priority
-FROM rk WHERE rn <= 10
-ORDER BY domain, priority DESC, doc_id
-"""
-
-QUERIES.update({"crawl_schedule": q_crawl_schedule})
-ORACLES.update({"crawl_schedule": SQL_CRAWL_SCHEDULE})
-
-
 # ---------------------------------------------------------------------
 # connected components — full oracle
 # ---------------------------------------------------------------------
@@ -3764,6 +3657,34 @@ CC_SQL_LEVELS = 14  # ≥ graph diameter at every test sf (≤10 at sf0.1);
 #                     so extra CTE levels are exact no-ops
 
 
+def _sql_components() -> str:
+    head = f"""
+WITH consts AS (SELECT count(*) AS n FROM documents),
+e0 AS (
+  SELECT doc_id AS a,
+         (doc_id % {CC_K}) + {CC_K} * ((doc_id // {CC_K}) // 2) AS b
+  FROM documents WHERE doc_id >= {CC_K}
+  UNION ALL
+  SELECT doc_id, doc_id + {CC_K}
+  FROM documents WHERE doc_id + {CC_K} < (SELECT n FROM consts)),
+se AS (SELECT a, b FROM e0
+       UNION ALL SELECT b, a FROM e0
+       UNION ALL SELECT doc_id, doc_id FROM documents),
+l0 AS (SELECT doc_id AS id, doc_id AS lbl FROM documents)"""
+    its = []
+    for k in range(1, CC_SQL_LEVELS + 1):
+        its.append(f""",
+l{k} AS (SELECT se.a AS id, min(l.lbl) AS lbl
+         FROM se JOIN l{k - 1} l ON l.id = se.b GROUP BY se.a)""")
+    return (head + "".join(its) + f"""
+SELECT id::BIGINT AS node, lbl::BIGINT AS component
+FROM l{CC_SQL_LEVELS} ORDER BY node""")
+
+
+SQL_COMPONENTS = _sql_components()
+
+
+@query(oracle=SQL_COMPONENTS)
 def q_components(sf_dir: str) -> pd.DataFrame:
     """Undirected connected components over a deterministic
     multi-component graph: K=7 components (doc_id residue classes),
@@ -3806,34 +3727,7 @@ def _run_components_query(sf_dir: str,
     return df.sort_values("node").reset_index(drop=True)
 
 
-def _sql_components() -> str:
-    head = f"""
-WITH consts AS (SELECT count(*) AS n FROM documents),
-e0 AS (
-  SELECT doc_id AS a,
-         (doc_id % {CC_K}) + {CC_K} * ((doc_id // {CC_K}) // 2) AS b
-  FROM documents WHERE doc_id >= {CC_K}
-  UNION ALL
-  SELECT doc_id, doc_id + {CC_K}
-  FROM documents WHERE doc_id + {CC_K} < (SELECT n FROM consts)),
-se AS (SELECT a, b FROM e0
-       UNION ALL SELECT b, a FROM e0
-       UNION ALL SELECT doc_id, doc_id FROM documents),
-l0 AS (SELECT doc_id AS id, doc_id AS lbl FROM documents)"""
-    its = []
-    for k in range(1, CC_SQL_LEVELS + 1):
-        its.append(f""",
-l{k} AS (SELECT se.a AS id, min(l.lbl) AS lbl
-         FROM se JOIN l{k - 1} l ON l.id = se.b GROUP BY se.a)""")
-    return (head + "".join(its) + f"""
-SELECT id::BIGINT AS node, lbl::BIGINT AS component
-FROM l{CC_SQL_LEVELS} ORDER BY node""")
-
-
-QUERIES.update({"components": q_components})
-ORACLES.update({"components": _sql_components()})
-
-
+@query(oracle=SQL_COMPONENTS)
 def q_components_dist(sf_dir: str) -> pd.DataFrame:
     """The beyond-broadcast connected components
     (`connected_components_partitioned`: labels as a hash-partitioned
@@ -3841,10 +3735,6 @@ def q_components_dist(sf_dir: str) -> pd.DataFrame:
     Integer min-propagation is bit-equal to the broadcast path by
     construction, so it earns the SAME fixed-depth CTE oracle."""
     return _run_components_query(sf_dir, partitioned=True)
-
-
-QUERIES.update({"components_dist": q_components_dist})
-ORACLES.update({"components_dist": _sql_components()})
 
 
 # ---------------------------------------------------------------------
@@ -3855,6 +3745,15 @@ FUZZY_QUERY = "sow"     # matches 'row' (sub) and 'slow' (insert)
 FUZZY_MAX_EDITS = 1
 
 
+SQL_FUZZY = _sql_bm25(
+    (), 10,
+    term_pred="term IN (SELECT term FROM fterms)",
+    extra_cte=f"""
+fterms AS (SELECT DISTINCT term FROM toks
+           WHERE levenshtein(term, '{FUZZY_QUERY}') <= {FUZZY_MAX_EDITS}),""")
+
+
+@query(oracle=SQL_FUZZY)
 def q_fuzzy(sf_dir: str) -> pd.DataFrame:
     """Lucene FuzzyQuery analog: expand the (misspelled) query term
     against the index vocabulary within ``FUZZY_MAX_EDITS`` Levenshtein
@@ -3865,25 +3764,9 @@ def q_fuzzy(sf_dir: str) -> pd.DataFrame:
     (the rewrite-to-BooleanQuery shape, FuzzyQuery.java).  The edit
     distance is unit-cost Levenshtein == DuckDB ``levenshtein``, so
     the whole pipeline holds an exact SQL oracle."""
-    from ..ops.textstats import round_half_away
-
     ix = _index(sf_dir)
     res = ix.search_fuzzy(FUZZY_QUERY, 10, max_edits=FUZZY_MAX_EDITS)
-    return pd.DataFrame({
-        "doc_id": [d for d, _ in res],
-        "score": round_half_away([s for _, s in res]),
-    })
-
-
-SQL_FUZZY = _sql_bm25(
-    (), 10,
-    term_pred="term IN (SELECT term FROM fterms)",
-    extra_cte=f"""
-fterms AS (SELECT DISTINCT term FROM toks
-           WHERE levenshtein(term, '{FUZZY_QUERY}') <= {FUZZY_MAX_EDITS}),""")
-
-QUERIES.update({"fuzzy": q_fuzzy})
-ORACLES.update({"fuzzy": SQL_FUZZY})
+    return _hits_frame(res)
 
 
 # ---------------------------------------------------------------------
@@ -3895,21 +3778,6 @@ ORACLES.update({"fuzzy": SQL_FUZZY})
 REGEX_PATTERN = "s[a-z]+"
 
 
-def q_regex(sf_dir: str) -> pd.DataFrame:
-    """Lucene RegexpQuery analog: whole-term RE2 match over the index
-    vocabulary (index/engine.py:regex_terms — one vectorized Arrow
-    pass, O(vocab), corpus-size independent), then BM25-OR with
-    per-term df (rewrite-to-BooleanQuery, MultiTermQuery.java)."""
-    from ..ops.textstats import round_half_away
-
-    ix = _index(sf_dir)
-    res = ix.search_regex(REGEX_PATTERN, 10)
-    return pd.DataFrame({
-        "doc_id": [d for d, _ in res],
-        "score": round_half_away([s for _, s in res]),
-    })
-
-
 SQL_REGEX = _sql_bm25(
     (), 10,
     term_pred="term IN (SELECT term FROM rterms)",
@@ -3917,8 +3785,16 @@ SQL_REGEX = _sql_bm25(
 rterms AS (SELECT DISTINCT term FROM toks
            WHERE regexp_full_match(term, '{REGEX_PATTERN}')),""")
 
-QUERIES.update({"regex": q_regex})
-ORACLES.update({"regex": SQL_REGEX})
+
+@query(oracle=SQL_REGEX)
+def q_regex(sf_dir: str) -> pd.DataFrame:
+    """Lucene RegexpQuery analog: whole-term RE2 match over the index
+    vocabulary (index/engine.py:regex_terms — one vectorized Arrow
+    pass, O(vocab), corpus-size independent), then BM25-OR with
+    per-term df (rewrite-to-BooleanQuery, MultiTermQuery.java)."""
+    ix = _index(sf_dir)
+    res = ix.search_regex(REGEX_PATTERN, 10)
+    return _hits_frame(res)
 
 
 # ---------------------------------------------------------------------
@@ -3928,28 +3804,21 @@ ORACLES.update({"regex": SQL_REGEX})
 RANGE_LO, RANGE_HI = "sc", "so"   # [lo, hi): scan, slow, small
 
 
+SQL_TERM_RANGE = _sql_bm25(
+    (), 10,
+    term_pred=f"term >= '{RANGE_LO}' AND term < '{RANGE_HI}'")
+
+
+@query(oracle=SQL_TERM_RANGE)
 def q_term_range(sf_dir: str) -> pd.DataFrame:
     """Lucene TermRangeQuery analog: vocabulary terms in the
     lexicographic interval [lo, hi) — two binary searches + a slice
     on the sorted lexicon, O(log vocab), the only MultiTermQuery
     rewrite that never scans the dictionary
     (index/engine.py:range_terms) — then BM25-OR with per-term df."""
-    from ..ops.textstats import round_half_away
-
     ix = _index(sf_dir)
     res = ix.search_term_range(RANGE_LO, RANGE_HI, 10)
-    return pd.DataFrame({
-        "doc_id": [d for d, _ in res],
-        "score": round_half_away([s for _, s in res]),
-    })
-
-
-SQL_TERM_RANGE = _sql_bm25(
-    (), 10,
-    term_pred=f"term >= '{RANGE_LO}' AND term < '{RANGE_HI}'")
-
-QUERIES.update({"term_range": q_term_range})
-ORACLES.update({"term_range": SQL_TERM_RANGE})
+    return _hits_frame(res)
 
 
 # ---------------------------------------------------------------------
@@ -3958,25 +3827,6 @@ ORACLES.update({"term_range": SQL_TERM_RANGE})
 
 MLT_DOC = 7
 MLT_N_TERMS = 3
-
-
-def q_more_like_this(sf_dir: str) -> pd.DataFrame:
-    """MoreLikeThis over the seed doc: interesting-term selection =
-    theme_terms with a single-doc focus (BM25 mode: corpus idf × the
-    doc's BM25 tf-part — "high tf here, rare elsewhere"), then BM25-OR
-    over the selection with the seed dropped from the hits
-    (index/engine.py:more_like_this).  Both halves are closed-form:
-    the selection is the theme-terms oracle specialised to one focus
-    doc, the search is the shared BM25 oracle body — chained in one
-    SQL statement."""
-    from ..ops.textstats import round_half_away
-
-    ix = _index(sf_dir)
-    res = ix.more_like_this(MLT_DOC, 10, n_terms=MLT_N_TERMS)
-    return pd.DataFrame({
-        "doc_id": [d for d, _ in res],
-        "score": round_half_away([s for _, s in res]),
-    })
 
 
 SQL_MLT = _sql_bm25(
@@ -4004,8 +3854,20 @@ mterms AS (
   LIMIT {MLT_N_TERMS}),""",
     final_where=f"WHERE doc_id <> {MLT_DOC}")
 
-QUERIES.update({"more_like_this": q_more_like_this})
-ORACLES.update({"more_like_this": SQL_MLT})
+
+@query(oracle=SQL_MLT)
+def q_more_like_this(sf_dir: str) -> pd.DataFrame:
+    """MoreLikeThis over the seed doc: interesting-term selection =
+    theme_terms with a single-doc focus (BM25 mode: corpus idf × the
+    doc's BM25 tf-part — "high tf here, rare elsewhere"), then BM25-OR
+    over the selection with the seed dropped from the hits
+    (index/engine.py:more_like_this).  Both halves are closed-form:
+    the selection is the theme-terms oracle specialised to one focus
+    doc, the search is the shared BM25 oracle body — chained in one
+    SQL statement."""
+    ix = _index(sf_dir)
+    res = ix.more_like_this(MLT_DOC, 10, n_terms=MLT_N_TERMS)
+    return _hits_frame(res)
 
 
 # ---------------------------------------------------------------------
@@ -4013,27 +3875,34 @@ ORACLES.update({"more_like_this": SQL_MLT})
 # ---------------------------------------------------------------------
 
 
+SQL_SEARCH_PAGE2 = _sql_bm25(BM25_QUERY_TERMS, 10, offset=10)
+
+
+@query(oracle=SQL_SEARCH_PAGE2)
 def q_search_page2(sf_dir: str) -> pd.DataFrame:
     """Lucene searchAfter deep paging: page 2 (hits 11-20) of the
     standard BM25 query, fetched with the page-1 tail as the cursor
     (index/engine.py:search_after — filters the full exact ranking
     to the hits after the cursor; oracle = the same ordered list with
     LIMIT/OFFSET)."""
-    from ..ops.textstats import round_half_away
-
     ix = _index(sf_dir)
     page1 = ix.search_exact(list(BM25_QUERY_TERMS), 10)
     res = [] if not page1 else \
         ix.search_after(list(BM25_QUERY_TERMS), after=page1[-1], k=10)
-    return pd.DataFrame({
-        "doc_id": [d for d, _ in res],
-        "score": round_half_away([s for _, s in res]),
-    })
+    return _hits_frame(res)
 
 
-SQL_SEARCH_PAGE2 = _sql_bm25(BM25_QUERY_TERMS, 10, offset=10)
+_FACET_TLIST = ", ".join(f"'{t}'" for t in BM25_QUERY_TERMS)
+SQL_SEARCH_FACETS = f"""
+WITH toks AS ({TOKS}),
+m AS (SELECT DISTINCT doc_id FROM toks WHERE term IN ({_FACET_TLIST}))
+SELECT d.source AS label, count(*)::BIGINT AS n_docs
+FROM m JOIN documents d USING (doc_id)
+GROUP BY d.source ORDER BY n_docs DESC, label
+"""
 
 
+@query(oracle=SQL_SEARCH_FACETS)
 def q_search_facets(sf_dir: str) -> pd.DataFrame:
     """Result-set faceting (Lucene facets module): docs matching ANY
     of the standard BM25 query terms, counted per source label
@@ -4055,52 +3924,12 @@ def q_search_facets(sf_dir: str) -> pd.DataFrame:
     })
 
 
-_FACET_TLIST = ", ".join(f"'{t}'" for t in BM25_QUERY_TERMS)
-SQL_SEARCH_FACETS = f"""
-WITH toks AS ({TOKS}),
-m AS (SELECT DISTINCT doc_id FROM toks WHERE term IN ({_FACET_TLIST}))
-SELECT d.source AS label, count(*)::BIGINT AS n_docs
-FROM m JOIN documents d USING (doc_id)
-GROUP BY d.source ORDER BY n_docs DESC, label
-"""
-
-QUERIES.update({"search_page2": q_search_page2,
-                "search_facets": q_search_facets})
-ORACLES.update({"search_page2": SQL_SEARCH_PAGE2,
-                "search_facets": SQL_SEARCH_FACETS})
-
-
 # ---------------------------------------------------------------------
 # bulk query scoring (actor-pool serving stage) — full oracle
 # ---------------------------------------------------------------------
 
 BULK_N_QUERIES = 20
 BULK_K = 3
-
-
-def q_bulk_queries(sf_dir: str) -> pd.DataFrame:
-    """Offline bulk scoring: the 20 highest-cf vocabulary terms as a
-    query-log dataset, streamed through an ACTOR POOL of frozen index
-    replicas (index/serve.py:BulkScorer — the callable-class
-    map_batches shape: BM25Index opened + warmed once per actor in
-    __init__, batches scored in __call__; 10^8-query replay streams
-    through concurrency×replicas with the artifacts read once per
-    actor).  Top-3 per query in the TopArray order."""
-    ix = _index(sf_dir)
-    stats = q_term_stats(sf_dir)
-    terms = (stats.sort_values(["cf", "term"], ascending=[False, True])
-             .head(BULK_N_QUERIES)["term"].tolist())
-    queries = ray.data.from_arrow(
-        pa.table({"query": pa.array(terms, pa.string())}))
-    from ..index.serve import bulk_search
-    from ..ops.textstats import round_half_away
-
-    df = (bulk_search(queries.repartition(4), ix.dir, k=BULK_K)
-          .to_pandas())
-    df["rank"] = df["rank"].astype("int64")
-    df["doc_id"] = df["doc_id"].astype("int64")
-    df["score"] = round_half_away(df["score"].to_numpy())
-    return df.sort_values(["query", "rank"]).reset_index(drop=True)
 
 
 SQL_BULK_QUERIES = f"""
@@ -4134,8 +3963,31 @@ FROM ranked WHERE rn <= {BULK_K}
 ORDER BY query, rank
 """
 
-QUERIES.update({"bulk_queries": q_bulk_queries})
-ORACLES.update({"bulk_queries": SQL_BULK_QUERIES})
+
+@query(oracle=SQL_BULK_QUERIES)
+def q_bulk_queries(sf_dir: str) -> pd.DataFrame:
+    """Offline bulk scoring: the 20 highest-cf vocabulary terms as a
+    query-log dataset, streamed through an ACTOR POOL of frozen index
+    replicas (index/serve.py:BulkScorer — the callable-class
+    map_batches shape: BM25Index opened + warmed once per actor in
+    __init__, batches scored in __call__; 10^8-query replay streams
+    through concurrency×replicas with the artifacts read once per
+    actor).  Top-3 per query in the TopArray order."""
+    ix = _index(sf_dir)
+    stats = q_term_stats(sf_dir)
+    terms = (stats.sort_values(["cf", "term"], ascending=[False, True])
+             .head(BULK_N_QUERIES)["term"].tolist())
+    queries = ray.data.from_arrow(
+        pa.table({"query": pa.array(terms, pa.string())}))
+    from ..index.serve import bulk_search
+    from ..ops.textstats import round_half_away
+
+    df = (bulk_search(queries.repartition(4), ix.dir, k=BULK_K)
+          .to_pandas())
+    df["rank"] = df["rank"].astype("int64")
+    df["doc_id"] = df["doc_id"].astype("int64")
+    df["score"] = round_half_away(df["score"].to_numpy())
+    return df.sort_values(["query", "rank"]).reset_index(drop=True)
 
 
 # ---------------------------------------------------------------------
@@ -4146,22 +3998,6 @@ WILDCARD_PATTERN = "s?a*"      # scan, small, spark ...
 _WILDCARD_LIKE = WILDCARD_PATTERN.replace("*", "%").replace("?", "_")
 
 
-def q_wildcard(sf_dir: str) -> pd.DataFrame:
-    """Lucene WildcardQuery analog: `*`/`?` whole-term pattern over
-    the vocabulary (index/engine.py:wildcard_terms — compiled to an
-    anchored RE2, one vectorized Arrow pass), then BM25-OR.  The
-    pattern maps 1:1 onto SQL LIKE (`*`→`%`, `?`→`_`), giving the
-    exact oracle."""
-    from ..ops.textstats import round_half_away
-
-    ix = _index(sf_dir)
-    res = ix.search_wildcard(WILDCARD_PATTERN, 10)
-    return pd.DataFrame({
-        "doc_id": [d for d, _ in res],
-        "score": round_half_away([s for _, s in res]),
-    })
-
-
 SQL_WILDCARD = _sql_bm25(
     (), 10,
     term_pred="term IN (SELECT term FROM wterms)",
@@ -4169,8 +4005,17 @@ SQL_WILDCARD = _sql_bm25(
 wterms AS (SELECT DISTINCT term FROM toks
            WHERE term LIKE '{_WILDCARD_LIKE}'),""")
 
-QUERIES.update({"wildcard": q_wildcard})
-ORACLES.update({"wildcard": SQL_WILDCARD})
+
+@query(oracle=SQL_WILDCARD)
+def q_wildcard(sf_dir: str) -> pd.DataFrame:
+    """Lucene WildcardQuery analog: `*`/`?` whole-term pattern over
+    the vocabulary (index/engine.py:wildcard_terms — compiled to an
+    anchored RE2, one vectorized Arrow pass), then BM25-OR.  The
+    pattern maps 1:1 onto SQL LIKE (`*`→`%`, `?`→`_`), giving the
+    exact oracle."""
+    ix = _index(sf_dir)
+    res = ix.search_wildcard(WILDCARD_PATTERN, 10)
+    return _hits_frame(res)
 
 
 # ---------------------------------------------------------------------
@@ -4178,6 +4023,30 @@ ORACLES.update({"wildcard": SQL_WILDCARD})
 # ---------------------------------------------------------------------
 
 
+SQL_TRIANGLES = """
+WITH raw AS (
+  SELECT doc_id AS src, (doc_id + 1) % (SELECT count(*) FROM documents) AS dst FROM documents
+  UNION ALL
+  SELECT doc_id, (doc_id + 2) % (SELECT count(*) FROM documents) FROM documents WHERE doc_id % 2 = 0
+  UNION ALL
+  SELECT doc_id, (doc_id * doc_id + 3) % (SELECT count(*) FROM documents) FROM documents),
+e0 AS (SELECT DISTINCT least(src, dst) AS a, greatest(src, dst) AS b
+       FROM raw WHERE src <> dst),
+sym AS (SELECT a, b FROM e0 UNION ALL SELECT b, a FROM e0),
+wed AS (SELECT s1.a AS v, s1.b AS u, s2.b AS w
+        FROM sym s1 JOIN sym s2 ON s1.a = s2.a AND s1.b < s2.b),
+tri AS (SELECT v, count(*) AS t
+        FROM wed JOIN e0 e ON e.a = wed.u AND e.b = wed.w GROUP BY v),
+deg AS (SELECT a AS v, count(*) AS d FROM sym GROUP BY a)
+SELECT d.doc_id::BIGINT AS node, coalesce(t.t, 0)::BIGINT AS triangles,
+       coalesce(g.d, 0)::BIGINT AS degree
+FROM documents d LEFT JOIN tri t ON t.v = d.doc_id
+LEFT JOIN deg g ON g.v = d.doc_id
+ORDER BY node
+"""
+
+
+@query(oracle=SQL_TRIANGLES)
 def q_triangles(sf_dir: str) -> pd.DataFrame:
     """Per-node triangle participation over a deterministic
     triangle-rich irregular graph (ring i—i+1, half-chords i—i+2 for
@@ -4211,32 +4080,22 @@ def q_triangles(sf_dir: str) -> pd.DataFrame:
     return df.sort_values("node").reset_index(drop=True)
 
 
-SQL_TRIANGLES = """
-WITH raw AS (
-  SELECT doc_id AS src, (doc_id + 1) % (SELECT count(*) FROM documents) AS dst FROM documents
-  UNION ALL
-  SELECT doc_id, (doc_id + 2) % (SELECT count(*) FROM documents) FROM documents WHERE doc_id % 2 = 0
-  UNION ALL
-  SELECT doc_id, (doc_id * doc_id + 3) % (SELECT count(*) FROM documents) FROM documents),
-e0 AS (SELECT DISTINCT least(src, dst) AS a, greatest(src, dst) AS b
-       FROM raw WHERE src <> dst),
-sym AS (SELECT a, b FROM e0 UNION ALL SELECT b, a FROM e0),
-wed AS (SELECT s1.a AS v, s1.b AS u, s2.b AS w
-        FROM sym s1 JOIN sym s2 ON s1.a = s2.a AND s1.b < s2.b),
-tri AS (SELECT v, count(*) AS t
-        FROM wed JOIN e0 e ON e.a = wed.u AND e.b = wed.w GROUP BY v),
-deg AS (SELECT a AS v, count(*) AS d FROM sym GROUP BY a)
-SELECT d.doc_id::BIGINT AS node, coalesce(t.t, 0)::BIGINT AS triangles,
+SQL_CLUSTERING = SQL_TRIANGLES.replace(
+    """SELECT d.doc_id::BIGINT AS node, coalesce(t.t, 0)::BIGINT AS triangles,
        coalesce(g.d, 0)::BIGINT AS degree
 FROM documents d LEFT JOIN tri t ON t.v = d.doc_id
 LEFT JOIN deg g ON g.v = d.doc_id
-ORDER BY node
-"""
+ORDER BY node""",
+    """SELECT d.doc_id::BIGINT AS node,
+       round(CASE WHEN coalesce(g.d, 0) >= 2
+             THEN 2.0 * coalesce(t.t, 0) / (g.d * (g.d - 1.0))
+             ELSE 0.0 END, 6) AS coeff
+FROM documents d LEFT JOIN tri t ON t.v = d.doc_id
+LEFT JOIN deg g ON g.v = d.doc_id
+ORDER BY node""")
 
-QUERIES.update({"triangles": q_triangles})
-ORACLES.update({"triangles": SQL_TRIANGLES})
 
-
+@query(oracle=SQL_CLUSTERING)
 def q_clustering(sf_dir: str) -> pd.DataFrame:
     """Local clustering coefficient c(v) = 2·tri(v)/(d(v)·(d(v)−1))
     (Watts–Strogatz 1998) over the same triangle-rich graph — the
@@ -4256,50 +4115,12 @@ def q_clustering(sf_dir: str) -> pd.DataFrame:
     })
 
 
-SQL_CLUSTERING = SQL_TRIANGLES.replace(
-    """SELECT d.doc_id::BIGINT AS node, coalesce(t.t, 0)::BIGINT AS triangles,
-       coalesce(g.d, 0)::BIGINT AS degree
-FROM documents d LEFT JOIN tri t ON t.v = d.doc_id
-LEFT JOIN deg g ON g.v = d.doc_id
-ORDER BY node""",
-    """SELECT d.doc_id::BIGINT AS node,
-       round(CASE WHEN coalesce(g.d, 0) >= 2
-             THEN 2.0 * coalesce(t.t, 0) / (g.d * (g.d - 1.0))
-             ELSE 0.0 END, 6) AS coeff
-FROM documents d LEFT JOIN tri t ON t.v = d.doc_id
-LEFT JOIN deg g ON g.v = d.doc_id
-ORDER BY node""")
 assert SQL_CLUSTERING != SQL_TRIANGLES
-
-QUERIES.update({"clustering": q_clustering})
-ORACLES.update({"clustering": SQL_CLUSTERING})
 
 
 # ---------------------------------------------------------------------
 # global graph stats — full oracle
 # ---------------------------------------------------------------------
-
-
-def q_graph_stats(sf_dir: str) -> pd.DataFrame:
-    """Global panel of the ring+quadratic graph (i→i+1, i→(i²+3)%N):
-    edge counts, distinct pairs, reciprocal pairs, and Newman (2002)
-    degree assortativity (ops/crawl.py:graph_stats).  The parity
-    trick: every Pearson term is an INTEGER sum of integer degrees —
-    exact in any combination order across engines/partitions — so the
-    only float op is the final division, rounded once; no
-    round-before-aggregate schedule anywhere."""
-    from ..ops.crawl import graph_stats
-
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id"])
-    n = docs.count()
-    edges = docs.map_batches(
-        _mk_edges_fn(n, [lambda i: i + 1, lambda i: i * i + 3]),
-        batch_format="pyarrow")
-    df = graph_stats(edges, n).to_pandas()
-    for c in ("n_edges", "n_distinct", "n_reciprocal"):
-        df[c] = df[c].astype("int64")
-    return df.reset_index(drop=True)
 
 
 SQL_GRAPH_STATS = """
@@ -4331,8 +4152,28 @@ SELECT e_cnt AS n_edges,
 FROM sums
 """
 
-QUERIES.update({"graph_stats": q_graph_stats})
-ORACLES.update({"graph_stats": SQL_GRAPH_STATS})
+
+@query(oracle=SQL_GRAPH_STATS)
+def q_graph_stats(sf_dir: str) -> pd.DataFrame:
+    """Global panel of the ring+quadratic graph (i→i+1, i→(i²+3)%N):
+    edge counts, distinct pairs, reciprocal pairs, and Newman (2002)
+    degree assortativity (ops/crawl.py:graph_stats).  The parity
+    trick: every Pearson term is an INTEGER sum of integer degrees —
+    exact in any combination order across engines/partitions — so the
+    only float op is the final division, rounded once; no
+    round-before-aggregate schedule anywhere."""
+    from ..ops.crawl import graph_stats
+
+    docs = ray.data.read_parquet(
+        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id"])
+    n = docs.count()
+    edges = docs.map_batches(
+        _mk_edges_fn(n, [lambda i: i + 1, lambda i: i * i + 3]),
+        batch_format="pyarrow")
+    df = graph_stats(edges, n).to_pandas()
+    for c in ("n_edges", "n_distinct", "n_reciprocal"):
+        df[c] = df[c].astype("int64")
+    return df.reset_index(drop=True)
 
 
 # ---------------------------------------------------------------------
@@ -4342,26 +4183,6 @@ ORACLES.update({"graph_stats": SQL_GRAPH_STATS})
 # every third source domain disallows the /p/1* and /p/2* path families
 ROBOTS_RULES = {f"src{j}.example.org": ["/p/1", "/p/2"]
                 for j in range(0, 20, 3)}
-
-
-def q_robots(sf_dir: str) -> pd.DataFrame:
-    """Robots-exclusion gate over the synthetic messy URLs
-    (ops/crawl.py:robots_filter — broadcast rule table, one RE2
-    domain extract + one authority strip per batch with the SAME
-    pattern strings as the oracle's regexp_extract/regexp_replace,
-    one vectorized starts_with per rule).  Returns the ALLOWED rows;
-    /p/1 also blocks /p/10..19 — robots prefix semantics, by
-    design."""
-    from ..ops.crawl import robots_filter
-
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "source"])
-    pages = docs.map_batches(_synth_urls, batch_format="pyarrow")
-    df = (robots_filter(pages, ROBOTS_RULES)
-          .to_pandas()[["doc_id", "url"]])
-    df["doc_id"] = df["doc_id"].astype("int64")
-    return df.sort_values("doc_id").reset_index(drop=True)
 
 
 def _sql_robots() -> str:
@@ -4385,8 +4206,25 @@ ORDER BY doc_id
 """
 
 
-QUERIES.update({"robots": q_robots})
-ORACLES.update({"robots": _sql_robots()})
+@query(oracle=_sql_robots())
+def q_robots(sf_dir: str) -> pd.DataFrame:
+    """Robots-exclusion gate over the synthetic messy URLs
+    (ops/crawl.py:robots_filter — broadcast rule table, one RE2
+    domain extract + one authority strip per batch with the SAME
+    pattern strings as the oracle's regexp_extract/regexp_replace,
+    one vectorized starts_with per rule).  Returns the ALLOWED rows;
+    /p/1 also blocks /p/10..19 — robots prefix semantics, by
+    design."""
+    from ..ops.crawl import robots_filter
+
+    docs = ray.data.read_parquet(
+        os.path.join(sf_dir, "documents.parquet"),
+        columns=["doc_id", "source"])
+    pages = docs.map_batches(_synth_urls, batch_format="pyarrow")
+    df = (robots_filter(pages, ROBOTS_RULES)
+          .to_pandas()[["doc_id", "url"]])
+    df["doc_id"] = df["doc_id"].astype("int64")
+    return df.sort_values("doc_id").reset_index(drop=True)
 
 
 # ---------------------------------------------------------------------
@@ -4399,45 +4237,6 @@ CORE_SQL_LEVELS = 32  # ≥ h-index convergence rounds at every test sf
 #                       propagation distance), slower than components);
 #                       the operator is idempotent at the fixpoint, so
 #                       extra CTE levels are exact no-ops
-
-
-def q_coreness(sf_dir: str) -> pd.DataFrame:
-    """k-core decomposition over an irregular graph (partial ring
-    i%7≠0, sparse chords i%4==0, quadratic map i%3≠0 — true core
-    numbers spread over {1,2,3} at sf0.01, so the check
-    discriminates) via the iterated H-index operator (Lü 2016), run to the
-    FIXPOINT (ops/crawl.py:coreness — canonical symmetric adjacency
-    materialized once, one slim (node, neighbor-value) exchange +
-    vectorized in-group Hirsch rank per round, O(n) driver fold;
-    integer-exact, so the fixed-depth CTE oracle is exact with spare
-    levels as no-ops)."""
-    from ..ops.crawl import coreness
-
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id"])
-    n = docs.count()
-
-    def mk_edges(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(
-            np.int64)
-        ring = ids[ids % 7 != 0]
-        chord = ids[ids % 4 == 0]
-        quad = ids[ids % 3 != 0]
-        return pa.table({
-            "src": pa.array(np.concatenate([ring, chord, quad])),
-            "dst": pa.array(np.concatenate(
-                [(ring + 1) % n, (chord + 2) % n,
-                 (quad * quad + 3) % n])),
-        })
-
-    edges = docs.map_batches(mk_edges, batch_format="pyarrow")
-    # max_iter pinned to the oracle's CTE depth: a graph needing more
-    # rounds RAISES (naming the constant) instead of silently
-    # hash-mismatching against an under-iterated h32
-    df = coreness(edges, n, max_iter=CORE_SQL_LEVELS).to_pandas()
-    df["node"] = df["node"].astype("int64")
-    df["coreness"] = df["coreness"].astype("int64")
-    return df.sort_values("node").reset_index(drop=True)
 
 
 def _sql_coreness() -> str:
@@ -4477,8 +4276,44 @@ SELECT id::BIGINT AS node, val::BIGINT AS coreness
 FROM h{CORE_SQL_LEVELS} ORDER BY node""")
 
 
-QUERIES.update({"coreness": q_coreness})
-ORACLES.update({"coreness": _sql_coreness()})
+@query(oracle=_sql_coreness())
+def q_coreness(sf_dir: str) -> pd.DataFrame:
+    """k-core decomposition over an irregular graph (partial ring
+    i%7≠0, sparse chords i%4==0, quadratic map i%3≠0 — true core
+    numbers spread over {1,2,3} at sf0.01, so the check
+    discriminates) via the iterated H-index operator (Lü 2016), run to the
+    FIXPOINT (ops/crawl.py:coreness — canonical symmetric adjacency
+    materialized once, one slim (node, neighbor-value) exchange +
+    vectorized in-group Hirsch rank per round, O(n) driver fold;
+    integer-exact, so the fixed-depth CTE oracle is exact with spare
+    levels as no-ops)."""
+    from ..ops.crawl import coreness
+
+    docs = ray.data.read_parquet(
+        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id"])
+    n = docs.count()
+
+    def mk_edges(batch: pa.Table) -> pa.Table:
+        ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(
+            np.int64)
+        ring = ids[ids % 7 != 0]
+        chord = ids[ids % 4 == 0]
+        quad = ids[ids % 3 != 0]
+        return pa.table({
+            "src": pa.array(np.concatenate([ring, chord, quad])),
+            "dst": pa.array(np.concatenate(
+                [(ring + 1) % n, (chord + 2) % n,
+                 (quad * quad + 3) % n])),
+        })
+
+    edges = docs.map_batches(mk_edges, batch_format="pyarrow")
+    # max_iter pinned to the oracle's CTE depth: a graph needing more
+    # rounds RAISES (naming the constant) instead of silently
+    # hash-mismatching against an under-iterated h32
+    df = coreness(edges, n, max_iter=CORE_SQL_LEVELS).to_pandas()
+    df["node"] = df["node"].astype("int64")
+    df["coreness"] = df["coreness"].astype("int64")
+    return df.sort_values("node").reset_index(drop=True)
 
 
 # ---------------------------------------------------------------------
@@ -4490,21 +4325,6 @@ PERCOLATE_QUERIES = {
     "hash_only": ["hash"],
     "triple": ["vector", "window", "merge"],
 }
-
-
-def q_percolate(sf_dir: str) -> pd.DataFrame:
-    """The inverse of search: standing conjunctive queries matched
-    against the streaming documents (index/monitor.py:Percolator —
-    registry compiled once per actor, registry-prefiltered token
-    sets, one vectorized merge + groupby per batch; the crawl
-    ALERTING shape — thousands of standing queries vs billions of
-    streamed docs, zero shuffle)."""
-    from ..index.monitor import percolate
-
-    docs = _docs(sf_dir, ["doc_id", "text"])
-    df = (percolate(docs, PERCOLATE_QUERIES).to_pandas())
-    df["doc_id"] = df["doc_id"].astype("int64")
-    return df.sort_values(["doc_id", "query"]).reset_index(drop=True)
 
 
 def _sql_percolate() -> str:
@@ -4524,8 +4344,20 @@ ORDER BY doc_id, query
 """
 
 
-QUERIES.update({"percolate": q_percolate})
-ORACLES.update({"percolate": _sql_percolate()})
+@query(oracle=_sql_percolate())
+def q_percolate(sf_dir: str) -> pd.DataFrame:
+    """The inverse of search: standing conjunctive queries matched
+    against the streaming documents (index/monitor.py:Percolator —
+    registry compiled once per actor, registry-prefiltered token
+    sets, one vectorized merge + groupby per batch; the crawl
+    ALERTING shape — thousands of standing queries vs billions of
+    streamed docs, zero shuffle)."""
+    from ..index.monitor import percolate
+
+    docs = _docs(sf_dir, ["doc_id", "text"])
+    df = (percolate(docs, PERCOLATE_QUERIES).to_pandas())
+    df["doc_id"] = df["doc_id"].astype("int64")
+    return df.sort_values(["doc_id", "query"]).reset_index(drop=True)
 
 
 # ---------------------------------------------------------------------
@@ -4537,6 +4369,21 @@ SPELL_MAX_EDITS = 2
 SPELL_K = 5
 
 
+SQL_SPELLCHECK = f"""
+WITH toks AS ({TOKS}),
+stats AS (SELECT term, count(*)::BIGINT AS cf FROM toks GROUP BY term),
+cand AS (SELECT term, cf,
+                CASE WHEN term = '{SPELL_QUERY}' THEN 0
+                     WHEN levenshtein(term, '{SPELL_QUERY}') <= 1
+                     THEN 1 ELSE {SPELL_MAX_EDITS} END AS distance
+         FROM stats
+         WHERE levenshtein(term, '{SPELL_QUERY}') <= {SPELL_MAX_EDITS})
+SELECT term, cf, distance::BIGINT AS distance
+FROM cand ORDER BY cf DESC, distance, term LIMIT {SPELL_K}
+"""
+
+
+@query(oracle=SQL_SPELLCHECK)
 def q_spellcheck(sf_dir: str) -> pd.DataFrame:
     """Did-you-mean: vocabulary candidates within 2 edits of the
     misspelling, ranked by corpus evidence (cf desc, then distance
@@ -4560,43 +4407,9 @@ def q_spellcheck(sf_dir: str) -> pd.DataFrame:
     })
 
 
-SQL_SPELLCHECK = f"""
-WITH toks AS ({TOKS}),
-stats AS (SELECT term, count(*)::BIGINT AS cf FROM toks GROUP BY term),
-cand AS (SELECT term, cf,
-                CASE WHEN term = '{SPELL_QUERY}' THEN 0
-                     WHEN levenshtein(term, '{SPELL_QUERY}') <= 1
-                     THEN 1 ELSE {SPELL_MAX_EDITS} END AS distance
-         FROM stats
-         WHERE levenshtein(term, '{SPELL_QUERY}') <= {SPELL_MAX_EDITS})
-SELECT term, cf, distance::BIGINT AS distance
-FROM cand ORDER BY cf DESC, distance, term LIMIT {SPELL_K}
-"""
-
-QUERIES.update({"spellcheck": q_spellcheck})
-ORACLES.update({"spellcheck": SQL_SPELLCHECK})
-
-
 # ---------------------------------------------------------------------
 # HyperLogLog distinct sketch — full oracle
 # ---------------------------------------------------------------------
-
-
-def q_hll(sf_dir: str) -> pd.DataFrame:
-    """Per-source HyperLogLog distinct-text estimate
-    (ops/sketches.py:hll_distinct — p=10, 1024 registers, max-merged
-    partials: associative/commutative/idempotent, so registers are
-    bit-identical across engines and partitionings; rho comes from
-    exact integer bit-compares, NOT floor(log2), in BOTH engines).
-    The output exposes n_zero and the integer register sum alongside
-    the estimate, so the oracle discriminates on register content."""
-    from ..ops.sketches import hll_distinct
-
-    ds = _docs(sf_dir, ["text", "source"])
-    df = hll_distinct(ds, "text", "source").to_pandas()
-    df["n_zero"] = df["n_zero"].astype("int64")
-    df["sum_rho"] = df["sum_rho"].astype("int64")
-    return df.sort_values("group").reset_index(drop=True)
 
 
 def _sql_hll() -> str:
@@ -4632,8 +4445,22 @@ FROM fin ORDER BY "group"
 """
 
 
-QUERIES.update({"hll": q_hll})
-ORACLES.update({"hll": _sql_hll()})
+@query(oracle=_sql_hll())
+def q_hll(sf_dir: str) -> pd.DataFrame:
+    """Per-source HyperLogLog distinct-text estimate
+    (ops/sketches.py:hll_distinct — p=10, 1024 registers, max-merged
+    partials: associative/commutative/idempotent, so registers are
+    bit-identical across engines and partitionings; rho comes from
+    exact integer bit-compares, NOT floor(log2), in BOTH engines).
+    The output exposes n_zero and the integer register sum alongside
+    the estimate, so the oracle discriminates on register content."""
+    from ..ops.sketches import hll_distinct
+
+    ds = _docs(sf_dir, ["text", "source"])
+    df = hll_distinct(ds, "text", "source").to_pandas()
+    df["n_zero"] = df["n_zero"].astype("int64")
+    df["sum_rho"] = df["sum_rho"].astype("int64")
+    return df.sort_values("group").reset_index(drop=True)
 
 
 # ---------------------------------------------------------------------
@@ -4641,33 +4468,6 @@ ORACLES.update({"hll": _sql_hll()})
 # ---------------------------------------------------------------------
 
 CMS_PHI = 0.01
-
-
-def q_cms_hh(sf_dir: str) -> pd.DataFrame:
-    """Approximate heavy hitters by Count-Min sketch over the token
-    stream (ops/sketches.py:cms_heavy_hitters — d×w sum-merged
-    integer counters: exact under any combination order, so both
-    engines hold bit-identical counters and the approximate operator
-    is fully oracle-checkable; estimates only ever over-count, so the
-    result is a guaranteed superset of the true φ-heavy set)."""
-    from ..ops.sketches import cms_heavy_hitters
-
-    docs = _docs(sf_dir, ["text"])
-
-    def toks(batch: pa.Table) -> pa.Table:
-        import re
-
-        out = []
-        for t in batch["text"].to_pylist():
-            out.extend(re.findall(r"[a-z0-9]+", (t or "").lower()))
-        return pa.table({"term": pa.array(out, pa.string())})
-
-    stream = docs.map_batches(toks, batch_format="pyarrow")
-    df = cms_heavy_hitters(stream, "term", phi=CMS_PHI).to_pandas()
-    df["est"] = df["est"].astype("int64")
-    return df.sort_values(["est", "key"],
-                          ascending=[False, True]).reset_index(
-        drop=True)
 
 
 def _sql_cms_hh() -> str:
@@ -4696,8 +4496,32 @@ ORDER BY est DESC, key
 """
 
 
-QUERIES.update({"cms_hh": q_cms_hh})
-ORACLES.update({"cms_hh": _sql_cms_hh()})
+@query(oracle=_sql_cms_hh())
+def q_cms_hh(sf_dir: str) -> pd.DataFrame:
+    """Approximate heavy hitters by Count-Min sketch over the token
+    stream (ops/sketches.py:cms_heavy_hitters — d×w sum-merged
+    integer counters: exact under any combination order, so both
+    engines hold bit-identical counters and the approximate operator
+    is fully oracle-checkable; estimates only ever over-count, so the
+    result is a guaranteed superset of the true φ-heavy set)."""
+    from ..ops.sketches import cms_heavy_hitters
+
+    docs = _docs(sf_dir, ["text"])
+
+    def toks(batch: pa.Table) -> pa.Table:
+        import re
+
+        out = []
+        for t in batch["text"].to_pylist():
+            out.extend(re.findall(r"[a-z0-9]+", (t or "").lower()))
+        return pa.table({"term": pa.array(out, pa.string())})
+
+    stream = docs.map_batches(toks, batch_format="pyarrow")
+    df = cms_heavy_hitters(stream, "term", phi=CMS_PHI).to_pandas()
+    df["est"] = df["est"].astype("int64")
+    return df.sort_values(["est", "key"],
+                          ascending=[False, True]).reset_index(
+        drop=True)
 
 
 # ---------------------------------------------------------------------
@@ -4707,6 +4531,13 @@ ORACLES.update({"cms_hh": _sql_cms_hh()})
 FILTER_LANG = "en"
 
 
+SQL_BM25_FILTERED = _sql_bm25(
+    BM25_QUERY_TERMS, 10,
+    final_where=("WHERE doc_id IN (SELECT doc_id FROM documents "
+                 f"WHERE lang = '{FILTER_LANG}')"))
+
+
+@query(oracle=SQL_BM25_FILTERED)
 def q_bm25_filtered(sf_dir: str) -> pd.DataFrame:
     """filterQuery conjunction (Op.java yearQuery/typeQuery shape):
     BM25 over the standard query with a lang='en' doc mask — docs
@@ -4716,7 +4547,6 @@ def q_bm25_filtered(sf_dir: str) -> pd.DataFrame:
     CTE unfiltered)."""
     import pyarrow.parquet as _pq
 
-    from ..ops.textstats import round_half_away
     from ..query.filters import type_mask
 
     ix = _index(sf_dir)
@@ -4728,30 +4558,7 @@ def q_bm25_filtered(sf_dir: str) -> pd.DataFrame:
     mask = type_mask(langs, FILTER_LANG)
     res = ix.search_exact(list(BM25_QUERY_TERMS), 10,
                           filter_mask=mask)
-    return pd.DataFrame({
-        "doc_id": [d for d, _ in res],
-        "score": round_half_away([s for _, s in res]),
-    })
-
-
-SQL_BM25_FILTERED = _sql_bm25(
-    BM25_QUERY_TERMS, 10,
-    final_where=("WHERE doc_id IN (SELECT doc_id FROM documents "
-                 f"WHERE lang = '{FILTER_LANG}')"))
-
-
-def q_bm25_and(sf_dir: str) -> pd.DataFrame:
-    """Conjunctive BM25 (mode='and'): only docs containing EVERY
-    query term score (BooleanQuery MUST semantics); scores are the
-    same OR-mode sums, restricted."""
-    from ..ops.textstats import round_half_away
-
-    ix = _index(sf_dir)
-    res = ix.search_exact(list(BM25_QUERY_TERMS), 10, mode="and")
-    return pd.DataFrame({
-        "doc_id": [d for d, _ in res],
-        "score": round_half_away([s for _, s in res]),
-    })
+    return _hits_frame(res)
 
 
 _AND_TLIST = ", ".join(f"'{t}'" for t in BM25_QUERY_TERMS)
@@ -4767,7 +4574,12 @@ SQL_BM25_AND = _sql_bm25(
     WHERE term IN ({_AND_TLIST}) GROUP BY doc_id)
   WHERE nt = {len(BM25_QUERY_TERMS)})""")
 
-QUERIES.update({"bm25_filtered": q_bm25_filtered,
-                "bm25_and": q_bm25_and})
-ORACLES.update({"bm25_filtered": SQL_BM25_FILTERED,
-                "bm25_and": SQL_BM25_AND})
+
+@query(oracle=SQL_BM25_AND)
+def q_bm25_and(sf_dir: str) -> pd.DataFrame:
+    """Conjunctive BM25 (mode='and'): only docs containing EVERY
+    query term score (BooleanQuery MUST semantics); scores are the
+    same OR-mode sums, restricted."""
+    ix = _index(sf_dir)
+    res = ix.search_exact(list(BM25_QUERY_TERMS), 10, mode="and")
+    return _hits_frame(res)

@@ -108,6 +108,12 @@ def main():
                             "hash_match": False, "spark_rows": None,
                             "oracle_rows": None,
                             "err": f"{type(e).__name__}: {e}"}
+    ran = [n for n in report if n in oracles]
+    ok = sum(report[n]["hash_match"] is True for n in ran)
+    errs = [r["err"] for r in report.values()]
+    print(f"SUMMARY: full-oracle OK {ok}/{len(ran)}, "
+          f"rows-only {errs.count('no_oracle')}, "
+          f"errors {len(errs) - errs.count(None) - errs.count('no_oracle')}")
     print("FAILURES:", failures or "none")
     if json_out:
         import json as _json

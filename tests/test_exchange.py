@@ -34,6 +34,26 @@ def test_one_key_meets_in_one_call(ray_session, monkeypatch, parts):
         assert out["call"].nunique() <= parts
 
 
+def test_route_drops_schema_metadata():
+    """Ray's reduce tasks hash the block schemas; a pandas metadata dict
+    makes the schema unhashable, so the routed blocks carry none."""
+    import pyarrow as pa
+
+    df = pd.DataFrame({"k": np.arange(10) % 4, "v": np.arange(10)})
+    batch = pa.Table.from_pandas(df)
+    assert batch.schema.metadata  # the pandas index info
+    out = xc._route(batch, "k", np.uint64(3))
+    assert out.schema.metadata is None
+    hash(out.schema)
+    assert out.column_names == ["k", "v", xc._PART]
+    assert out.drop([xc._PART]).equals(batch.replace_schema_metadata(None))
+    part = out[xc._PART].to_numpy()
+    assert ((part >= 0) & (part < 3)).all()
+    # one key, one partition
+    assert pd.DataFrame({"k": df["k"], "p": part}).groupby("k")[
+        "p"].nunique().eq(1).all()
+
+
 def _sorted(df: pd.DataFrame) -> pd.DataFrame:
     return df.sort_values(list(df.columns)).reset_index(drop=True)
 

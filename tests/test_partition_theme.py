@@ -76,14 +76,16 @@ class TestThemeTerms:
         assert ix.theme_terms(mask, k=5) == ix.theme_terms(mask, k=5)
     @pytest.mark.parametrize("mode", ["BM25", "MINUS", "WEIGHTED", "IRDF",
                                       "RSJ", "FACTOR", "DKL"])
-    def test_distributed_path_matches(self, ix, mode):
-        """theme_terms(distributed=True) — the term_stats-style Ray job
-        over the postings artifact — must agree with the in-process
-        stream at the oracle's round-6 tolerance, every mode."""
+    def test_distributed_path_matches(self, ix, mode, monkeypatch):
+        """The term_stats-style Ray job over the postings artifact (forced
+        by a -1 size gate) must agree with the in-process stream at the
+        oracle's round-6 tolerance, every mode."""
         mask = np.zeros(20, bool)
         mask[:10] = True
-        a = ix.theme_terms(mask, k=8, mode=mode, distributed=False)
-        b = ix.theme_terms(mask, k=8, mode=mode, distributed=True)
+        assert ix.postings.total_bytes <= ix.THEME_DISTRIBUTED_MIN_BYTES
+        a = ix.theme_terms(mask, k=8, mode=mode)
+        monkeypatch.setattr(ix, "THEME_DISTRIBUTED_MIN_BYTES", -1)
+        b = ix.theme_terms(mask, k=8, mode=mode)
         assert [t for t, _ in a] == [t for t, _ in b]
         np.testing.assert_allclose([s for _, s in a], [s for _, s in b],
                                    rtol=1e-9, atol=1e-12)
@@ -96,7 +98,8 @@ class TestThemeTerms:
         ix.postings._shards.clear()
         mask = np.zeros(20, bool)
         mask[5:12] = True  # distinct mask → no _theme_cache hit
-        ix.theme_terms(mask, k=5, distributed=False)
+        assert ix.postings.total_bytes <= ix.THEME_DISTRIBUTED_MIN_BYTES
+        ix.theme_terms(mask, k=5)
         assert len(ix.postings.locs) > 8  # sweep touched > cap terms
         assert len(ix.postings._shards) <= 8
         # decoded arrays on evicted shards are garbage — only the
