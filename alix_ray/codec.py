@@ -183,3 +183,13 @@ def decode_block(docs_buf, tfs_buf, block_idx, n_entries, off_docs, off_tfs):
     deltas = vb_decode(memoryview(docs_buf)[do:d_end]).astype(np.int64)[:nd]
     tfs = vb_decode(memoryview(tfs_buf)[to:t_end]).astype(np.int64)[:nd]
     return np.cumsum(deltas), tfs
+
+
+def deleted_mask(ids: np.ndarray, deleted: np.ndarray) -> np.ndarray:
+    """Boolean mask: which of the doc ids ``ids`` (any order) are in the
+    sorted tombstone array ``deleted``.  O(|ids| log |deleted|)."""
+    if not len(deleted):
+        return np.zeros(len(ids), bool)
+    pos = np.searchsorted(deleted, ids)
+    pos[pos == len(deleted)] = 0
+    return deleted[pos] == ids

@@ -48,8 +48,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from ..codec import decode_block, decode_posting, vb_decode
-from ..stages.store import resolve_stage
+from ..codec import decode_block, decode_posting, deleted_mask, vb_decode
+from ..stages.store import resolve_stage, stage_files, walk_parquet
 
 BLOCK = 128
 
@@ -253,13 +253,13 @@ class Rail:
     _RG_CACHE_MAX = 64
 
     def __init__(self, analyzed_dir):
-        # _walk_parquet already yields full paths — joining again would
+        # walk_parquet already yields full paths — joining again would
         # double the prefix for relative index dirs.  Accepts one dir or
         # a list of generation dirs (incremental index) — doc ranges
         # across generations are disjoint, so the concatenated span list
         # prunes exactly as in the single-dir case.
         dirs = [analyzed_dir] if isinstance(analyzed_dir, str) else analyzed_dir
-        self.files = sorted(f for d in dirs for f in _walk_parquet(d))
+        self.files = sorted(f for d in dirs for f in walk_parquet(d))
         self._pf = [pq.ParquetFile(f) for f in self.files]
         self._spans: list[tuple[int, int, int, int]] = []  # (min,max,fi,rg)
         for fi, pf in enumerate(self._pf):
@@ -353,7 +353,7 @@ class _DocStore:
         dirs = [docs_dir] if isinstance(docs_dir, str) else docs_dir
         self._pf = [
             pq.ParquetFile(f)
-            for f in sorted(f for d in dirs for f in _walk_parquet(d))
+            for f in sorted(f for d in dirs for f in walk_parquet(d))
         ]
         self._spans: list[tuple[int, int, int, int]] = []
         for fi, pf in enumerate(self._pf):
@@ -388,13 +388,6 @@ class _DocStore:
                     i = rows[doc_id]
                     return {c: t[c][i].as_py() for c in t.column_names}
         raise KeyError(doc_id)
-
-
-def _walk_parquet(dir_: str):
-    for root, _dirs, names in os.walk(dir_):
-        for n in names:
-            if n.endswith(".parquet"):
-                yield os.path.join(root, n)
 
 
 def _generation_dirs(out_dir: str) -> list[str]:
@@ -893,7 +886,7 @@ class BM25Index:
         for shard in self.postings[term]:
             d, t = shard.decode()
             if len(self.deleted):
-                live = ~self._deleted_mask(d)
+                live = ~deleted_mask(d, self.deleted)
                 if not live.all():
                     d, t = d[live], t[live]
                 if not len(d):
@@ -930,13 +923,6 @@ class BM25Index:
         for shard in self.postings[term]:  # doc-range shards: disjoint
             tf += shard.tf_of(cand)
         return self._contrib(term, cand, tf.astype(np.float64), "bm25")
-
-    def _deleted_mask(self, d: np.ndarray) -> np.ndarray:
-        """Boolean mask: which of the (sorted or unsorted) doc ids in
-        ``d`` are tombstoned.  O(|d| log |deleted|)."""
-        pos = np.searchsorted(self.deleted, d)
-        pos[pos == len(self.deleted)] = 0
-        return self.deleted[pos] == d
 
     # -- exact term-at-a-time (the oracle) ----------------------------
     def search_exact(self, terms, k: int = 10, mode: str = "or",
@@ -1343,7 +1329,7 @@ class BM25Index:
             if cand.size == 0:
                 return []
         if len(self.deleted):
-            cand = cand[~self._deleted_mask(cand)]
+            cand = cand[~deleted_mask(cand, self.deleted)]
             if cand.size == 0:
                 return []
         # score EVERY candidate first (vectorized per term — candidates
@@ -1669,10 +1655,9 @@ class BM25Index:
         (``keep_positions=True`` build) — probed from the first
         analyzed file's schema, never by reading data."""
         try:
-            files = _walk_parquet(
-                resolve_stage(self.gen_dirs[0], "analyzed"))
+            files = stage_files(self.gen_dirs[:1], "analyzed")
             return "positions" in pq.ParquetFile(
-                sorted(files)[0]).schema_arrow.names
+                files[0]).schema_arrow.names
         except Exception:
             return False
 

@@ -58,13 +58,11 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
-import ray
 import ray.data
 
-from ..stages import smallbuild
 from ..stages.build import IndexBuilder
-from ..stages.store import resolve_stage
-from .engine import _load_tombstones, _walk_parquet
+from ..stages.store import resolve_stage, stage_files, walk_parquet
+from .engine import _load_tombstones
 
 _STATE = "generations.json"
 _LOCK = "write.lock"
@@ -163,22 +161,6 @@ def _locked(fn):
     return wrapper
 
 
-def _drop_deleted_fn(del_ref):
-    """Batch filter dropping tombstoned doc ids (broadcast sorted
-    array via ``ray.put`` — read once per task, never reshipped)."""
-
-    def drop(t: pa.Table) -> pa.Table:
-        d = ray.get(del_ref)
-        if not len(d) or not t.num_rows:
-            return t
-        ids = t["doc_id"].to_numpy(zero_copy_only=False)
-        pos = np.searchsorted(d, ids)
-        pos[pos == len(d)] = 0
-        return t.filter(pa.array(~(d[pos] == ids)))
-
-    return drop
-
-
 class IndexWriter:
     """Writer handle over a generational index rooted at ``root``.
 
@@ -266,10 +248,8 @@ class IndexWriter:
         return out
 
     def _keep_positions(self, gen: str) -> bool:
-        adir = resolve_stage(self._gen_dir(gen), "analyzed")
-        for f in sorted(_walk_parquet(adir)):
-            return "positions" in pq.read_schema(f).names
-        return False
+        fs = stage_files([self._gen_dir(gen)], "analyzed")
+        return bool(fs) and "positions" in pq.read_schema(fs[0]).names
 
     def _builder(self, gen_dir: str, id_base: int = 0,
                  like: dict | None = None) -> IndexBuilder:
@@ -308,11 +288,8 @@ class IndexWriter:
         an ingestion ledger can never desynchronize from the index);
         merges concatenate list values across source generations.
 
-        A pages-kind input of at most ``SMALL_BUILD_MAX_ROWS`` rows is
-        built by the single-pass flush builder
-        (``stages/smallbuild.py``); a larger one, or a documents-kind
-        input, by the staged checkpointed builder.  Both write the
-        same artifacts under the same fingerprints."""
+        The generation is built by ``IndexBuilder.build``, which picks
+        the flush or the staged plan exactly as for a base build."""
         state = self._state()
         gens = state["generations"]
         name = f"gen-{state['next']:05d}"
@@ -329,9 +306,7 @@ class IndexWriter:
             b.keep_positions = self._keep_positions(gens[0])
         else:
             b = self._builder(gdir)
-        if not (input_kind == "pages"
-                and smallbuild.try_build_small(b, ds, fp)):
-            b.build(ds, input_kind=input_kind, fingerprint=fp)
+        b.build(ds, input_kind=input_kind, fingerprint=fp)
         tombs = list(state["tombstones"])
         if gens and input_kind == "documents":
             lo = _min_doc_id(resolve_stage(gdir, "docs"))
@@ -397,7 +372,9 @@ class IndexWriter:
         equals a one-shot build over the live documents (postings and
         stats rebuild from the merged analyzed artifact under the
         merged corpus' own avgdl, so scores are exact, not
-        stale-bounded)."""
+        stale-bounded).  The new generation is built by
+        ``IndexBuilder.compact``, which picks the flush or the staged
+        plan by live rows."""
         state = self._state()
         gens = state["generations"]
         if not gens:
@@ -570,40 +547,16 @@ class IndexWriter:
     # -- internals -----------------------------------------------------
     def _rebuild_from(self, gens: list[str], deleted: np.ndarray,
                       name: str) -> str:
-        """Stream docs+analyzed of ``gens`` through a tombstone filter
-        into a new generation ``name`` and rebuild its postings/stats —
-        the analysis chain is never re-run (the analyzed artifact is
-        the copy source, as a Lucene merge copies postings)."""
-        cfgs = self._gen_cfgs(gens)
-        gdir = self._gen_dir(name)
-        b = self._builder(gdir, like=cfgs[0])
+        """Build generation ``name`` from the live docs of ``gens`` minus
+        ``deleted`` (``IndexBuilder.compact``: doc ids kept, the
+        analysis chain never re-runs)."""
+        b = self._builder(self._gen_dir(name),
+                          like=self._gen_cfgs(gens[:1])[0])
         b.keep_positions = self._keep_positions(gens[0])
         # fingerprint: the source generation list + tombstone count —
         # a crashed merge resumes stage-by-stage under the same fp
-        fp = "merge:" + ",".join(gens) + f":{len(deleted)}"
-        docs_dirs = [resolve_stage(self._gen_dir(g), "docs")
-                     for g in gens]
-        an_dirs = [resolve_stage(self._gen_dir(g), "analyzed")
-                   for g in gens]
-        # small LIVE set → the single-pass flush rebuild (two raw task
-        # waves; skips the 5-stage pipeline's ~4 s fixed overhead).
-        # live count is exact: every tombstone targets one live doc in
-        # these generations (validated at delete/update time).
-        live = sum(c["n_docs"] for c in cfgs) - int(len(deleted))
-        if live <= smallbuild.SMALL_COMPACT_MAX_ROWS and \
-                smallbuild.try_compact_small(
-                    b, _parquet_files(docs_dirs), _parquet_files(an_dirs),
-                    deleted, fp):
-            return name
-        del_ref = ray.put(deleted)
-        drop = _drop_deleted_fn(del_ref)
-        docs = ray.data.read_parquet(_parquet_files(docs_dirs)).map_batches(
-            drop, batch_format="pyarrow")
-        b.build_docs_from_documents(docs, fp)
-        analyzed = ray.data.read_parquet(_parquet_files(an_dirs)).map_batches(
-            drop, batch_format="pyarrow")
-        b.seed_analyzed(analyzed, fp)
-        b.build_from_analyzed(fp)
+        b.compact([self._gen_dir(g) for g in gens], deleted,
+                  "merge:" + ",".join(gens) + f":{len(deleted)}")
         return name
 
     def _check_ids_in_range(self, ids: np.ndarray, gens) -> None:
@@ -622,6 +575,16 @@ class IndexWriter:
             raise ValueError(
                 f"doc ids outside every generation's id range: {bad}")
 
+    def _url_docs_files(self, gens) -> list[str]:
+        """Docs files of the generations in ``gens`` that carry a url
+        column (pages-kind builds)."""
+        files = []
+        for g in gens:
+            fs = stage_files([self._gen_dir(g)], "docs")
+            if fs and "url" in pq.read_schema(fs[0]).names:
+                files += fs
+        return files
+
     def _find_ids_by_url(self, urls, gens) -> np.ndarray:
         """Doc ids whose url is in ``urls``, across ``gens`` — a
         distributed filter of the docs artifact against the broadcast
@@ -631,12 +594,7 @@ class IndexWriter:
         uset = pa.array(sorted({str(u) for u in urls}), pa.large_string())
         if not len(uset):
             return np.empty(0, np.int64)
-        files = []
-        for g in gens:
-            d = resolve_stage(self._gen_dir(g), "docs")
-            fs = sorted(_walk_parquet(d))
-            if fs and "url" in pq.read_schema(fs[0]).names:
-                files += fs
+        files = self._url_docs_files(gens)
         if not files:
             raise ValueError(
                 "url-keyed delete/update needs a pages-kind build "
@@ -664,13 +622,8 @@ class IndexWriter:
 
         from ..ops.exchange import exchange, string_key
 
-        new_files = _parquet_files([resolve_stage(new_gen_dir, "docs")])
-        old_files = []
-        for g in gens:
-            fs = sorted(_walk_parquet(resolve_stage(self._gen_dir(g),
-                                                    "docs")))
-            if fs and "url" in pq.read_schema(fs[0]).names:
-                old_files += fs
+        new_files = stage_files([new_gen_dir], "docs")
+        old_files = self._url_docs_files(gens)
         if not old_files:
             raise ValueError(
                 "url-keyed update needs pages-kind generations "
@@ -736,12 +689,6 @@ def _merge_metas(metas: list) -> dict:
     return out
 
 
-def _parquet_files(dirs) -> list[str]:
-    """Expand stage dirs to their parquet files — ray.data.read_parquet
-    expands ONE directory argument but not a list of directories."""
-    return [f for d in dirs for f in sorted(_walk_parquet(d))]
-
-
 def _read_column(dir_: str, col: str) -> list:
     return pq.read_table(dir_, columns=[col])[col].to_pylist()
 
@@ -750,7 +697,7 @@ def _min_doc_id(docs_dir: str):
     """Min doc_id across the docs artifact via Parquet row-group
     statistics — a metadata scan, no data read."""
     lo = None
-    for f in _walk_parquet(docs_dir):
+    for f in walk_parquet(docs_dir):
         md = pq.read_metadata(f)
         ci = md.schema.to_arrow_schema().get_field_index("doc_id")
         for rg in range(md.num_row_groups):

@@ -86,10 +86,12 @@ def _docs_text(sf_dir: str) -> ray.data.Dataset:
     # granularity, so every per-doc stage (tokenize/hash/minhash) would
     # run as a single task.  The explicit repartition is an all-to-all
     # of a few MB here; production inputs arrive as many files and
-    # never need it.
+    # never need it.  Pandas schema metadata is dropped first: Ray's
+    # reduce tasks cannot hash a schema holding its dict.
     return ray.data.read_parquet(
         os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"],
-    ).repartition(64)
+    ).map_batches(lambda t: t.replace_schema_metadata(None),
+                  batch_format="pyarrow", zero_copy_batch=True).repartition(64)
 
 
 # ---------------------------------------------------------------------

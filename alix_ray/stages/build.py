@@ -36,6 +36,7 @@ import ray.data
 from ray.data.aggregate import Sum
 
 from .. import B, IDF_EXP, K1
+from ..codec import deleted_mask
 from .analyze import extract_batch
 from .docids import assign_ranks
 from .postings import (
@@ -44,7 +45,7 @@ from .postings import (
     SegmentEncode,
     make_merge_fn,
 )
-from .store import Manifest, make_store, resolve_stage  # noqa: F401 (Manifest re-exported)
+from .store import Manifest, make_store, stage_files  # noqa: F401 (Manifest re-exported)
 
 STAGES = ("docs", "analyzed", "doc_stats", "postings", "term_stats")
 
@@ -217,8 +218,31 @@ def write_stats_shards(t: pa.Table, root: str, name: str,
                        os.path.join(sdir, f"{name}.parquet"))
 
 
+def drop_deleted(t: pa.Table, deleted: np.ndarray) -> pa.Table:
+    """``t`` without the rows whose doc_id is in the sorted tombstone
+    array ``deleted`` (both compaction plans filter with it)."""
+    if not len(deleted) or not t.num_rows:
+        return t
+    ids = t["doc_id"].to_numpy(zero_copy_only=False)
+    return t.filter(pa.array(~deleted_mask(ids, deleted)))
+
+
 class IndexBuilder:
-    """Builds the full index under ``out_dir``; resumable per stage."""
+    """Builds the full index under ``out_dir``; resumable per stage.
+
+    :meth:`build` and :meth:`compact` pick the flush plan
+    (``stages/smallbuild.py``) under its row gates, else the staged
+    plan below; both give the same artifacts and fingerprints."""
+
+    # docs files are row-bounded and their uncompressed bytes bounded,
+    # so the analyze stage reads balanced blocks (see _docs_from_pages)
+    DOCS_ROWS_PER_FILE = 500
+    DOCS_MAX_FILE_BYTES = 1_500_000
+    # None → one analyze batch per (byte-bounded) block (see
+    # _analyze_pipeline); ANALYZE_OVERLAP analyze groups run at a time
+    ANALYZE_BATCH_SIZE = None
+    ANALYZE_OVERLAP = 2
+    SEGMENT_BATCH_SIZE = 8192  # rows per segment-encode batch
 
     def __init__(
         self,
@@ -226,16 +250,9 @@ class IndexBuilder:
         analyzer: str = "french",  # "french" | "simple"
         shard_range: int = DEFAULT_SHARD_RANGE,
         num_buckets: int = DEFAULT_NUM_BUCKETS,
-        analyze_concurrency: int | tuple | None = None,
-        analyze_batch_size: int | None = None,
-        segment_batch_size: int = 8192,
         idf_exp: float = IDF_EXP,
-        analyze_groups: int | None = None,
-        docs_rows_per_file: int = 500,
-        docs_max_file_bytes: int = 1_500_000,
         keep_positions: bool = False,
         hunspell_resources: tuple | None = None,
-        analyze_overlap: int = 2,
         # "rename" (shared FS) | "pointer" (object store) | an
         # ArtifactStore INSTANCE (e.g. PointerStore(root, fs=<fsspec>)
         # for a real object-store URI — protocol metadata flows
@@ -250,13 +267,7 @@ class IndexBuilder:
         self.analyzer = analyzer
         self.shard_range = shard_range
         self.num_buckets = num_buckets
-        self.analyze_concurrency = analyze_concurrency
-        self.analyze_batch_size = analyze_batch_size
-        self.segment_batch_size = segment_batch_size
         self.idf_exp = idf_exp
-        self.analyze_groups = analyze_groups
-        self.docs_rows_per_file = docs_rows_per_file
-        self.docs_max_file_bytes = docs_max_file_bytes
         # positions (the TermRail artifact, SURVEY.md §1.3) multiply the
         # analyzed artifact size ~3-5x and BM25 needs only tf
         # (SURVEY.md §7.4.6) — off by default, on for span/phrase queries
@@ -264,7 +275,6 @@ class IndexBuilder:
         # (dic_lines, aff_text) → compile a vocabulary-restricted
         # Hunspell sidecar after term_stats (HunspellCompiler analog)
         self.hunspell_resources = hunspell_resources
-        self.analyze_overlap = max(1, analyze_overlap)
         # delta generations of an incremental index stamp doc ids
         # starting at id_base (> every existing generation's max id)
         self.id_base = int(id_base)
@@ -310,8 +320,14 @@ class IndexBuilder:
         assignment beyond it (``docids.dedup_assign_ids`` — the
         10^12-doc path; ids identical by construction)."""
         fp = self.stage_fp("docs", fingerprint)
-        if self.manifest.stage_done("docs", fp):
-            return
+        if not self.manifest.stage_done("docs", fp):
+            # parquet metadata for a plain read — no scan
+            self._docs_from_pages(pages, fp, pages.count())
+
+    def _docs_from_pages(self, pages: ray.data.Dataset, fp: str,
+                         n_rows: int) -> None:
+        """The docs stage of ``pages`` (``n_rows`` rows) under docs
+        fingerprint ``fp``."""
         t0 = time.time()
         import functools
 
@@ -321,7 +337,6 @@ class IndexBuilder:
             stamp_ids_batch,
         )
 
-        n_rows = pages.count()  # parquet metadata — no scan
         if n_rows > self.BROADCAST_DICT_MAX_ROWS:
             # distributed path: sort moves (url, ts, text …) — html is
             # dropped first so the wide exchange never carries it
@@ -353,16 +368,16 @@ class IndexBuilder:
                 batch_format="pyarrow",
             )
         # bounded rows per file → the analyze stage reads balanced
-        # blocks.  Small bound (default 250 rows) also disperses
+        # blocks.  A small bound (DOCS_ROWS_PER_FILE) also disperses
         # doc-LENGTH skew: web corpora cluster giant pages under few
         # sites, and url-sorted ids put them in consecutive rows — with
         # large files one analyze task inherits the whole heavy cluster
         # (measured 14s straggler on the synthetic corpus).  At 10^12
         # scale this becomes a byte-bounded writer.
         _write_stage(deduped, self.store, "docs", self.manifest, fp,
-                     t_start=t0, min_rows_per_file=self.docs_rows_per_file // 2,
-                     max_rows_per_file=self.docs_rows_per_file,
-                     max_file_bytes=self.docs_max_file_bytes)
+                     t_start=t0, min_rows_per_file=self.DOCS_ROWS_PER_FILE // 2,
+                     max_rows_per_file=self.DOCS_ROWS_PER_FILE,
+                     max_file_bytes=self.DOCS_MAX_FILE_BYTES)
 
     def build_docs_from_documents(self, docs: ray.data.Dataset, fingerprint: str):
         """documents(doc_id,text,…) → docs stage (ids already dense)."""
@@ -370,9 +385,9 @@ class IndexBuilder:
         if self.manifest.stage_done("docs", fp):
             return
         _write_stage(docs, self.store, "docs", self.manifest, fp,
-                     min_rows_per_file=self.docs_rows_per_file // 2,
-                     max_rows_per_file=self.docs_rows_per_file,
-                     max_file_bytes=self.docs_max_file_bytes)
+                     min_rows_per_file=self.DOCS_ROWS_PER_FILE // 2,
+                     max_rows_per_file=self.DOCS_ROWS_PER_FILE,
+                     max_file_bytes=self.DOCS_MAX_FILE_BYTES)
 
     # -- stage 2: analyzed --------------------------------------------
     def _analyze_pipeline(self, files: list[str]):
@@ -395,12 +410,12 @@ class IndexBuilder:
             functools.partial(analyze_batch_fn, profile=self.analyzer,
                               keep_positions=self.keep_positions),
             batch_format="pyarrow",
-            batch_size=self.analyze_batch_size,
+            batch_size=self.ANALYZE_BATCH_SIZE,
         )
 
     GROUP_TARGET_BYTES = 512 * 1024 * 1024  # input bytes per resume unit
 
-    def build_analyzed(self, fingerprint: str, n_groups: int | None = None):
+    def build_analyzed(self, fingerprint: str):
         """The heavy stage — split into input-file groups, each written
         atomically with its own lineage row, so an interrupted build
         resumes from the last completed group (per-partition
@@ -418,12 +433,9 @@ class IndexBuilder:
             for f in os.listdir(docs_dir)
             if f.endswith(".parquet")
         )
-        if n_groups is None:
-            n_groups = self.analyze_groups
-        if n_groups is None:
-            total = sum(os.path.getsize(f) for f in files)
-            n_groups = max(1, int(total // self.GROUP_TARGET_BYTES))
-        n_groups = max(1, min(n_groups, len(files)))
+        total = sum(os.path.getsize(f) for f in files)
+        n_groups = max(1, min(int(total // self.GROUP_TARGET_BYTES),
+                              len(files)))
         bounds = np.linspace(0, len(files), n_groups + 1).astype(int)
         # clear=False: the staging prefix persists across crashed
         # attempts — committed groups inside it are the resume units
@@ -494,7 +506,7 @@ class IndexBuilder:
                     wall_ms=int((time.time() - t0) * 1000),
                 )
 
-        with ThreadPoolExecutor(max_workers=self.analyze_overlap) as ex:
+        with ThreadPoolExecutor(max_workers=self.ANALYZE_OVERLAP) as ex:
             # list() re-raises the first group failure (fail the stage,
             # completed groups stay checkpointed for the resume)
             list(ex.map(run_group, range(n_groups)))
@@ -503,32 +515,6 @@ class IndexBuilder:
             stage="analyzed", fingerprint=fp, status="done",
             wall_ms=int((time.time() - t_stage) * 1000),
         )
-
-    def seed_analyzed(self, ds: ray.data.Dataset, fingerprint: str):
-        """Adopt an ALREADY-ANALYZED dataset as this build's analyzed
-        stage — the compaction path of the incremental index: live
-        generations merge and tombstoned docs drop WITHOUT re-running
-        the analysis chain (Lucene's segment merge copies postings and
-        never re-tokenizes; here the analyzed artifact is the copy
-        source).  Written as one committed group with its doc_stats
-        projection part, exactly the layout ``build_analyzed`` leaves,
-        so every downstream stage runs unchanged."""
-        fp = self.fingerprints(fingerprint)["analyzed"]
-        if self.manifest.stage_done("analyzed", fp):
-            return
-        t0 = time.time()
-        gkey = "g00000"
-        tmp = self.store.stage_begin("analyzed", fp, clear=True)
-        gtmp = self.store.part_begin(tmp, gkey)
-        ds.write_parquet(gtmp)
-        gdir = self.store.part_commit(tmp, gkey)
-        self._write_stats_part(gdir, gkey)
-        self.manifest.append(stage="analyzed", partition=gkey,
-                             fingerprint=_fingerprint(fp, gkey),
-                             status="part-done")
-        self.store.stage_commit("analyzed", fp)
-        self.manifest.append(stage="analyzed", fingerprint=fp, status="done",
-                             wall_ms=int((time.time() - t0) * 1000))
 
     # -- stage 3: doc_stats -------------------------------------------
     def _stats_parts_dir(self) -> str:
@@ -687,7 +673,7 @@ class IndexBuilder:
         segments = analyzed.map_batches(
             SegmentEncode(self.shard_range, self.num_buckets),
             batch_format="pyarrow",
-            batch_size=self.segment_batch_size,
+            batch_size=self.SEGMENT_BATCH_SIZE,
         )
         # block-max norms come from each group's own shard slice of the
         # shard-partitioned doc_stats artifact — no global dense array
@@ -768,35 +754,77 @@ class IndexBuilder:
 
     def build_from_analyzed(self, fingerprint: str) -> None:
         """doc_stats → postings → term_stats over the committed
-        analyzed stage of input ``fingerprint`` — the tail shared by
-        ``build`` and the incremental writer's rebuild."""
+        analyzed stage of input ``fingerprint`` — the staged tail of
+        ``build`` and ``compact``."""
         fps = self.fingerprints(fingerprint)
         self.build_doc_stats(fps["analyzed"])
         self.build_postings(fps["doc_stats"])
         self.build_term_stats(fps["postings"])
 
-    def build(self, input_ds: ray.data.Dataset, input_kind: str = "pages",
-              fingerprint: str = "input") -> str:
+    def _plan_start(self, fingerprint: str):
+        """Shared-FS guard; the stage fingerprints of input
+        ``fingerprint`` and the set of stages already done under them."""
         if getattr(self.store, "fs", None) is None:
             # an fsspec-backed store handles remote visibility itself;
-            # the probe protocol below is for plain shared-FS paths
+            # the probe protocol is for plain shared-FS paths
             verify_shared_fs(self.out_dir)
-        if input_kind == "pages":
-            self.build_docs_from_pages(input_ds, fingerprint)
+        fps = self.fingerprints(fingerprint)
+        return fps, {s for s, f in fps.items()
+                     if self.manifest.stage_done(s, f)}
+
+    def _flush_ok(self, done: set) -> bool:
+        """Whether the flush plan can take this build: it has no
+        intra-stage checkpoints (a partly done build resumes through
+        the staged ones), writes through no fsspec ``pa_fs`` plumbing,
+        and compiles no hunspell sidecar."""
+        return (not done and getattr(self.store, "fs", None) is None
+                and self.hunspell_resources is None)
+
+    def _record_plan(self, plan: str, done: set, rows, t0: float) -> None:
+        """One ``stage="build"`` manifest row (plan, input rows, wall)
+        per build; a rerun that finds every stage done appends none."""
+        if len(done) < len(STAGES):
+            self.manifest.append(stage="build", status="built", plan=plan,
+                                 rows=rows,
+                                 wall_ms=int((time.time() - t0) * 1000))
+
+    def build(self, input_ds: ray.data.Dataset, input_kind: str = "pages",
+              fingerprint: str = "input") -> str:
+        """Build the index of ``input_ds`` under ``out_dir``.
+
+        A pages-kind input of at most ``smallbuild.SMALL_BUILD_MAX_ROWS``
+        rows runs the flush plan (``smallbuild.build_small``); a larger
+        one, a documents-kind input, or a build ``_flush_ok`` declines
+        runs the staged stages.  A pages input is counted once (parquet
+        metadata for a plain read, one execution for a transformed one)
+        and that count serves both the flush gate and the docs stage."""
+        from . import smallbuild
+
+        t0 = time.time()
+        fps, done = self._plan_start(fingerprint)
+        n_rows = None
+        if input_kind == "pages" and "docs" not in done:
+            n_rows = input_ds.count()
+        if n_rows is not None and self._flush_ok(done) and \
+                n_rows <= smallbuild.SMALL_BUILD_MAX_ROWS:
+            plan = "flush"
+            smallbuild.build_small(self, input_ds, fps)
         else:
-            self.build_docs_from_documents(input_ds, fingerprint)
-        self.build_analyzed(self.stage_fp("docs", fingerprint))
-        self.build_from_analyzed(fingerprint)
+            plan = "staged"
+            if input_kind != "pages":
+                self.build_docs_from_documents(input_ds, fingerprint)
+            elif n_rows is not None:
+                self._docs_from_pages(input_ds, fps["docs"], n_rows)
+            self.build_analyzed(fps["docs"])
+            self.build_from_analyzed(fingerprint)
         if self.hunspell_resources is not None:
             # HunspellCompiler.compile analog: prune the supplied dic
             # to the indexed vocabulary, annotate fr: counts, write the
             # <field>.dic/.aff sidecar pair next to the index
             from ..analysis.hunspell import compile_restricted
 
-            ts = pq.read_table(
-                self.store.resolve("term_stats"),
-                columns=["term", "cf"],
-            )
+            ts = pq.read_table(self.store.resolve("term_stats"),
+                               columns=["term", "cf"])
             term_cf = dict(zip(ts["term"].to_pylist(),
                                ts["cf"].to_pylist()))
             dic_lines, aff_text = self.hunspell_resources
@@ -806,4 +834,60 @@ class IndexBuilder:
             )
             self.manifest.append(stage="hunspell", status="done",
                                  rows=kept, fingerprint="sidecar")
+        self._record_plan(plan, done, n_rows, t0)
         return self.out_dir
+
+    def compact(self, sources: list[str], deleted: np.ndarray,
+                fingerprint: str) -> str:
+        """Build this index from the docs and analyzed artifacts of the
+        index dirs ``sources`` minus the doc ids in the sorted array
+        ``deleted``.  Doc ids are kept and analysis never re-runs, as a
+        Lucene merge copies postings without re-tokenizing.  A live set
+        of at most ``smallbuild.SMALL_COMPACT_MAX_ROWS`` rows runs the
+        flush plan; else the staged stages run from docs on, the
+        filtered analyzed rows adopted as one committed group."""
+        from . import smallbuild
+
+        t0 = time.time()
+        fps, done = self._plan_start(fingerprint)
+        docs_files = stage_files(sources, "docs")
+        an_files = stage_files(sources, "analyzed")
+        # exact: every tombstone targets one live doc of the sources
+        # (validated at delete/update time)
+        live = sum(json.load(open(os.path.join(s, "config.json")))["n_docs"]
+                   for s in sources) - len(deleted)
+        if self._flush_ok(done) and live <= smallbuild.SMALL_COMPACT_MAX_ROWS:
+            plan = "flush"
+            smallbuild.compact_small(self, docs_files, an_files, deleted,
+                                     fps)
+        else:
+            plan = "staged"
+            del_ref = ray.put(np.asarray(deleted, np.int64))
+
+            def drop(t: pa.Table) -> pa.Table:
+                return drop_deleted(t, ray.get(del_ref))
+
+            self.build_docs_from_documents(ray.data.read_parquet(
+                docs_files).map_batches(drop, batch_format="pyarrow"),
+                fingerprint)
+            if "analyzed" not in done:
+                t_an, gkey = time.time(), "g00000"
+                tmp = self.store.stage_begin("analyzed", fps["analyzed"],
+                                             clear=True)
+                ray.data.read_parquet(an_files).map_batches(
+                    drop, batch_format="pyarrow").write_parquet(
+                        self.store.part_begin(tmp, gkey))
+                self._write_stats_part(self.store.part_commit(tmp, gkey),
+                                       gkey)
+                self.manifest.append(
+                    stage="analyzed", partition=gkey,
+                    fingerprint=_fingerprint(fps["analyzed"], gkey),
+                    status="part-done")
+                self.store.stage_commit("analyzed", fps["analyzed"])
+                self.manifest.append(
+                    stage="analyzed", fingerprint=fps["analyzed"],
+                    status="done", wall_ms=int((time.time() - t_an) * 1000))
+            self.build_from_analyzed(fingerprint)
+        self._record_plan(plan, done, live, t0)
+        return self.out_dir
+

@@ -1,52 +1,53 @@
-"""Single-pass index build for SMALL inputs (incremental deltas).
+"""Single-pass flush plan for SMALL inputs: base builds, incremental
+deltas and compactions.
 
 The staged builder (``stages/build.py``) runs five checkpointed Ray
-Data pipelines — right for the 10^12-doc base build, but a small delta
-generation pays ~4 s of fixed stage overhead (pipeline launches, a
-groupby shuffle, per-stage disk round-trips) for <1 s of real work
-(round-3 verdict: ``incr_add_delta10pct`` 5.5 s for 24k docs, cost
-∝ delta + ~4 s fixed).  Lucene has the same asymmetry and answers it
-with in-memory flushes: a small ``addDocuments`` batch builds its
-segment in one pass without the merge machinery (reference:
-``IndexWriter`` flush vs merge paths, SURVEY.md §1.3).
+Data pipelines — right for the 10^12-doc base build, but a small input
+pays ~4 s of fixed stage overhead (pipeline launches, a groupby
+shuffle, per-stage disk round-trips) for <1 s of real work (round-3
+verdict: ``incr_add_delta10pct`` 5.5 s for 24k docs, cost ∝ delta +
+~4 s fixed).  Lucene has the same asymmetry and answers it with
+in-memory flushes: a small ``addDocuments`` batch builds its segment in
+one pass without the merge machinery (reference: ``IndexWriter`` flush
+vs merge paths, SURVEY.md §1.3).
 
-This module is that flush path, one plan for every pages input:
+This module is that flush plan.  ``IndexBuilder.build`` and
+``IndexBuilder.compact`` pick it by the row gates below (the builder
+counts the input once; nothing here runs above a gate), so a base
+build, an ``IndexWriter.add_documents`` and a compaction of the same
+size take the same plan.  For a pages input (``build_small``):
 
-1. the row gate counts the input (parquet metadata for a plain read,
-   so nothing executes) — above ``SMALL_BUILD_MAX_ROWS`` the input
-   goes to the staged builder untouched;
-2. one Ray Data job extracts + analyzes every block and is
+1. one Ray Data job extracts + analyzes every block and is
    materialized (html is dropped by the extract, so only text and
    analysis rows stay in the object store);
-3. a raw task wave reduces each block to its (url, min ts) partial and
+2. a raw task wave reduces each block to its (url, min ts) partial and
    the driver merges them into the url→id dictionary
    (``docids.merge_url_ts_tables``, shared with the staged builder);
-4. a second wave dedups/stamps ids per block against the broadcast
+3. a second wave dedups/stamps ids per block against the broadcast
    dictionary, writes its docs / analyzed / doc_stats files, and
    returns only its ``SegmentEncode`` inverted segment
    (combine-before-anything: a few bytes per posting leave the task);
-5. a final wave merges segments per (bucket, shard) — the exact group
+4. a final wave merges segments per (bucket, shard) — the exact group
    shape and kernel of the staged ``groupby`` merge — and the driver
    writes config.json and the term_stats lexicon through the staged
    builder's own writers.
 
 Raw tasks replace Dataset jobs ONLY because every inter-stage payload
-here is driver-sized by the eligibility gate (``SMALL_BUILD_MAX_ROWS``);
-the staged path remains the scale path and is byte-compatible: every
-artifact is published through the same ``ArtifactStore`` stage
-begin/commit protocol under the SAME chained fingerprints
-(``IndexBuilder.fingerprints``), so resume (``stage_done``),
-compaction (``_rebuild_from``) and serving read the two paths
+here is driver-sized by the row gates; the staged plan remains the
+scale path and is byte-compatible: every artifact is published through
+the same ``ArtifactStore`` stage begin/commit protocol under the SAME
+chained fingerprints (``IndexBuilder.fingerprints``), so resume
+(``stage_done``), compaction and serving read the two plans
 interchangeably.  Artifact CONTENT is identical by construction — same
 id assignment (url rank + id_base), same analyze kernels, same
 segment/merge kernels (asserted by
 ``tests/test_incremental.py::test_small_path_matches_staged``).
 
-Crash semantics: the flush path has no intra-stage checkpoints — a
+Crash semantics: the flush plan has no intra-stage checkpoints — a
 crashed small build simply re-runs (it is seconds of work); any stage
 already committed under the expected fingerprint (a retried crash of
-the STAGED path) routes the whole build back to the staged builder,
-whose per-stage resume then fires.
+the STAGED plan) routes the whole build back to the staged plan, whose
+per-stage resume then fires.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ import pyarrow.parquet as pq
 import ray
 
 from .analyze import analyze_batch_fn, extract_batch
-from .build import _fingerprint, verify_shared_fs, write_stats_shards
+from .build import _fingerprint, drop_deleted, write_stats_shards
 from .docids import merge_url_ts_tables, stamp_ids_batch
 from .postings import (
     SegmentEncode,
@@ -70,16 +71,17 @@ from .postings import (
     make_merge_fn,
 )
 
-# Above this input row count the delta is no longer "small": segment /
-# stats payloads stop being driver-sized and the staged distributed
-# builder takes over.  ~200k docs ≈ a few hundred MB of analyzed
-# payload in the object store and <100 MB of driver-held segments.
+# Above this input row count a pages input is no longer "small":
+# segment / stats payloads stop being driver-sized and the staged
+# distributed plan takes over.  ~200k docs ≈ a few hundred MB of
+# analyzed payload in the object store and <100 MB of driver-held
+# segments.
 SMALL_BUILD_MAX_ROWS = 200_000
 
-# The flush COMPACT path holds strictly less driver state than the
-# flush add path (no url→id dictionary — ids are preserved; the driver
-# holds only the concatenated segment partials, ~400 B/doc), so its
-# row gate is looser.  ~400k docs ≈ <200 MB of driver-held segments.
+# The flush COMPACT plan holds strictly less driver state than the
+# flush build plan (no url→id dictionary — ids are preserved; the
+# driver holds only the concatenated segment partials, ~400 B/doc), so
+# its row gate is looser.  ~400k docs ≈ <200 MB of driver-held segments.
 SMALL_COMPACT_MAX_ROWS = 2 * SMALL_BUILD_MAX_ROWS
 
 _ANALYZED_COLS = ("terms", "tfs", "width", "tokens", "pos_terms",
@@ -222,24 +224,12 @@ def _merge_chunk(segments: pa.Table, offset: int, length: int,
 # ---------------------------------------------------------------------
 
 
-def _flush_begin(b, fingerprint: str):
-    """Prologue shared by the flush add and compact paths.  Returns
-    None when the flush path cannot take this build — an
-    fsspec-threaded PointerStore (it writes through ``pa_fs`` plumbing
-    the staged path owns), a hunspell sidecar, or any stage already
-    committed under this fingerprint chain (a partially-built staged
-    attempt must resume through the staged per-stage checkpoints).
-    Otherwise begins the docs / analyzed (one group) / doc_stats stages
-    and returns ``(fingerprints, staging dirs)``."""
-    if getattr(b.store, "fs", None) is not None or \
-            b.hunspell_resources is not None:
-        return None
-    fps = b.fingerprints(fingerprint)
-    if any(b.manifest.stage_done(s, f) for s, f in fps.items()):
-        return None
-    verify_shared_fs(b.out_dir)
+def _flush_begin(b, fps: dict) -> dict:
+    """Prologue shared by the flush build and compact plans: begin the
+    docs / analyzed (one group) / doc_stats stages under ``fps`` and
+    return their staging dirs."""
     an_tmp = b.store.stage_begin("analyzed", fps["analyzed"], clear=True)
-    return fps, dict(
+    return dict(
         docs_tmp=b.store.stage_begin("docs", fps["docs"], clear=True),
         an_tmp=an_tmp,
         an_gtmp=b.store.part_begin(an_tmp, "g00000"),
@@ -247,22 +237,11 @@ def _flush_begin(b, fingerprint: str):
                                       clear=True))
 
 
-def try_build_small(b, pages, fingerprint: str) -> bool:
-    """Build pages-kind ``pages`` as one flush generation if it is
-    small; return whether it built.  ``False`` means the caller runs
-    the staged builder on the same, untouched input.
-
-    The row gate runs first: ``pages.count()`` reads parquet metadata
-    for a plain read and executes a transformed input once.  Above
-    ``SMALL_BUILD_MAX_ROWS`` rows, or when ``_flush_begin`` declines,
-    nothing else runs."""
-    if pages.count() > SMALL_BUILD_MAX_ROWS:
-        return False
+def build_small(b, pages, fps: dict) -> None:
+    """Build pages-kind ``pages`` as one flush generation of builder
+    ``b`` under the stage fingerprints ``fps``."""
     t_docs = time.time()
-    begun = _flush_begin(b, fingerprint)
-    if begun is None:
-        return False
-    fps, dirs = begun
+    dirs = _flush_begin(b, fps)
     refs = pages.map_batches(
         _fused_extract_analyze(b.analyzer, b.keep_positions),
         batch_format="pyarrow", zero_copy_batch=True,
@@ -274,19 +253,18 @@ def try_build_small(b, pages, fingerprint: str) -> bool:
         _block_build.remote(
             r, dict_ref, id_base=b.id_base, docs_tmp=dirs["docs_tmp"],
             an_gtmp=dirs["an_gtmp"], stats_tmp=dirs["stats_tmp"],
-            rows_per_file=b.docs_rows_per_file,
+            rows_per_file=b.DOCS_ROWS_PER_FILE,
             shard_range=b.shard_range, num_buckets=b.num_buckets)
         for r in refs])
     _assemble(b, seg_tables, fps, dirs, t_docs)
-    return True
 
 
 def _assemble(b, seg_tables: list, fps: dict, dirs: dict,
               t_docs: float) -> None:
-    """Driver-side tail shared by the flush ADD path and the flush
-    COMPACT path: doc_stats commit + config (the staged builder's
-    writer), the (bucket, shard) merge wave, the docs / analyzed
-    commits + lineage, and the term_stats lexicon."""
+    """Driver-side tail shared by the flush build and compact plans:
+    doc_stats commit + config (the staged builder's writer), the
+    (bucket, shard) merge wave, the docs / analyzed commits + lineage,
+    and the term_stats lexicon."""
     seg_tables = [t for t in seg_tables if "term" in t.schema.names]
     segments = (pa.concat_tables(seg_tables) if seg_tables
                 else _empty_segment_table())
@@ -350,19 +328,8 @@ def _assemble(b, seg_tables: list, fps: dict, dirs: dict,
 
 
 # ---------------------------------------------------------------------
-# flush-path compact / merge (small LIVE sets)
+# flush compact / merge (small LIVE sets)
 # ---------------------------------------------------------------------
-
-
-def _drop_rows(t: pa.Table, deleted: np.ndarray) -> pa.Table:
-    """Tombstone filter over a sorted id array (the incremental
-    writer's drop-kernel shape)."""
-    if not len(deleted) or not t.num_rows:
-        return t
-    ids = t["doc_id"].to_numpy(zero_copy_only=False)
-    pos = np.searchsorted(deleted, ids)
-    pos[pos == len(deleted)] = 0
-    return t.filter(pa.array(deleted[pos] != ids))
 
 
 @ray.remote
@@ -372,9 +339,9 @@ def _compact_an_block(an_file: str, deleted: np.ndarray, an_gtmp: str,
     """Compact-wave worker: filter tombstones out of ONE existing
     analyzed file, write it (plus its doc_stats shard slices) into the
     new generation, and return its inverted segment.  Analysis never
-    re-runs and doc ids are preserved — the ``_rebuild_from``
+    re-runs and doc ids are preserved — the ``IndexBuilder.compact``
     contract."""
-    t = _drop_rows(pq.read_table(an_file), deleted)
+    t = drop_deleted(pq.read_table(an_file), deleted)
     if t.num_rows == 0:
         return _empty_segment_table()
     return _write_analyzed_encode(t, _block_key(t), an_gtmp, stats_tmp,
@@ -384,38 +351,30 @@ def _compact_an_block(an_file: str, deleted: np.ndarray, an_gtmp: str,
 @ray.remote
 def _compact_docs_block(docs_file: str, deleted: np.ndarray,
                         docs_tmp: str, rows_per_file: int) -> None:
-    t = _drop_rows(pq.read_table(docs_file), deleted)
+    t = drop_deleted(pq.read_table(docs_file), deleted)
     if t.num_rows:
         _write_docs_files(t, docs_tmp, _block_key(t), rows_per_file)
 
 
-def try_compact_small(b, docs_files: list[str], an_files: list[str],
-                      deleted: np.ndarray, fingerprint: str) -> bool:
-    """Flush-path compact/merge: when the LIVE doc set is small, the
-    staged five-stage rebuild pays the same ~4 s of fixed overhead the
-    flush ADD path removed — so run the whole rebuild as two raw task
-    waves (tombstone-filter + write + encode per source file, then the
-    shared merge wave / driver assembly).  The caller gates on live
-    rows ≤ ``SMALL_COMPACT_MAX_ROWS`` (2× the add-path gate — a
-    compact has no analysis stage, so twice the rows fit the same
-    driver budget); artifacts publish under the SAME
-    chained fingerprints as the staged ``_rebuild_from``, so resume
-    and serving read the two paths interchangeably.  Returns True if
-    it built (False routes the caller to the staged path)."""
+def compact_small(b, docs_files: list[str], an_files: list[str],
+                  deleted: np.ndarray, fps: dict) -> None:
+    """Flush compact/merge of a small LIVE doc set: the staged rebuild
+    pays the same ~4 s of fixed overhead the flush build removes, so
+    run it as two raw task waves (tombstone-filter + write + encode
+    per source file, then the shared merge wave / driver assembly).
+    ``IndexBuilder.compact`` gates it on live rows ≤
+    ``SMALL_COMPACT_MAX_ROWS`` (2× the build gate — a compact has no
+    analysis stage, so twice the rows fit the same driver budget)."""
     t_docs = time.time()
-    begun = _flush_begin(b, fingerprint)
-    if begun is None:
-        return False
-    fps, dirs = begun
+    dirs = _flush_begin(b, fps)
     del_ref = ray.put(np.asarray(deleted, np.int64))
     seg_refs = [_compact_an_block.remote(f, del_ref, dirs["an_gtmp"],
                                          dirs["stats_tmp"], b.shard_range,
                                          b.num_buckets)
                 for f in an_files]
     docs_refs = [_compact_docs_block.remote(f, del_ref, dirs["docs_tmp"],
-                                            b.docs_rows_per_file)
+                                            b.DOCS_ROWS_PER_FILE)
                  for f in docs_files]
     seg_tables = ray.get(seg_refs)
     ray.get(docs_refs)
     _assemble(b, seg_tables, fps, dirs, t_docs)
-    return True

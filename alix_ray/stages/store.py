@@ -17,7 +17,7 @@ Two implementations of one publish protocol:
   ``os.replace`` is the local simulation of an atomic single-key PUT).
   Intra-stage resume checkpoints commit with ``_SUCCESS`` marker
   objects (ignored by every parquet reader in the repo: pyarrow
-  datasets skip ``_``/``.`` prefixes and ``_walk_parquet`` filters on
+  datasets skip ``_``/``.`` prefixes and ``walk_parquet`` filters on
   the ``.parquet`` suffix).  The lineage journal becomes PUT-only too
   (``ObjectManifest``: one immutable object per append under
   ``manifest.d/``).
@@ -385,7 +385,7 @@ class PointerStore:
     # A part commits by PUTting a `_SUCCESS` marker object; leftover
     # objects from an uncommitted attempt are deleted per-object before
     # the rewrite.  Every parquet reader here ignores the marker
-    # (pyarrow datasets skip `_` prefixes; _walk_parquet filters on the
+    # (pyarrow datasets skip `_` prefixes; walk_parquet filters on the
     # .parquet suffix).
     def part_begin(self, parent: str, key: str) -> str:
         # always clear: the caller only begins a part it has decided to
@@ -491,3 +491,18 @@ def resolve_stage(root: str, stage: str) -> str:
         with open(ptr) as f:
             return os.path.join(root, json.load(f)["path"])
     return os.path.join(root, stage)
+
+
+def walk_parquet(dir_: str):
+    """Every ``.parquet`` file under ``dir_`` (full paths, walk order)."""
+    for root, _dirs, names in os.walk(dir_):
+        for n in names:
+            if n.endswith(".parquet"):
+                yield os.path.join(root, n)
+
+
+def stage_files(sources: list[str], stage: str) -> list[str]:
+    """Parquet files of ``stage`` across index dirs ``sources``, sorted
+    per dir."""
+    return [f for src in sources
+            for f in sorted(walk_parquet(resolve_stage(src, stage)))]

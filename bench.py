@@ -8,8 +8,9 @@ the BM25 top-10 query battery (p50/p95 latency, block-max WAND).
 
 Prints ONE JSON line:
   {"metric": "index_build_pages", "value": <sec>, "unit": "sec",
-   "queries": {<stage/pipeline>: sec, ...}, "sf": <sf>, "num_cpus": N,
-   "docs_per_sec": ..., "query_p50_ms": ..., "query_p95_ms": ...}
+   "queries": {<stage/pipeline>: sec, ...}, "build_plan": "flush"|"staged",
+   "sf": <sf>, "num_cpus": N, "docs_per_sec": ..., "query_p50_ms": ...,
+   "query_p95_ms": ...}
 
 --scaling: runs the same job in two fresh processes (RAY_GRAFT_CPUS=8
 and 32) on the same input and reports both throughputs + efficiency
@@ -128,9 +129,13 @@ def run_bench() -> dict:
     build_sec = time.time() - t0
 
     stage_secs = {}
-    for row in Manifest(out_dir).rows():
+    rows = Manifest(out_dir).rows()
+    for row in rows:
         if row.get("status") == "done" and "wall_ms" in row:
             stage_secs[f"stage_{row['stage']}"] = round(row["wall_ms"] / 1000.0, 3)
+    # the plan build() picked; under "flush" stage_docs includes extract
+    # and analysis, and stage_analyzed is only the commit
+    build_plan = [r["plan"] for r in rows if r["stage"] == "build"][-1]
 
     from alix_ray.index.engine import BM25Index
 
@@ -258,6 +263,7 @@ def run_bench() -> dict:
         "unit": "sec",
         "queries": {**stage_secs, **pipeline_secs,
                     "bm25_query_battery": round(sum(lat), 3)},
+        "build_plan": build_plan,
         "sf": sf,
         "num_cpus": NUM_CPUS,
         "n_pages": n_pages,

@@ -54,6 +54,23 @@ def test_route_drops_schema_metadata():
         "p"].nunique().eq(1).all()
 
 
+def test_docs_text_drops_schema_metadata(ray_session, tmp_path):
+    """``_docs_text`` repartitions a pandas-written documents.parquet;
+    the blocks entering that repartition must carry no pandas metadata
+    dict, so its reduce tasks can hash the block schemas."""
+    import pyarrow.parquet as pq
+
+    from alix_ray.pipelines.queries import _docs_text
+
+    pd.DataFrame({"doc_id": np.arange(20), "text": ["t"] * 20}).to_parquet(
+        tmp_path / "documents.parquet")
+    assert pq.read_schema(tmp_path / "documents.parquet").metadata
+    ds = _docs_text(str(tmp_path))
+    assert ds.count() == 20
+    blocks = ray.get(ds.to_arrow_refs())
+    assert all(b.schema.metadata is None for b in blocks)
+
+
 def _sorted(df: pd.DataFrame) -> pd.DataFrame:
     return df.sort_values(list(df.columns)).reset_index(drop=True)
 

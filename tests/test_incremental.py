@@ -9,11 +9,14 @@ immediately while df/cf stay stale until compact; n_docs (→ idf)
 counts live docs only.
 """
 
+import contextlib
 import json
 import os
 
 import numpy as np
 import pytest
+
+from conftest import staged_plan
 
 N_BASE = 120  # split at 120: url-dup pairs (i-1, i) with i%50==1 never straddle
 N_ALL = 180
@@ -39,8 +42,10 @@ def build_oneshot(out, lo, hi, drop_urls=()):
         drop = set(drop_urls)
         ds = ds.filter(lambda r: r["url"] not in drop)
     b = IndexBuilder(out, analyzer="french", shard_range=SHARD_RANGE,
-                     num_buckets=8, segment_batch_size=64)
-    b.build(ds, input_kind="pages", fingerprint=f"oneshot{lo}-{hi}")
+                     num_buckets=8)
+    with staged_plan():  # the reference plan, many segments per merge
+        b.build(ds, input_kind="pages", fingerprint=f"oneshot{lo}-{hi}")
+    assert build_plans(out) == ["staged"]
     return out
 
 
@@ -71,7 +76,7 @@ def incr(ray_session, tmp_path_factory):
 
     root = str(tmp_path_factory.mktemp("incr"))
     w = IndexWriter(root, analyzer="french", shard_range=SHARD_RANGE,
-                    num_buckets=8, segment_batch_size=64)
+                    num_buckets=8)
     assert w.add_documents(pages_slice(0, N_BASE)) == "gen-00000"
     assert w.add_documents(pages_slice(N_BASE, N_ALL)) == "gen-00001"
     oneshot = build_oneshot(
@@ -257,7 +262,9 @@ def test_span_search_over_generations(ray_session, tmp_path_factory):
     ref = str(tmp_path_factory.mktemp("spanref"))
     b = IndexBuilder(ref, analyzer="french", shard_range=SHARD_RANGE,
                      num_buckets=8, keep_positions=True)
-    b.build(pages_slice(0, 120), input_kind="pages", fingerprint="spanref")
+    with staged_plan():  # flush-built generations vs a staged reference
+        b.build(pages_slice(0, 120), input_kind="pages",
+                fingerprint="spanref")
     ix, rx = BM25Index(root), BM25Index(ref)
     qs = rx.cf.top(2)
     got = ix.search_span(qs, 10, slop=8)
@@ -316,7 +323,7 @@ def test_tiered_merge_subset(ray_session, tmp_path_factory):
 
     root = str(tmp_path_factory.mktemp("tier"))
     w = IndexWriter(root, analyzer="french", shard_range=SHARD_RANGE,
-                    num_buckets=8, segment_batch_size=64)
+                    num_buckets=8)
     for lo, hi in ((0, 60), (60, 100), (100, 140), (140, 170)):
         w.add_documents(pages_slice(lo, hi))
     ix0 = BM25Index(root)
@@ -668,7 +675,7 @@ def test_adopt_plain_index_and_extend(ray_session, tmp_path_factory):
 
     root = build_oneshot(str(tmp_path_factory.mktemp("plain")), 0, 60)
     w = IndexWriter(root, analyzer="french", shard_range=SHARD_RANGE,
-                    num_buckets=8, segment_batch_size=64)
+                    num_buckets=8)
     assert w.generations() == ["."]
     name = w.add_documents(pages_slice(60, 90))
     assert name == "gen-00000"
@@ -715,8 +722,13 @@ def done_fingerprints(gen_dir):
             if r.get("status") == "done"}
 
 
-def test_small_path_matches_staged(ray_session, tmp_path_factory,
-                                   monkeypatch):
+def build_plans(out):
+    """The ``plan`` of each ``stage="build"`` manifest row of ``out``."""
+    return [r["plan"] for r in map(json.loads, open(
+        os.path.join(out, "manifest.jsonl"))) if r["stage"] == "build"]
+
+
+def test_small_path_matches_staged(ray_session, tmp_path_factory):
     """The single-pass flush builder (``stages/smallbuild.py``) must
     produce byte-equal artifact CONTENT to the staged five-stage
     builder for the same adds: every stage table equal after a
@@ -731,7 +743,6 @@ def test_small_path_matches_staged(ray_session, tmp_path_factory,
 
     from alix_ray.index.engine import BM25Index
     from alix_ray.index.incremental import IndexWriter
-    from alix_ray.stages import smallbuild
     from alix_ray.stages.store import resolve_stage
 
     pdir = str(tmp_path_factory.mktemp("smallpages"))
@@ -741,11 +752,8 @@ def test_small_path_matches_staged(ray_session, tmp_path_factory,
     for mode in ("flush", "staged"):
         root = str(tmp_path_factory.mktemp(f"small{mode}"))
         w = IndexWriter(root, analyzer="french", shard_range=SHARD_RANGE,
-                        num_buckets=8, segment_batch_size=64)
-        with monkeypatch.context() as m:
-            if mode == "staged":
-                m.setattr(smallbuild, "SMALL_BUILD_MAX_ROWS", 0)
-                m.setattr(smallbuild, "SMALL_COMPACT_MAX_ROWS", -1)
+                        num_buckets=8)
+        with staged_plan() if mode == "staged" else contextlib.nullcontext():
             w.add_documents(ray.data.read_parquet(pdir))
             # second gen from a TRANSFORMED input
             w.add_documents(pages_slice(N_BASE, N_ALL))
@@ -777,6 +785,7 @@ def test_small_path_matches_staged(ray_session, tmp_path_factory,
         for m in ("flush", "staged"):
             assert done_fingerprints(os.path.join(roots[m], gen)) == \
                 PINNED_FPS[gen], f"{m}/{gen} fingerprints changed"
+            assert build_plans(os.path.join(roots[m], gen)) == [m]
     ixa, ixb = BM25Index(roots["flush"]), BM25Index(roots["staged"])
     for q in queries_for(ixb, n=4):
         assert by_url(ixa, ixa.search_exact(q, 10)) == \
@@ -816,8 +825,7 @@ def test_small_path_block_splits_dont_overcount(ray_session,
 
 
 def test_small_path_pushed_filter_routes_to_fallback(ray_session,
-                                                     tmp_path_factory,
-                                                     monkeypatch):
+                                                     tmp_path_factory):
     """A row filter pushed into read_parquet keeps the plan a bare
     Read; the flush path must rank only the urls the filter keeps
     (ranking filtered-out urls would break dense ids).  Assert ids
@@ -827,7 +835,6 @@ def test_small_path_pushed_filter_routes_to_fallback(ray_session,
     import ray.data
 
     from alix_ray.index.incremental import IndexWriter
-    from alix_ray.stages import smallbuild
     from alix_ray.stages.store import resolve_stage
 
     pdir = str(tmp_path_factory.mktemp("filtpages"))
@@ -840,9 +847,7 @@ def test_small_path_pushed_filter_routes_to_fallback(ray_session,
         root = str(tmp_path_factory.mktemp(f"filt{mode}"))
         w = IndexWriter(root, analyzer="french", shard_range=SHARD_RANGE,
                         num_buckets=8)
-        with monkeypatch.context() as m:
-            if mode == "staged":
-                m.setattr(smallbuild, "SMALL_BUILD_MAX_ROWS", 0)
+        with staged_plan() if mode == "staged" else contextlib.nullcontext():
             w.add_documents(ray.data.read_parquet(pdir, filter=flt))
         roots[mode] = root
     ids = {}
@@ -857,46 +862,77 @@ def test_small_path_pushed_filter_routes_to_fallback(ray_session,
 
 def test_small_path_gate_runs_before_execution(ray_session, tmp_path,
                                                monkeypatch):
-    """Above the row gate, ``try_build_small`` only counts the input:
-    a transformed pages input reaches the staged builder without the
-    flush path materializing it (which would put a delta of any size,
-    html included, into the object store)."""
-    import ray.data
-
+    """Above the row gate the flush plan is never entered: a transformed
+    pages input reaches the staged plan without the flush plan
+    materializing it (which would put a delta of any size, html
+    included, into the object store)."""
     from alix_ray.index.incremental import IndexWriter
     from alix_ray.stages import smallbuild
 
     monkeypatch.setattr(smallbuild, "SMALL_BUILD_MAX_ROWS", 10)
-    inside, calls, results = [], [], []
-    orig_materialize = ray.data.Dataset.materialize
-
-    def materialize(self, *a, **k):
-        if inside:
-            calls.append(1)
-        return orig_materialize(self, *a, **k)
-
-    orig_try = smallbuild.try_build_small
-
-    def try_build_small(*a, **k):
-        inside.append(1)
-        try:
-            results.append(orig_try(*a, **k))
-            return results[-1]
-        finally:
-            inside.clear()
-
-    monkeypatch.setattr(ray.data.Dataset, "materialize", materialize)
-    monkeypatch.setattr(smallbuild, "try_build_small", try_build_small)
+    entered = []
+    monkeypatch.setattr(smallbuild, "build_small",
+                        lambda *a, **k: entered.append(a))
     root = str(tmp_path / "gate")
     w = IndexWriter(root, analyzer="french", shard_range=SHARD_RANGE,
                     num_buckets=8)
     w.add_documents(pages_slice(0, 60))
-    assert calls == [], "the flush path materialized an input above the gate"
-    assert results == [False]
+    assert entered == [], "the flush plan ran on an input above the gate"
+    assert build_plans(os.path.join(root, "gen-00000")) == ["staged"]
     cfg = json.load(open(os.path.join(root, "gen-00000", "config.json")))
     # corpus contract: url i (i%50==1) duplicates url i-1
     assert cfg["n_docs"] == 60 - len([i for i in range(1, 60)
                                       if i % 50 == 1])
+
+
+def test_above_gate_input_counted_once(ray_session, tmp_path, monkeypatch):
+    """One count of a transformed pages input serves both the flush row
+    gate and the docs stage: each count executes the whole transform,
+    so a second one would run the input twice before it is built."""
+    import ray.data
+
+    from alix_ray.index.incremental import IndexWriter
+    from alix_ray.stages import smallbuild
+    from alix_ray.stages.build import IndexBuilder
+
+    monkeypatch.setattr(smallbuild, "SMALL_BUILD_MAX_ROWS", 10)
+    counts = []
+    orig_count = ray.data.Dataset.count
+
+    def count(self):
+        counts.append(1)
+        return orig_count(self)
+
+    monkeypatch.setattr(ray.data.Dataset, "count", count)
+    root = str(tmp_path / "add")
+    IndexWriter(root, analyzer="french", shard_range=SHARD_RANGE,
+                num_buckets=8).add_documents(pages_slice(0, 60))
+    assert len(counts) == 1, "an above-gate add counted its input twice"
+    counts.clear()
+    out = str(tmp_path / "base")
+    IndexBuilder(out, analyzer="french", shard_range=SHARD_RANGE,
+                 num_buckets=8).build(pages_slice(0, 60))
+    assert len(counts) == 1, "an above-gate build counted its input twice"
+    assert build_plans(out) == ["staged"]
+
+
+def test_base_build_takes_flush_plan(ray_session, tmp_path):
+    """A below-gate ``IndexBuilder.build`` runs the flush plan, the same
+    plan as an ``add_documents`` of the same input into an empty root,
+    and the two give the same logical artifacts."""
+    from test_resume import logical_artifacts
+
+    from alix_ray.index.incremental import IndexWriter
+    from alix_ray.stages.build import IndexBuilder
+
+    kw = dict(analyzer="french", shard_range=SHARD_RANGE, num_buckets=8)
+    out = str(tmp_path / "base")
+    IndexBuilder(out, **kw).build(pages_slice(0, N_BASE))
+    root = str(tmp_path / "writer")
+    IndexWriter(root, **kw).add_documents(pages_slice(0, N_BASE))
+    gen = os.path.join(root, "gen-00000")
+    assert build_plans(out) == build_plans(gen) == ["flush"]
+    assert logical_artifacts(out) == logical_artifacts(gen)
 
 
 def test_small_path_config_crash_resumes(ray_session, tmp_path,

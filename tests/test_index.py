@@ -13,6 +13,8 @@ import numpy as np
 import pyarrow.parquet as pq
 import pytest
 
+from conftest import staged_plan
+
 N_PAGES = 300
 
 
@@ -27,10 +29,10 @@ def built_index(ray_session, tmp_path_factory):
         analyzer="french",
         shard_range=50,  # force multi-shard postings
         num_buckets=8,
-        segment_batch_size=64,  # force many segments
-        analyze_batch_size=64,
     )
-    b.build(pages_dataset(N_PAGES), input_kind="pages", fingerprint=f"p{N_PAGES}")
+    with staged_plan():
+        b.build(pages_dataset(N_PAGES), input_kind="pages",
+                fingerprint=f"p{N_PAGES}")
 
     # driver-side oracle: same dedup rule + same analyzer
     from alix_ray.analysis import FrenchAnalyzer
@@ -167,9 +169,10 @@ def test_resume_skips_done_stages(built_index, ray_session):
     from alix_ray.stages.build import IndexBuilder, Manifest
 
     n_rows_before = len(Manifest(out).rows())
-    b = IndexBuilder(out, analyzer="french", shard_range=50, num_buckets=8,
-                     segment_batch_size=64, analyze_batch_size=64)
-    b.build(pages_dataset(N_PAGES), input_kind="pages", fingerprint=f"p{N_PAGES}")
+    b = IndexBuilder(out, analyzer="french", shard_range=50, num_buckets=8)
+    with staged_plan():
+        b.build(pages_dataset(N_PAGES), input_kind="pages",
+                fingerprint=f"p{N_PAGES}")
     # all stages already done for this fingerprint → no new manifest rows
     assert len(Manifest(out).rows()) == n_rows_before
 
@@ -183,6 +186,8 @@ def test_manifest_has_partition_lineage(built_index):
     assert parts and all(r["rows"] >= 0 and r["bytes"] > 0 for r in parts)
     done = {r["stage"] for r in rows if r["status"] == "done"}
     assert {"docs", "analyzed", "doc_stats", "postings", "term_stats"} <= done
+    plans = [r for r in rows if r["stage"] == "build"]
+    assert [(r["plan"], r["rows"]) for r in plans] == [("staged", N_PAGES)]
 
 
 def test_block_window_rank_identical(built_index):

@@ -13,7 +13,10 @@ import time
 import pyarrow.parquet as pq
 import pytest
 
+from conftest import staged_plan
+
 N_PAGES = 600
+TESTS = os.path.dirname(os.path.abspath(__file__))
 
 BUILD_SCRIPT = """
 import sys, ray
@@ -24,9 +27,13 @@ import ray.data
 ray.data.DataContext.get_current().enable_progress_bars = False
 from alix_ray.corpus import pages_dataset
 from alix_ray.stages.build import IndexBuilder
-b = IndexBuilder({out!r}, analyzer="french", segment_batch_size=256,
-                 analyze_batch_size=64, analyze_groups=4)
-b.build(pages_dataset({n}), input_kind="pages", fingerprint="resume-test")
+sys.path.insert(0, {tests!r})
+from conftest import staged_plan
+IndexBuilder.GROUP_TARGET_BYTES = 1  # one analyze group per docs file
+with staged_plan():  # the staged plan: per-group resume
+    b = IndexBuilder({out!r}, analyzer="french")
+    b.build(pages_dataset({n}), input_kind="pages",
+            fingerprint="resume-test")
 print("BUILD-COMPLETE")
 ray.shutdown()
 """
@@ -35,8 +42,8 @@ ray.shutdown()
 def run_build(out, timeout=None, kill_after=None):
     p = subprocess.Popen(
         [sys.executable, "-c",
-         BUILD_SCRIPT.format(repo=os.path.dirname(os.path.dirname(
-             os.path.abspath(__file__))), out=out, n=N_PAGES)],
+         BUILD_SCRIPT.format(repo=os.path.dirname(TESTS), tests=TESTS,
+                             out=out, n=N_PAGES)],
         stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
         start_new_session=True,
     )
@@ -104,6 +111,10 @@ def test_kill_and_resume_identical(tmp_path):
         ]
         assert not redone, "completed partitions were re-analyzed"
 
+    for out in (clean, resumed):
+        assert [r["plan"] for r in map(json.loads, open(
+            os.path.join(out, "manifest.jsonl")))
+            if r["stage"] == "build"] == ["staged"]
     assert logical_artifacts(clean) == logical_artifacts(resumed)
 
 
@@ -166,7 +177,8 @@ def test_config_crash_resumes(ray_session, tmp_path, monkeypatch):
     from alix_ray.stages.store import RenameStore
 
     def build(out):
-        IndexBuilder(out).build(pages_dataset(120), fingerprint="cfg")
+        with staged_plan():  # its rerun resumes stage by stage
+            IndexBuilder(out).build(pages_dataset(120), fingerprint="cfg")
 
     clean, crashed = str(tmp_path / "clean"), str(tmp_path / "crashed")
     build(clean)

@@ -8,17 +8,23 @@ import os
 
 import pytest
 
+from conftest import staged_plan
+
 N = 120
 
 
 def _build(out, store, analyzer="french"):
+    """A staged-plan build (the flush row gate below any input) with
+    small analyze and segment batches."""
     from alix_ray.corpus import pages_dataset
     from alix_ray.stages.build import IndexBuilder
 
     b = IndexBuilder(out, analyzer=analyzer, shard_range=50, num_buckets=4,
-                     segment_batch_size=64, analyze_batch_size=64,
                      store=store)
-    b.build(pages_dataset(N), input_kind="pages", fingerprint=f"p{N}")
+    with staged_plan():
+        b.build(pages_dataset(N), input_kind="pages", fingerprint=f"p{N}")
+    assert [r["plan"] for r in b.manifest.rows()
+            if r["stage"] == "build"][-1:] == ["staged"]
     return b
 
 
