@@ -20,12 +20,18 @@ Scorers that must agree exactly (tests enforce it):
 - :meth:`BM25Index.search_block_window` — block-max pruning over
   doc-range windows for multi-term queries; a window is skipped only
   when its summed block upper bound is *strictly* below the top-k
-  threshold, so tie-breaks stay rank-identical to the exact scorer;
+  threshold, so tie-breaks stay rank-identical to the exact scorer.
+  A scored window costs O(P log P) in the P postings it holds (the
+  sorted union of their doc offsets), or O(S) in the span S of doc ids
+  they touch when they fill most of it — never the window's width;
 - :meth:`BM25Index.search_wand` — memoized O(df) posting scan for a
-  single-term query (more terms go to the block-window scorer).
+  single-term query.
 
-:meth:`BM25Index.search_terms` is the serving path: it routes one
-distinct term to ``search_wand`` and more to ``search_block_window``.
+:meth:`BM25Index.search_terms` is the serving path and the one
+dispatcher: it routes one distinct known term to ``search_wand`` and
+more to ``search_block_window``.  Lexicon lookups (``idf``, ``df``,
+range expansion) binary-search the UTF-8 bytes of the Arrow term
+column in place.
 
 The index handle is immutable after load — share freely across query
 actors (reference: frozen ``LuceneIndex`` handle, SURVEY.md §3.2).
@@ -606,26 +612,48 @@ def _lev_leq(a: str, b: str, k: int) -> bool:
 
 
 class TermLexicon:
-    """Sorted term dictionary over an Arrow ``large_string`` column —
-    binary-search lookups against the Arrow buffers, no per-term Python
-    string objects (``TermLexicon.java:98`` layout: sorted blob +
-    offsets).  Memory is the two Arrow buffers; strings materialize
-    one at a time only when compared or yielded."""
+    """Sorted term dictionary over an Arrow ``string``/``large_string``
+    column — binary-search lookups against the Arrow buffers, no
+    per-term Python string objects (``TermLexicon.java:98`` layout:
+    sorted blob + offsets).  Memory is the two Arrow buffers, read
+    through zero-copy memoryviews: a probe compares one term's UTF-8
+    bytes with the encoded key (UTF-8 byte order is code-point order,
+    so it agrees with ``str`` ordering and with Arrow's sort), and
+    strings materialize one at a time only when yielded."""
 
-    __slots__ = ("terms", "_n")
+    __slots__ = ("terms", "_n", "_offs", "_data")
 
     def __init__(self, terms):
         self.terms = terms
-        self._n = len(terms)
+        self._n = n = len(terms)
+        _, offs, data = terms.buffers()
+        width = np.int64 if pa.types.is_large_string(terms.type) else np.int32
+        if n:
+            offs = np.frombuffer(offs, width, n + 1,
+                                 terms.offset * np.dtype(width).itemsize)
+        else:
+            offs = np.zeros(1, width)
+        self._offs = memoryview(offs)  # indexing yields a plain int
+        # unsigned bytes: a signed view would not compare equal to
+        # ``bytes`` past ASCII
+        self._data = memoryview(data if data is not None else b"").cast("B")
+
+    def __reduce__(self):  # memoryviews do not pickle; the array does
+        return TermLexicon, (self.terms,)
+
+    def _bytes(self, i: int) -> memoryview:
+        return self._data[self._offs[i]:self._offs[i + 1]]
 
     def lower_bound(self, term: str) -> int:
         """First position whose term is >= ``term`` (binary search
         over the Arrow buffers — the single comparison kernel shared
         by exact lookup and range expansion)."""
+        key = term.encode("utf-8", "surrogatepass")
+        offs, data = self._offs, self._data
         lo, hi = 0, self._n
         while lo < hi:
-            mid = (lo + hi) // 2
-            if self.terms[mid].as_py() < term:
+            mid = (lo + hi) >> 1
+            if data[offs[mid]:offs[mid + 1]].tobytes() < key:
                 lo = mid + 1
             else:
                 hi = mid
@@ -633,7 +661,8 @@ class TermLexicon:
 
     def index(self, term: str) -> int:
         lo = self.lower_bound(term)
-        if lo < self._n and self.terms[lo].as_py() == term:
+        if lo < self._n and self._bytes(lo) == term.encode(
+                "utf-8", "surrogatepass"):
             return lo
         return -1
 
@@ -644,11 +673,13 @@ class TermLexicon:
         return self._n
 
     def __getitem__(self, i: int) -> str:
-        return self.terms[i].as_py()
+        if not -self._n <= i < self._n:
+            raise IndexError(i)
+        return str(self._bytes(i % self._n), "utf-8")
 
     def __iter__(self):
         for i in range(self._n):
-            yield self.terms[i].as_py()
+            yield str(self._bytes(i), "utf-8")
 
 
 class TermStatsMap:
@@ -934,7 +965,7 @@ class BM25Index:
         if not qs:
             return []
         # corpus-sized accumulator: ORACLE path only — serving uses the
-        # O(window) block-max paths
+        # window-bounded block-max path
         acc = np.zeros(self.n_slots, np.float64)
         seen = np.zeros(self.n_slots, np.int32) if mode == "and" else None
         for term in qs:
@@ -1149,14 +1180,31 @@ class BM25Index:
     def search_block_window(self, terms, k: int = 10, window: int = 16384):
         """Top-k via doc-range windows with block-max skipping.
 
-        Memory is O(window) (never a corpus-sized accumulator); a window
-        is scored only when the sum of the query terms' block maxima
-        overlapping it can beat the current threshold — the block-max
-        pruning idea of BMW applied window-at-a-time so scoring stays
-        fully vectorized.  The running top-k is maintained with a
-        vectorized merge (concat + lexsort of ≤ window candidates), not
-        a per-doc Python heap — hot-term windows have 10^4 nonzero docs
-        and the heap loop dominated serving latency.  Posting decode is
+        The accumulator is ``min(window, max_doc + 1)`` slots, allocated
+        per call (never corpus-sized, and no scratch state on the
+        shared handle); a window is scored only when the sum of the
+        query terms' block maxima overlapping it can beat the current
+        threshold — the block-max pruning idea of BMW applied
+        window-at-a-time so scoring stays fully vectorized.
+
+        A scored window's work follows the postings it holds, not its
+        width: the terms' contributions scatter into the accumulator,
+        and the candidates are read back from the touched slots only.
+        Two ways to find them, picked per window from what it holds:
+        a window of P postings touching a span of S slots takes the
+        sorted union of its touched offsets when that sort
+        (P·log2 P element steps) is cheaper than a scan of the span
+        (S slot steps), and scans the span otherwise (a hot-term
+        window whose postings cover most of it).  Either way only the
+        slots read are zeroed again.  Untouched slots hold 0.0, which
+        neither candidate rule keeps (``!= 0`` while the top-k fills,
+        ``>= theta`` with ``theta > 0`` after: BM25 contributions are
+        positive), so both ways find the same candidates.
+
+        The running top-k is maintained with a vectorized merge
+        (concat + lexsort of the window's candidates), not a per-doc
+        Python heap — hot-term windows have 10^4 candidate docs and the
+        heap loop dominated serving latency.  Posting decode is
         memoized per term (shared with the serving path); a
         disk-resident variant would decode only the overlapping blocks
         — the per-block byte offsets are stored for exactly that.
@@ -1165,17 +1213,14 @@ class BM25Index:
         enforced by tests).
         """
         qs = self._query_terms(terms)
-        if not qs:
+        contribs = [self._term_contrib(t, "bm25") for t in qs]
+        # windows cover the live docs; those past the last one hold no
+        # postings to score
+        max_doc = max((int(d[-1]) for d, _ in contribs if len(d)), default=-1)
+        if max_doc < 0:
             return []
-        metas = []  # per term: (shards, w, block_last concat, block_max concat)
-        max_doc = 0
-        for t in qs:
-            shards = self.postings[t]
-            w = self.idf(t) * (self.k1 + 1.0)
-            bl = np.concatenate([s.block_last for s in shards])
-            bm = np.concatenate([s.block_max for s in shards])
-            metas.append((shards, w, bl, bm))
-            max_doc = max(max_doc, int(bl[-1]))
+        window = min(window, max_doc + 1)
+        bounds = None  # per term (w, block_last, block_max), at 1st skip test
         # running top-k, kept sorted by (score desc, doc asc) — the
         # TopArray tie rule; theta = weakest kept score once full
         top_s = np.empty(0, np.float64)
@@ -1186,8 +1231,16 @@ class BM25Index:
             full = len(top_s) >= k
             theta = top_s[-1] if full else -1.0
             if full:
+                if bounds is None:
+                    bounds = []
+                    for t in qs:
+                        shards = self.postings[t]
+                        bounds.append((
+                            self.idf(t) * (self.k1 + 1.0),
+                            np.concatenate([s.block_last for s in shards]),
+                            np.concatenate([s.block_max for s in shards])))
                 ub = 0.0
-                for _, w, bl, bm in metas:
+                for w, bl, bm in bounds:
                     a = int(np.searchsorted(bl, lo, side="left"))
                     b = int(np.searchsorted(bl, hi - 1, side="left")) + 1
                     if a < len(bm):
@@ -1196,27 +1249,37 @@ class BM25Index:
                             ub += w * float(seg.max())
                 if ub < theta:
                     continue  # no doc in this window can enter the top-k
-            acc[:] = 0.0
-            touched = False
-            for t, (shards, w, bl, bm) in zip(qs, metas):
-                d, c = self._term_contrib(t, "bm25")
-                a = int(np.searchsorted(d, lo, side="left"))
-                b = int(np.searchsorted(d, hi, side="left"))
+            touched = []  # per term: sorted window offsets it scattered
+            for d, c in contribs:
+                a, b = np.searchsorted(d, (lo, hi)).tolist()
                 if a == b:
                     continue
-                acc[d[a:b] - lo] += c[a:b]
-                touched = True
+                off = d[a:b] - lo
+                acc[off] += c[a:b]
+                touched.append(off)
             if not touched:
                 continue
-            if full:
-                # fused scan: only candidates that can displace the
-                # weakest kept entry (ties kept — doc-id rule below)
-                nz = np.flatnonzero(acc >= theta)
+            first = min(int(o[0]) for o in touched)
+            span = max(int(o[-1]) for o in touched) + 1 - first
+            n_post = sum(len(o) for o in touched)
+            if n_post * n_post.bit_length() < span:
+                nz = (touched[0] if len(touched) == 1
+                      else np.unique(np.concatenate(touched)))
+                scores = acc[nz]
+                acc[nz] = 0.0
+                keep = scores >= theta if full else scores != 0.0
+                nz, scores = nz[keep], scores[keep]
             else:
-                nz = np.flatnonzero(acc)
+                seg = acc[first : first + span]
+                # fused scan: once full, only candidates that can
+                # displace the weakest kept entry (ties kept — doc-id
+                # rule below)
+                nz = np.flatnonzero(seg >= theta if full else seg != 0.0)
+                scores = seg[nz]
+                nz += first
+                seg[:] = 0.0
             if nz.size == 0:
                 continue
-            scores = acc[nz]
             if not full and nz.size > 4 * k:
                 # bound the merge sort: partition to the window's own
                 # top-k first (tie-safe — keep everything ≥ kth score)
@@ -1229,22 +1292,24 @@ class BM25Index:
             order = np.lexsort((all_d, -all_s))[:k]
             top_s = all_s[order]
             top_d = all_d[order]
-        return [(int(d), float(s)) for d, s in zip(top_d, top_s)]
+        return list(zip(top_d.tolist(), top_s.tolist()))
 
     # -- single-term top-k (memoized posting scan) -------------------
     def search_wand(self, terms, k: int = 10):
-        """Top-k for a single distinct query term: a vectorized O(df)
-        scan of its posting list — no accumulator, memory ∝ df, not N,
+        """Top-k for ONE distinct query term: a vectorized O(df) scan
+        of its posting list — no accumulator, memory ∝ df, not N,
         rank-identical to :meth:`search_exact`.  Memoized per
         (term, k): the index is immutable and real query mixes repeat
         the Zipf head constantly, so a serving replica caches
-        single-term top-k like any result cache.  More than one
-        distinct term goes to :meth:`search_block_window`."""
+        single-term top-k like any result cache.  Several distinct
+        terms are :meth:`search_terms`' to route (to
+        :meth:`search_block_window`); here they raise."""
         qs = self._query_terms(terms)
         if not qs:
             return []
         if len(qs) > 1:
-            return self.search_block_window(qs, k)
+            raise ValueError(
+                f"search_wand scores one distinct term, got {qs!r}")
         term = qs[0]
         ck = (term, k)
         hit = self._topk_cache.pop(ck, None)
@@ -1596,17 +1661,20 @@ class BM25Index:
                 self._analyzer = FrenchAnalyzer()
         return self._analyzer
 
-    # serving strategy: the block-max WINDOWED scorer serves multi-term
-    # queries — measured better p95 than the dense-accumulator TAAT at
-    # both 235k and 940k docs (block-max pruning trims hot-term tails)
-    # AND its memory is O(window), so the same path serves at any
-    # corpus size.  Single-term queries use the memoized posting scan
-    # of search_wand (O(df), no windows needed).  search_exact remains
-    # the oracle; all paths are rank-identical by test.
+    # serving strategy — the ONE place that routes a query by its
+    # number of distinct known terms: the block-max WINDOWED scorer
+    # serves several (measured better p95 than the dense-accumulator
+    # TAAT at both 235k and 940k docs: block-max pruning trims hot-term
+    # tails), and its memory is bounded by the window, so the same
+    # path serves at any corpus size.  One term uses the memoized
+    # posting scan of search_wand (O(df), no windows needed).
+    # search_exact remains the oracle; all paths are rank-identical by
+    # test.
     def search_terms(self, terms, k: int = 10):
-        if len(set(terms)) <= 1:
-            return self.search_wand(terms, k)
-        return self.search_block_window(terms, k)
+        qs = self._query_terms(terms)
+        if len(qs) <= 1:
+            return self.search_wand(qs, k)
+        return self.search_block_window(qs, k)
 
     def warm(self, top_n: int = 512,
              span_terms: int | None = None) -> int:

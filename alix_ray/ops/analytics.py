@@ -345,22 +345,6 @@ def keyness_logratio(fo_count, fo_tokens, ot_count, ot_tokens):
 # ---------------------------------------------------------------------
 
 
-def tokens_flat(ds: ray.data.Dataset, text_col="text", extra_cols=()):
-    """docs → flat (doc_id, term[, extras]) rows, vectorized."""
-
-    def explode(batch: pa.Table) -> pa.Table:
-        lists = SimpleAnalyzer.tokens_arrays(batch[text_col])
-        lengths = pc.list_value_length(lists).to_numpy(zero_copy_only=False)
-        idx = np.repeat(np.arange(len(lengths)), lengths)
-        cols = {"doc_id": batch["doc_id"].take(pa.array(idx))}
-        for c in extra_cols:
-            cols[c] = batch[c].take(pa.array(idx))
-        cols["term"] = lists.flatten()
-        return pa.table(cols)
-
-    return ds.map_batches(explode, batch_format="pyarrow")
-
-
 def term_stats_ds(ds: ray.data.Dataset, text_col="text") -> ray.data.Dataset:
     """(term, df, cf) via partial in-batch aggregation then small groupby
     (the TermStats.build partial+final shape, TermStats.java:239)."""

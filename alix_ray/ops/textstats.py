@@ -262,17 +262,3 @@ def heavy_hitters(ds: ray.data.Dataset, k: int = 30,
             f"{candidates}"
         )
     return totals.rename(columns={"cnt": "cf"}).reset_index(drop=True)
-
-
-def token_count_total(ds: ray.data.Dataset, text_col="text") -> int:
-    """Corpus token count via per-batch partial sums (no shuffle)."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        lists = SimpleAnalyzer.tokens_arrays(batch[text_col])
-        n = int(pc.sum(pc.list_value_length(lists)).as_py() or 0)
-        return pa.table({"n": pa.array([n], pa.int64())})
-
-    from ray.data.aggregate import Sum
-
-    return int(ds.map_batches(partial, batch_format="pyarrow").aggregate(
-        Sum("n", alias_name="total"))["total"])

@@ -1,0 +1,199 @@
+"""Serve-path kernels of the BM25 engine, checked against plain
+references: the byte-level lexicon search against ``bisect`` over a
+sorted ``list[str]``, and the block-window scorer against
+``search_exact``, bit for bit."""
+
+import bisect
+import pickle
+from types import SimpleNamespace
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+import pytest
+
+# ASCII, accented and other non-ASCII terms (2-, 3- and 4-byte UTF-8),
+# prefix pairs (e/ez, é/éa, ab/abc) and the empty string
+VOCAB = sorted({
+    "", "a", "ab", "abc", "b", "ça", "e", "ez", "é", "éa", "naïve",
+    "ñandú", "œuvre", "z", "zèbre", "日本", "😀",
+})
+# absent terms before, between and after the vocabulary
+ABSENT = ["\x00", " ", "0", "aa", "abd", "c", "d", "e\x00", "ezz", "f",
+          "zz", "ÿ", "œ", "Ω", "日", "😀😀", "\U0010ffff"]
+
+
+def _lexicon_cases():
+    for typ in (pa.large_string(), pa.string()):
+        for vocab in (VOCAB, VOCAB[1:]):  # with and without ""
+            yield typ, vocab, pa.array(vocab, typ)
+            # sliced out of a longer array: the Arrow offset is not 0
+            padded = ["!"] + vocab + ["\U0010ffff\U0010ffff"]
+            yield typ, vocab, pa.array(padded, typ).slice(1, len(vocab))
+
+
+@pytest.mark.parametrize("typ,vocab,arr", list(_lexicon_cases()))
+def test_lexicon_lookup_matches_bisect(typ, vocab, arr):
+    from alix_ray.index.engine import BM25Index, TermLexicon, TermStatsMap
+
+    # the premise: Arrow's sort (UTF-8 bytes) is Python's str order
+    assert pc.sort_indices(arr).to_pylist() == list(range(len(vocab)))
+    lex = TermLexicon(arr)
+    assert len(lex) == len(vocab)
+    assert list(lex) == vocab
+    assert [lex[i] for i in range(len(vocab))] == vocab
+    assert lex[-1] == vocab[-1]
+    with pytest.raises(IndexError):
+        lex[len(vocab)]
+    vals = np.arange(len(vocab), dtype=np.int64) * 3 + 1
+    stats = TermStatsMap(lex, vals)
+    ref = dict(zip(vocab, vals.tolist()))
+    for p in VOCAB + ABSENT:
+        i = bisect.bisect_left(vocab, p)
+        found = i < len(vocab) and vocab[i] == p
+        assert lex.lower_bound(p) == i, p
+        assert lex.index(p) == (i if found else -1), p
+        assert (p in lex) is found
+        assert stats.get(p, -7) == ref.get(p, -7)
+        assert (p in stats) is found
+        if not found:
+            with pytest.raises(KeyError):
+                stats[p]
+    # range_terms reads only the lexicon of its index
+    ix = SimpleNamespace(lexicon=lex)
+    bounds = [None, "", "a", "ab", "e", "ez", "é", "m", "œ", "\U0010ffff"]
+    for lo in bounds:
+        for hi in bounds:
+            a = 0 if lo is None else bisect.bisect_left(vocab, lo)
+            b = len(vocab) if hi is None else bisect.bisect_left(vocab, hi)
+            assert BM25Index.range_terms(ix, lo, hi) == vocab[a:max(a, b)]
+    back = pickle.loads(pickle.dumps(lex))
+    assert list(back) == vocab and back.index("œuvre") == lex.index("œuvre")
+
+
+def test_empty_lexicon():
+    from alix_ray.index.engine import TermLexicon
+
+    lex = TermLexicon(pa.array([], pa.large_string()))
+    assert len(lex) == 0 and list(lex) == []
+    assert lex.lower_bound("a") == 0 and lex.index("") == -1
+
+
+# -- block-window scorer --------------------------------------------------
+
+N_DOCS = 300
+
+
+def _text(i: int) -> str:
+    """Two hot terms in (nearly) every doc, two rare ones in a few, and
+    two mid ones every 23rd and 29th doc (a few postings in each small
+    window, in window after window).  Docs with equal
+    (i % 4 == 3, i % 5, i % 7) are the same text, so scores tie; 10,
+    150 and 290 all hold both rare terms."""
+    words = ["hota"]
+    if i % 4 != 3:
+        words.append("hotb")
+    words += ["pad"] * (i % 5)
+    words.append(f"f{i % 7}")
+    if i % 140 == 10:
+        words.append("rarea")
+    if i % 140 == 10 or i == 77:
+        words.append("rareb")
+    if i % 23 == 0:
+        words.append("mida")
+    if i % 29 == 0:
+        words.append("midb")
+    return " ".join(words)
+
+
+def _docs(lo: int, hi: int):
+    import ray.data
+
+    return ray.data.from_arrow(pa.table({
+        "doc_id": pa.array(range(lo, hi), pa.int64()),
+        "text": pa.array([_text(i) for i in range(lo, hi)]),
+    }))
+
+
+@pytest.fixture(scope="module")
+def window_indexes(ray_session, tmp_path_factory):
+    """The same documents as a one-shot index and as three generations
+    with tombstones, both with multi-shard postings."""
+    from alix_ray.index.engine import BM25Index
+    from alix_ray.index.incremental import IndexWriter
+    from alix_ray.stages.build import IndexBuilder
+
+    one = str(tmp_path_factory.mktemp("oneshot"))
+    IndexBuilder(one, analyzer="simple", shard_range=64).build(
+        _docs(0, N_DOCS), input_kind="documents", fingerprint="kernels")
+    gens = str(tmp_path_factory.mktemp("gens"))
+    w = IndexWriter(gens, analyzer="simple", shard_range=64, num_buckets=4)
+    for lo in range(0, N_DOCS, 100):
+        w.add_documents(_docs(lo, lo + 100), input_kind="documents")
+    w.delete_documents(doc_ids=[3, 10, 77, 120, 201, 299])
+    ix = BM25Index(gens)
+    assert len(ix.gen_dirs) == 3 and ix.n_live == N_DOCS - 6
+    return {"oneshot": one, "generations": gens}
+
+
+QUERIES = [
+    ["rarea", "rareb"],              # rare + rare: a sparse window
+    ["hota", "hotb"],                # hot + hot: a dense window
+    ["mida", "midb"],                # sparse windows in a row
+    ["hota", "rarea"],
+    ["hotb", "pad", "f3"],
+    ["hota", "hotb", "nosuchterm"],
+]
+
+
+@pytest.mark.parametrize("kind", ["oneshot", "generations"])
+def test_block_window_bit_identical(window_indexes, kind):
+    from alix_ray.index.engine import BM25Index
+
+    ix = BM25Index(window_indexes[kind])
+    tied = False
+    for q in QUERIES:
+        for k in (1, 10, 100):
+            want = ix.search_exact(q, k)
+            assert want, (q, k)
+            scores = [s for _, s in want]
+            tied |= len(set(scores)) < len(scores)
+            assert ix.search_terms(q, k) == want, (q, k)
+            for window in (8, 64, 16384):
+                assert ix.search_block_window(q, k, window) == want, (
+                    q, k, window)
+    assert tied
+
+
+def test_block_window_takes_both_candidate_scans(window_indexes,
+                                                 monkeypatch):
+    """Rare + rare fills a window sparsely (candidates from the union of
+    the touched offsets), hot + hot densely (a scan of the touched
+    span); both give the exact answer."""
+    from alix_ray.index.engine import BM25Index
+
+    calls = {"unique": 0, "flatnonzero": 0}
+    for name in calls:
+        def spy(*a, _f=getattr(np, name), _n=name, **kw):
+            calls[_n] += 1
+            return _f(*a, **kw)
+        monkeypatch.setattr(np, name, spy)
+    ix = BM25Index(window_indexes["oneshot"])
+    for q, took in ((["rarea", "rareb"], "unique"),
+                    (["hota", "hotb"], "flatnonzero")):
+        for n in calls:
+            calls[n] = 0
+        got = ix.search_block_window(q, 10)
+        assert calls[took] == 1 and sum(calls.values()) == 1, (q, calls)
+        assert got == ix.search_exact(q, 10)
+
+
+def test_search_wand_scores_one_term(window_indexes):
+    from alix_ray.index.engine import BM25Index
+
+    ix = BM25Index(window_indexes["oneshot"])
+    want = ix.search_exact(["hota"], 10)
+    assert ix.search_wand(["hota", "hota"], 10) == want
+    assert ix.search_wand(["nosuchterm"], 10) == []
+    with pytest.raises(ValueError):
+        ix.search_wand(["hota", "hotb"], 10)
