@@ -12,10 +12,11 @@ lexicon-driven tagging (SURVEY.md §7.0 scope decision) — same token
 classes, same position-gap semantics, same ``(term, position)`` output
 contract.
 
-Everything here is row-local and stateless across rows: an analyzer
-instance is built once per Ray actor (``__init__``) and applied per
-batch — no cross-row state, so output is independent of batch
-boundaries and parallelism.
+Everything here is row-local: an analyzer instance is built once per
+Ray actor (``__init__``) and applied per batch.  Its only cross-row
+state is a per-surface memo of context-free filter results
+(``filters.LexemeTable``), which changes speed, never output, so output
+is independent of batch boundaries and parallelism.
 """
 
 from .tokenizer import MarkupTokenizer, Tok

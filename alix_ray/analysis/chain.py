@@ -6,6 +6,16 @@ pipeline: lexicons are built once per instance — instantiate once per
 Ray actor (``map_batches(AnalyzeActor, concurrency=N)``), never per
 batch (SURVEY.md §2.3).
 
+Hot path: the common token costs one scanner step (a letters-only piece
+between spaces, ``MarkupTokenizer._scan``) and then one lookup per
+filter in the instance's :class:`~.filters.LexemeTable`, which holds
+each surface's context-free results (clitic parts, all-caps rewrite,
+lowercase, lexicon hit, stop and MWE-start flags, cleanup verdict).  The
+table fills lazily and is bounded by ``filters.LEXEME_TABLE_MAX``.  What
+depends on context still runs per token: dot resolution, boundary
+coalescing, the tagger, MWE matching and positions.  Outputs equal the
+per-token rules exactly.
+
 ``SimpleAnalyzer`` is a deliberately SQL-expressible profile
 (lowercase + split on non-alphanumeric runs) used for the DuckDB
 oracle-checked index queries over the driver's ``documents`` table —
@@ -16,6 +26,7 @@ its exact SQL mirror is ``regexp_split_to_array(lower(text),
 from __future__ import annotations
 
 import re
+from functools import partial
 
 import numpy as np
 import pyarrow as pa
@@ -23,13 +34,18 @@ import pyarrow.compute as pc
 
 from . import resources
 from .filters import (
+    LexemeTable,
     MweAutomaton,
     boundary_filter,
     cleanup,
+    cleanup_counts,
     clitic_filter,
     lemma_filter,
     mwe_filter,
+    ocr_garbage_filter,
+    pers_initial_filter,
     replace_filter,
+    sentence_start_lowercase_filter,
     stop_filter,
     uppercase_filter,
 )
@@ -77,45 +93,61 @@ class FrenchAnalyzer:
 
             tagger = default_tagger()
         self.tagger = tagger
+        self.lexemes = LexemeTable(self.lexicon, self.ucwords,
+                                   self.stopwords, self.automaton)
+        self.steps = self._steps()
+
+    def _steps(self) -> list:
+        """The filters after the tokenizer, in chain order, as
+        ``(name, list[Tok] → list[Tok])`` pairs (optional members per
+        constructor flags — SURVEY.md §2.2 optional chain rows)."""
+        lx = self.lexemes
+        steps = []
+        if self.pers_initial:
+            steps.append(("pers_initial", pers_initial_filter))
+        steps += [
+            ("boundary", boundary_filter),
+            ("clitic", partial(clitic_filter, table=lx)),
+            ("replace", partial(replace_filter, mapping=self.normalization)),
+            ("uppercase", partial(uppercase_filter, ucwords=self.ucwords,
+                                  table=lx)),
+        ]
+        if self.sentence_start_lower:
+            steps.append(("sentence_start_lower",
+                          partial(sentence_start_lowercase_filter,
+                                  lexicon=self.lexicon)))
+        if self.tagger is not None:
+            steps.append(("tagger", self._tag))
+        steps += [
+            ("lemma", partial(lemma_filter, lexicon=self.lexicon, table=lx)),
+            ("mwe", partial(mwe_filter, automaton=self.automaton, table=lx)),
+            ("stop", partial(stop_filter, stopwords=self.stopwords,
+                             table=lx)),
+        ]
+        if self.ocr_garbage:
+            steps.append(("ocr_garbage", ocr_garbage_filter))
+        return steps
+
+    def _tag(self, toks):
+        self.tagger(toks)
+        return toks
 
     def _chain(self, text: str):
-        from .filters import (
-            ocr_garbage_filter,
-            pers_initial_filter,
-            sentence_start_lowercase_filter,
-        )
-
         toks = self.tokenizer.tokenize(text)
-        if self.pers_initial:
-            toks = pers_initial_filter(toks)
-        toks = boundary_filter(toks)
-        toks = clitic_filter(toks)
-        toks = replace_filter(toks, self.normalization)
-        toks = uppercase_filter(toks, self.ucwords)
-        if self.sentence_start_lower:
-            toks = sentence_start_lowercase_filter(toks, self.lexicon)
-        if self.tagger is not None:
-            self.tagger(toks)
-        toks = lemma_filter(toks, self.lexicon)
-        toks = mwe_filter(toks, self.automaton)
-        toks = stop_filter(toks, self.stopwords)
-        if self.ocr_garbage:
-            toks = ocr_garbage_filter(toks)
+        for _, step in self.steps:
+            toks = step(toks)
         return toks
 
     def analyze(self, text: str):
-        """Run the canonical chain on one document (optional members per
-        constructor flags — SURVEY.md §2.2 optional chain rows)."""
-        return cleanup(self._chain(text))
+        """Run the canonical chain on one document."""
+        return cleanup(self._chain(text), self.lexemes)
 
     def analyze_counts(self, text: str):
         """Chain + per-term COUNTS (no position stream) — the BM25
         build path (keep_positions=False) never looks at positions, so
         skipping the per-token tuple stream cuts the dominant
         allocation pressure of the hot analyze stage."""
-        from .filters import cleanup_counts
-
-        return cleanup_counts(self._chain(text))
+        return cleanup_counts(self._chain(text), self.lexemes)
 
     def terms(self, text: str) -> list[str]:
         return [t for t, _ in self.analyze(text)[0]]

@@ -4,6 +4,13 @@ Each filter is a pure ``list[Tok] → list[Tok]`` function; the chain
 composition lives in :mod:`alix_ray.analysis.chain`.  Semantics are
 re-implemented from the reference's published behavior (file:line cited
 per filter), not ported code.
+
+The context-free part of each filter is a rule on one surface string
+(``_clitic_parts``, ``_uppercase``, ``_lexicon_hit``, ``_cleanup_verdict``,
+a lowercase, a set test).  A :class:`LexemeTable` memoizes every rule's
+result per surface, and a filter given ``table=`` reads the table instead
+of re-running the rule; without one it runs the rule per token.  Both
+give the same output (``tests/test_analysis.py`` checks it).
 """
 
 from __future__ import annotations
@@ -55,6 +62,11 @@ def boundary_filter(
 
     Consecutive boundaries coalesce (section wins over paragraph).
     """
+    for t in toks:
+        if t.cls == "XML":
+            break
+    else:
+        return toks  # no markup: nothing to drop or mark
     out: list[Tok] = []
     pending: Tok | None = None  # pending boundary token
     for t in toks:
@@ -173,23 +185,34 @@ def split_clitics(text: str) -> list[str]:
     return out
 
 
-def clitic_filter(toks: list[Tok]) -> list[Tok]:
-    out: list[Tok] = []
-    for t in toks:
-        if t.cls != "WORD":
-            out.append(t)
+def _clitic_parts(text: str) -> list[str] | None:
+    """The parts a WORD splits into, or None when it stays whole."""
+    if "'" not in text and "-" not in text and "’" not in text:
+        return None  # no apostrophe/hyphen → nothing to split
+    parts = split_clitics(text)
+    if len(parts) == 1 and parts[0] == text:
+        return None
+    return parts
+
+
+def clitic_filter(toks: list[Tok], table=None) -> list[Tok]:
+    get = table.get if table is not None else None
+    out: list[Tok] | None = None  # built from the first split on
+    for i, t in enumerate(toks):
+        parts = None
+        if t.cls == "WORD":
+            text = t.text
+            parts = ((get(text) or table[text]).clitic if get is not None
+                     else _clitic_parts(text))
+        if parts is None:
+            if out is not None:
+                out.append(t)
             continue
-        # fast path: no apostrophe/hyphen → nothing to split
-        if "'" not in t.text and "-" not in t.text and "’" not in t.text:
-            out.append(t)
-            continue
-        parts = split_clitics(t.text)
-        if len(parts) == 1 and parts[0] == t.text:
-            out.append(t)
-            continue
+        if out is None:
+            out = toks[:i]
         for p in parts:
             out.append(Tok(p, "WORD", t.start, t.end))
-    return out
+    return toks if out is None else out
 
 
 # ---------------------------------------------------------------------
@@ -211,47 +234,55 @@ def replace_filter(toks: list[Tok], mapping: dict[str, str]) -> list[Tok]:
 # ---------------------------------------------------------------------
 
 
-def uppercase_filter(toks: list[Tok], ucwords=frozenset(), min_uc: int = 4) -> list[Tok]:
+def _uppercase(text: str, ucwords, min_uc: int = 4) -> str:
+    """A WORD's surface after the all-caps rules (``text`` itself when
+    they leave it alone)."""
+    letters = dots = 0
+    for c in text:
+        if _is_letter(c):
+            letters += 1
+            if c.islower():
+                return text
+        elif c == ".":
+            dots += 1
+    if letters == 0:
+        return text
+    if text in ucwords or text.upper() in ucwords:
+        return text
+    if letters == 1:
+        return text  # initial, kept for forename resolution
+    if dots >= letters - 1:
+        return text  # U.R.S.S
+    if letters < min_uc:
+        return ""  # suppressed (dropped downstream)
+    # capitalize: keep first char and any char right after a hyphen
+    chars = list(text)
+    keep_next = False
+    for i in range(1, len(chars)):
+        if chars[i] == "-":
+            keep_next = True
+            continue
+        if keep_next:
+            keep_next = False
+            continue
+        chars[i] = chars[i].lower()
+    return "".join(chars)
+
+
+def uppercase_filter(toks: list[Tok], ucwords=frozenset(), min_uc: int = 4,
+                     table=None) -> list[Tok]:
     """All-caps handling: protected / initials / dotted kept; short
     all-caps suppressed (emptied); long all-caps capitalized
     (``JEAN-PAUL`` → ``Jean-Paul``)."""
+    get = table.get if table is not None else None
     for t in toks:
         if t.cls != "WORD":
             continue
         text = t.text
-        letters = dots = 0
-        has_lower = False
-        for c in text:
-            if _is_letter(c):
-                letters += 1
-                if c.islower():
-                    has_lower = True
-                    break
-            elif c == ".":
-                dots += 1
-        if has_lower or letters == 0:
-            continue
-        if text in ucwords or text.upper() in ucwords:
-            continue
-        if letters == 1:
-            continue  # initial, kept for forename resolution
-        if dots >= letters - 1:
-            continue  # U.R.S.S
-        if letters < min_uc:
-            t.text = ""  # suppressed (dropped downstream)
-            continue
-        # capitalize: keep first char and any char right after a hyphen
-        chars = list(text)
-        keep_next = False
-        for i in range(1, len(chars)):
-            if chars[i] == "-":
-                keep_next = True
-                continue
-            if keep_next:
-                keep_next = False
-                continue
-            chars[i] = chars[i].lower()
-        t.text = "".join(chars)
+        new = ((get(text) or table[text]).upper if get is not None
+               else _uppercase(text, ucwords, min_uc))
+        if new is not text:
+            t.text = new
     return toks
 
 
@@ -261,23 +292,33 @@ def uppercase_filter(toks: list[Tok], ucwords=frozenset(), min_uc: int = 4) -> l
 # ---------------------------------------------------------------------
 
 
-def lemma_filter(toks: list[Tok], lexicon: dict[str, tuple[str, str]]) -> list[Tok]:
+def _lexicon_hit(text: str, lexicon) -> tuple[str, str] | None:
+    """``(pos, lemma)`` of a surface: exact lookup, then lowercase."""
+    hit = lexicon.get(text)
+    if hit is None:
+        hit = lexicon.get(text.lower())
+    return hit
+
+
+def lemma_filter(toks: list[Tok], lexicon: dict[str, tuple[str, str]],
+                 table=None) -> list[Tok]:
     """Sparse lemma channel: lookup surface (exact, then lowercase);
     never rewrites surface; skips punct/XML; lemma written only when
     distinct from surface."""
+    get = table.get if table is not None else None
     for t in toks:
-        if t.cls != "WORD" or not t.text:
+        text = t.text
+        if t.cls != "WORD" or not text:
             continue
-        hit = lexicon.get(t.text)
-        if hit is None:
-            hit = lexicon.get(t.text.lower())
+        hit = ((get(text) or table[text]).hit if get is not None
+               else _lexicon_hit(text, lexicon))
         if hit is None:
             continue
         pos, lemma = hit
         t.lex = True  # resolved against the lexicon (KeywordAttribute)
         if t.pos is None:  # a context tagger's POS (if any) wins
             t.pos = pos
-        if lemma != t.text:
+        if lemma != text:
             t.lemma = lemma
     return toks
 
@@ -302,12 +343,20 @@ class MweAutomaton:
             [k[0] for k in form_entries] + [k[0] for k in lemma_entries]
         )
 
-    def can_start(self, tok: Tok) -> bool:
-        if tok.text.lower() in self.starts:
-            return True
-        return tok.lemma is not None and tok.lemma.lower() in self.starts
+    def start_positions(self, toks: list[Tok], table=None) -> list[int]:
+        """Indices of the WORD tokens whose lowercase form or lemma can
+        start an entry."""
+        if table is None:
+            starts = self.starts
+            return [i for i, t in enumerate(toks) if t.cls == "WORD" and (
+                t.text.lower() in starts
+                or t.lemma is not None and t.lemma.lower() in starts)]
+        get = table.get
+        return [i for i, t in enumerate(toks) if t.cls == "WORD" and (
+            (get(t.text) or table[t.text]).mwe
+            or t.lemma is not None and (get(t.lemma) or table[t.lemma]).mwe)]
 
-    def match(self, toks: list[Tok], i: int):
+    def match(self, toks: list[Tok], i: int, table=None):
         """Longest match starting at i → (length, canonical, pos) or None.
 
         Form path reads token text; lemma path reads lemma-or-text.
@@ -321,8 +370,12 @@ class MweAutomaton:
             t = toks[i + k]
             if t.cls != "WORD" or not t.text:
                 break
-            forms.append(t.text.lower())
-            lemmas.append((t.lemma or t.text).lower())
+            if table is not None:
+                forms.append(table[t.text].low)
+                lemmas.append(table[t.lemma or t.text].low)
+            else:
+                forms.append(t.text.lower())
+                lemmas.append((t.lemma or t.text).lower())
             fkey = tuple(forms)
             lkey = tuple(lemmas)
             hit = self.form.get(fkey)
@@ -335,23 +388,24 @@ class MweAutomaton:
         return best
 
 
-def mwe_filter(toks: list[Tok], automaton: MweAutomaton) -> list[Tok]:
+def mwe_filter(toks: list[Tok], automaton: MweAutomaton,
+               table=None) -> list[Tok]:
     out: list[Tok] = []
-    i = 0
-    n = len(toks)
-    while i < n:
-        m = (
-            automaton.match(toks, i)
-            if toks[i].cls == "WORD" and automaton.can_start(toks[i])
-            else None
-        )
+    i = 0  # first token not yet copied to out
+    for s in automaton.start_positions(toks, table):
+        if s < i:
+            continue  # inside the previous match
+        m = automaton.match(toks, s, table)
         if m is None:
-            out.append(toks[i])
-            i += 1
             continue
         length, canonical, pos, _ = m
-        out.append(Tok(canonical, "WORD", toks[i].start, toks[i + length - 1].end, pos=pos))
-        i += length
+        out += toks[i:s]
+        out.append(Tok(canonical, "WORD", toks[s].start,
+                       toks[s + length - 1].end, pos=pos))
+        i = s + length
+    if not i:
+        return toks  # no match
+    out += toks[i:]
     return out
 
 
@@ -473,10 +527,15 @@ def pers_initial_filter(toks: list[Tok]) -> list[Tok]:
 # ---------------------------------------------------------------------
 
 
-def stop_filter(toks: list[Tok], stopwords: frozenset) -> list[Tok]:
+def stop_filter(toks: list[Tok], stopwords: frozenset, table=None) -> list[Tok]:
     """Mark stop words for drop-with-gap (position holes preserved)."""
+    get = table.get if table is not None else None
     for t in toks:
-        if t.cls == "WORD" and t.text.lower() in stopwords:
+        if t.cls != "WORD":
+            continue
+        text = t.text
+        if ((get(text) or table[text]).stop if get is not None
+                else text.lower() in stopwords):
             t.cls = "STOP"
     return toks
 
@@ -503,36 +562,33 @@ def _is_latin_letter(c: str) -> bool:
         return False
 
 
-def _cleanup_skip(t: Tok) -> bool:
-    """Drop WITHOUT position (noise; positions collapse)."""
-    if t.cls == "XML":
-        return True
-    text = t.text
+# cleanup verdict parts: ``skip`` drops a token WITHOUT a position
+# (noise; positions collapse), ``accept`` emits it — a token not
+# skipped and not accepted leaves a position gap (punctuation, debris)
+_KEEP, _SKIP, _SKIP_UNLESS_KEPT_POS = 0, 1, 2
+_REJECT, _ACCEPT, _ACCEPT_IF_LEMMA = 0, 1, 2
+_NO_TERM_CLS = frozenset(
+    ("PUNCTclause", "PUNCTsent", "PUNCTpara", "PUNCTsection", "STOP"))
+
+
+def _cleanup_verdict(text: str) -> tuple[int, int]:
+    """``(skip, accept)`` of a non-empty surface; the token's class,
+    POS (one-char tokens) and lemma (non-Latin ones) decide the rest."""
     n = len(text)
     if n == 1:
-        return t.pos not in _ONE_CHAR_KEEP
-    if n == 2 and text[-1] in "'’.":
-        return True
-    if n >= 2 and _is_digit(text[-1]) and not _is_digit(text[-2]):
-        return True  # "abc4" label debris
-    return False
-
-
-def _cleanup_accept(t: Tok) -> bool:
-    """Emit, or drop WITH a position gap (punctuation & debris)."""
-    text = t.text
-    if not text:
-        return False
-    if t.cls in ("PUNCTclause", "PUNCTsent", "PUNCTpara", "PUNCTsection", "STOP"):
-        return False
+        skip = _SKIP_UNLESS_KEPT_POS
+    elif n == 2 and text[-1] in "'’.":
+        skip = _SKIP
+    elif n >= 2 and _is_digit(text[-1]) and not _is_digit(text[-2]):
+        skip = _SKIP  # "abc4" label debris
+    else:
+        skip = _KEEP
     first, last = text[0], text[-1]
-    if _is_math(first) or _is_digit(first) or first in "-'":
-        return False
-    if _is_math(last) or _is_digit(last) or last in "-'.":
-        return False
-    if t.lemma:
-        return True  # lemma copied over surface by caller
-    return _all_latin(text)
+    if (_is_math(first) or _is_digit(first) or first in "-'"
+            or _is_math(last) or _is_digit(last) or last in "-'."):
+        return skip, _REJECT
+    # a lemma is copied over the surface by the caller
+    return skip, _ACCEPT if _all_latin(text) else _ACCEPT_IF_LEMMA
 
 
 @lru_cache(maxsize=65536)
@@ -546,7 +602,7 @@ def _all_latin(text: str) -> bool:
     return True
 
 
-def cleanup(toks: list[Tok]) -> tuple[list[tuple[str, int]], int, int]:
+def cleanup(toks: list[Tok], table=None) -> tuple[list[tuple[str, int]], int, int]:
     """Final hygiene → ``([(term, position)...], width, n_tokens)``.
 
     Invariant (TermStats.java:40-46): every emitted token is a word;
@@ -554,47 +610,101 @@ def cleanup(toks: list[Tok]) -> tuple[list[tuple[str, int]], int, int]:
     ``n_tokens ≤ width``.
     """
     emitted: list[tuple[str, int]] = []
+    get = table.get if table is not None else None
     pos = 0
     last_emitted_pos = -1
     for t in toks:
-        if not t.text:
+        text = t.text
+        if not text:
             pos += 1  # emptied upstream (e.g. suppressed all-caps): hole
             continue
-        if _cleanup_skip(t):
+        skip, acc = ((get(text) or table[text]).verdict if get is not None
+                     else _cleanup_verdict(text))
+        if t.cls == "XML" or skip and (
+                skip == _SKIP or t.pos not in _ONE_CHAR_KEEP):
             continue
         p = pos
         pos += 1
-        if _cleanup_accept(t):
-            term = t.lemma if t.lemma else t.text
-            emitted.append((term, p))
+        if acc and t.cls not in _NO_TERM_CLS and (acc == _ACCEPT or t.lemma):
+            emitted.append((t.lemma if t.lemma else text, p))
             last_emitted_pos = p
     width = last_emitted_pos + 1
     return emitted, width, len(emitted)
 
 
-def cleanup_counts(toks: list[Tok]) -> tuple[dict, int, int]:
+def cleanup_counts(toks: list[Tok], table=None) -> tuple[dict, int, int]:
     """Same walk as :func:`cleanup`, but aggregates per-term COUNTS
     instead of emitting a (term, position) stream — for consumers that
     only need tf (the BM25 build).  Identical skip/accept/width
     semantics by construction."""
     counts: dict[str, int] = {}
+    get = table.get if table is not None else None
     pos = 0
     last_emitted_pos = -1
     n = 0
     for t in toks:
-        if not t.text:
+        text = t.text
+        if not text:
             pos += 1
             continue
-        if _cleanup_skip(t):
+        skip, acc = ((get(text) or table[text]).verdict if get is not None
+                     else _cleanup_verdict(text))
+        if t.cls == "XML" or skip and (
+                skip == _SKIP or t.pos not in _ONE_CHAR_KEEP):
             continue
         p = pos
         pos += 1
-        if _cleanup_accept(t):
-            term = t.lemma if t.lemma else t.text
+        if acc and t.cls not in _NO_TERM_CLS and (acc == _ACCEPT or t.lemma):
+            term = t.lemma if t.lemma else text
             counts[term] = counts.get(term, 0) + 1
             last_emitted_pos = p
             n += 1
     return counts, last_emitted_pos + 1, n
+
+
+# ---------------------------------------------------------------------
+# Per-surface table (the context-free half of every filter above)
+# ---------------------------------------------------------------------
+
+# Bound on one table's surfaces; a full table starts over (the Zipf
+# head refills it at once).  Same bound as ``_all_latin``'s cache.
+LEXEME_TABLE_MAX = 65_536
+
+
+class Lexeme:
+    """One surface string's context-free filter results."""
+
+    __slots__ = ("low", "clitic", "upper", "hit", "stop", "mwe", "verdict")
+
+
+class LexemeTable(dict):
+    """Surface string → :class:`Lexeme`, filled on first lookup.
+
+    Built once per analyzer from the resources its filters are given
+    (``FrenchAnalyzer.lexemes``); a filter passed ``table=`` must get the
+    table of the same resources.  The results are the filters' own rule
+    functions, so reading them here is exact."""
+
+    def __init__(self, lexicon, ucwords, stopwords, automaton):
+        super().__init__()
+        self.lexicon = lexicon
+        self.ucwords = ucwords
+        self.stopwords = stopwords
+        self.starts = automaton.starts
+
+    def __missing__(self, text: str) -> Lexeme:
+        if len(self) >= LEXEME_TABLE_MAX:
+            self.clear()
+        lx = Lexeme()
+        lx.low = low = text.lower()
+        lx.clitic = _clitic_parts(text)
+        lx.upper = _uppercase(text, self.ucwords)
+        lx.hit = _lexicon_hit(text, self.lexicon)
+        lx.stop = low in self.stopwords
+        lx.mwe = low in self.starts
+        lx.verdict = _cleanup_verdict(text) if text else (_KEEP, _REJECT)
+        self[text] = lx
+        return lx
 
 
 # ---------------------------------------------------------------------

@@ -193,9 +193,12 @@ class PerceptronTagger:
             (t.text.lower() if (t.cls == "WORD" and t.text) else _PUN)
             for t in toks
         ]
-        for i, t in enumerate(toks):
-            if words[i] in self.ambiguous:
-                t.pos = self._predict(_features(words, i), self.weights)
+        amb = self.ambiguous
+        if amb.isdisjoint(words):
+            return
+        for i, w in enumerate(words):
+            if w in amb:
+                toks[i].pos = self._predict(_features(words, i), self.weights)
 
 
 _DEFAULT: PerceptronTagger | None = None

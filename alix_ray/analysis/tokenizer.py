@@ -24,6 +24,15 @@ tag or end of input detaches the rightmost dot as sentence punctuation,
 cascading right-to-left while the bare token starts uppercase/titlecase/
 digit.  A detached dot adjacent to a following ``.?!…`` run merges into
 that run.
+
+Hot path (``MarkupTokenizer._scan``): the text is cut at single spaces,
+and a piece of letters only (``str.isalpha``, shorter than 256 chars), or
+such a piece plus a final ``.``, is one WORD token read in one step.
+Every other piece goes through the per-char reader, which has a plain-run
+fast path of its own.  The scan records the unknown dotted words, so
+dot resolution starts only at those; a text without one returns the raw
+token list as is.  Both fast paths give exactly the per-char reader's
+tokens (``tests/test_analysis.py`` switches them off and compares).
 """
 
 from __future__ import annotations
@@ -92,14 +101,19 @@ def _is_token_char(c: str) -> bool:
 
 _NORM = {**_APOS_NORM, **_HYPH_NORM}
 
-# plain-letter run for the tokenizer fast path: ASCII + Latin-1 letters
-# + œ/Œ only — every member is .isalpha(), maps through _NORM as
-# itself, and is none of the special chars (&.-'_°, digits), so a
-# maximal run not followed by a continuation char tokenizes exactly as
-# _read_word would
+# plain-letter run for the per-char scanner's fast path: ASCII +
+# Latin-1 letters + œ/Œ only — every member is .isalpha(), maps
+# through _NORM as itself, and is none of the special chars
+# (&.-'_°, digits), so a maximal run not followed by a continuation
+# char tokenizes exactly as _read_word would
 import re as _re
 
 _PLAIN_RUN = _re.compile(r"[A-Za-zÀ-ÖØ-öø-ÿŒœ]+")
+
+# the piece scanner's test (see MarkupTokenizer._scan): a space-
+# delimited piece of letters only is one WORD token; a module name so
+# a differential test can switch the piece fast path off
+_plain_piece = str.isalpha
 
 
 def _norm_char(c: str) -> str:
@@ -176,6 +190,8 @@ def _starts_sentence(text: str) -> bool:
     if not text:
         return False
     c = text[0]
+    if c.islower():  # not a digit, not "-", neither upper- nor titlecase
+        return False
     if _is_digit(c):
         return True
     if c == "-" and len(text) > 1 and _is_digit(text[1]):
@@ -235,62 +251,116 @@ class MarkupTokenizer:
         return j > frm and tag[frm:j].lower() in self.block_tags
 
     # ---- raw reading --------------------------------------------------
-    def _raw_tokens(self, s: str):
-        """Yield raw tokens; attached trailing dots unresolved."""
-        i, n = 0, len(s)
+    def _scan(self, s: str):
+        """Raw tokens of ``s`` (attached trailing dots unresolved) and
+        the indices of the unknown dotted ones among them.
+
+        Fast path, one step per token: ``s`` is cut at single spaces
+        and a piece of letters only (``str.isalpha``, < 256 chars) is
+        one WORD token, as is such a piece plus a final ``.`` (≤ 254
+        letters).  Either is exactly what :meth:`_scan_chars` reads
+        there: a letter run ends at the space (not a token char), and
+        ``_NORM`` maps no letter but ``ʼ``, which sends the whole text
+        down the per-char path.  Every other piece, and any piece a
+        token read by the per-char path runs into (a tag spans spaces),
+        goes through :meth:`_scan_chars`."""
+        out: list[Tok] = []
+        dotted: list[int] = []
+        if "ʼ" in s:
+            self._scan_chars(s, 0, len(s), out, dotted)
+            return out, dotted
+        append = out.append
+        plain = _plain_piece
+        brevidots = self.brevidots
+        i = 0  # where the per-char reading stands
+        a = 0  # start of the current piece
+        for p in s.split(" "):
+            b = a + len(p)
+            if i <= a:  # only spaces lie between i and a
+                if plain(p):
+                    if b - a < TOKEN_MAX_SIZE:
+                        append(Tok(p, "WORD", a, b))
+                        i = b
+                        a = b + 1
+                        continue
+                elif p and p[-1] == "." and b - a < TOKEN_MAX_SIZE \
+                        and plain(p[:-1]):
+                    # "word." — unknown dotted unless an initial or a
+                    # configured brevidot (the only brevidot shapes a
+                    # letters-only word can take)
+                    if b - a > 2 and p not in brevidots:
+                        dotted.append(len(out))
+                    append(Tok(p, "WORD", a, b))
+                    i = b
+                    a = b + 1
+                    continue
+            if i < b:
+                i = self._scan_chars(s, i, b, out, dotted)
+            a = b + 1
+        return out, dotted
+
+    def _scan_chars(self, s: str, i: int, limit: int, out: list,
+                    dotted: list) -> int:
+        """Per-char reading from ``i`` until it reaches ``limit`` with no
+        detached punctuation pending; appends to ``out`` (and the indices
+        of unknown dotted words to ``dotted``) and returns where it
+        stopped — past ``limit`` when a token runs over it."""
+        n = len(s)
+        append = out.append
         pending: tuple[str, int, int] | None = None  # (char, start, end)
-        while True:
+        while i < limit or pending is not None:
             if pending is not None:
                 c, ps, pe = pending
                 pending = None
                 if c in _CLAUSE:
-                    yield Tok(c, "PUNCTclause", ps, pe)
+                    append(Tok(c, "PUNCTclause", ps, pe))
                     continue
                 # sentence punct: merge with an immediately following run
                 j = i
                 while j < n and s[j] in _SENT:
                     j += 1
-                yield Tok(c + s[i:j], "PUNCTsent", ps, j)
+                append(Tok(c + s[i:j], "PUNCTsent", ps, j))
                 i = j
                 continue
-            if i >= n:
-                return
             c = s[i]
-            if c == " " or c == "\n":  # hot path: inter-token whitespace
+            if c == " " or c == "\n":  # inter-token whitespace
                 i += 1
                 continue
             if c == "<":
                 j = s.find(">", i)
                 if j == -1:
-                    yield Tok(s[i:], "WORD", i, n)  # truncated tag: no XML flag
+                    tok = Tok(s[i:], "WORD", i, n)  # truncated tag: no XML flag
+                    append(tok)
+                    if self._is_unknown_dotted(tok):
+                        dotted.append(len(out) - 1)
                     i = n
                     continue
-                yield Tok(s[i : j + 1], "XML", i, j + 1)
+                append(Tok(s[i : j + 1], "XML", i, j + 1))
                 i = j + 1
                 continue
             if c in _CLAUSE:
-                yield Tok(c, "PUNCTclause", i, i + 1)
+                append(Tok(c, "PUNCTclause", i, i + 1))
                 i += 1
                 continue
             if c in _SENT:
                 j = i
                 while j < n and s[j] in _SENT:
                     j += 1
-                yield Tok(s[i:j], "PUNCTsent", i, j)
+                append(Tok(s[i:j], "PUNCTsent", i, j))
                 i = j
                 continue
-            # FAST PATH: a maximal run of plain Latin letters followed
-            # by a non-continuation char is exactly one WORD token (no
+            # a maximal run of plain Latin letters followed by a
+            # non-continuation char is exactly one WORD token (no
             # entity/&, no dot logic, no normalization — the class
             # excludes every special char), so skip the per-char
-            # scanner.  Equivalence to _read_word is enforced by the
+            # reading.  Equivalence to _read_word is enforced by the
             # differential test in tests/test_analysis.py.
             m = _PLAIN_RUN.match(s, i)
             if m is not None:
                 j = m.end()
                 if j - i < TOKEN_MAX_SIZE:
                     if j >= n:
-                        yield Tok(s[i:j], "WORD", i, j)
+                        append(Tok(s[i:j], "WORD", i, j))
                         i = j
                         continue
                     c2 = s[j]
@@ -298,7 +368,7 @@ class MarkupTokenizer:
                     if f2 is None:
                         f2 = _flags(c2)
                     if c2 != "." and not f2 & _TOKENC:
-                        yield Tok(s[i:j], "WORD", i, j)
+                        append(Tok(s[i:j], "WORD", i, j))
                         i = j
                         continue
             f = _FLAGS.get(c)
@@ -306,7 +376,7 @@ class MarkupTokenizer:
                 f = _flags(c)
             if f & _DIGIT:
                 tok, i, pending = self._read_number(s, i, "")
-                yield tok
+                append(tok)
                 continue
             if f & _TOKENC:
                 res = self._read_word(s, i)
@@ -315,9 +385,12 @@ class MarkupTokenizer:
                     continue
                 tok, i, pending = res
                 if tok is not None:
-                    yield tok
+                    append(tok)
+                    if self._is_unknown_dotted(tok):
+                        dotted.append(len(out) - 1)
                 continue
             i += 1  # insignificant char
+        return i
 
     def _read_number(self, s: str, i: int, prefix: str):
         """Digits with at most one ``.``/``,`` between digit runs."""
@@ -415,73 +488,87 @@ class MarkupTokenizer:
 
     # ---- dot resolution ----------------------------------------------
     def tokenize(self, s: str) -> list[Tok]:
+        raw, dotted = self._scan(s)
+        if not dotted:
+            return raw
         out: list[Tok] = []
-        gen = self._raw_tokens(s)
-        buffered: Tok | None = None
-        while True:
-            tok = buffered if buffered is not None else next(gen, None)
-            buffered = None
-            if tok is None:
-                break
-            if not self._is_unknown_dotted(tok):
-                out.append(tok)
-                continue
-            seq = self._resolve_dotted(gen, tok)
-            out.extend(seq)
+        i = 0
+        unknown = set(dotted)
+        for d in dotted:
+            if d >= i:  # not consumed by an earlier resolution
+                out += raw[i:d]
+                i = self._resolve_dotted(raw, d, unknown, out)
+        out += raw[i:]
         return out
 
-    def _resolve_dotted(self, gen, first_tok: Tok) -> list[Tok]:
-        pending: list[Tok] = [first_tok]
-        candidates = [0]
-        dot_spans = [(first_tok.end - 1, first_tok.end)]
-
-        def detach(punct: Tok | None):
-            last = len(candidates) - 1
-            first = last
-            pending[candidates[first]].text = pending[candidates[first]].text[:-1]
-            pending[candidates[first]].end -= 1
-            while first > 0 and _starts_sentence(pending[candidates[first]].text):
-                first -= 1
-                pending[candidates[first]].text = pending[candidates[first]].text[:-1]
-                pending[candidates[first]].end -= 1
-            merge_last = punct is not None and punct.start == dot_spans[last][1]
-            if merge_last:
-                punct.text = "." + punct.text
-                punct.start = dot_spans[last][0]
-            result: list[Tok] = []
-            cand = first
-            for idx, t in enumerate(pending):
-                result.append(t)
-                if cand > last or candidates[cand] != idx:
-                    continue
-                if cand < last or not merge_last:
-                    ds, de = dot_spans[cand]
-                    result.append(Tok(".", "PUNCTsent", ds, de))
-                cand += 1
-            return result
-
+    def _resolve_dotted(self, raw: list, d: int, unknown: set,
+                        out: list) -> int:
+        """Resolve the unknown dotted word ``raw[d]`` (and any further
+        ones — indices in ``unknown`` — before the deciding token) into
+        ``out``; return the index of the first raw token not
+        consumed."""
+        cands = [d]
+        n = len(raw)
+        j = d
         while True:
-            t = next(gen, None)
-            if t is None:
-                return detach(None)
-            pending.append(t)
-            if t.cls == "XML":
+            j += 1
+            if j == n:
+                self._detach(raw, d, cands, n, None, out)
+                return n
+            t = raw[j]
+            cls = t.cls
+            if cls == "XML":
                 if self._is_block_tag(t.text):
-                    return detach(None)
+                    self._detach(raw, d, cands, j + 1, None, out)
+                    return j + 1
                 continue
-            if t.cls == "PUNCTclause":
+            if cls == "PUNCTclause":
                 if t.text in ",;:":
-                    return pending  # keeps all pending dots
+                    out += raw[d : j + 1]  # keeps all pending dots
+                    return j + 1
                 continue  # quotes, parens, dashes: transparent
-            if self._is_unknown_dotted(t):
-                candidates.append(len(pending) - 1)
-                dot_spans.append((t.end - 1, t.end))
+            if j in unknown:
+                cands.append(j)
                 continue
-            if t.cls == "PUNCTsent":
-                return detach(t)
-            if _starts_sentence(t.text):
-                return detach(None)
-            return pending
+            if cls == "PUNCTsent":
+                self._detach(raw, d, cands, j + 1, t, out)
+                return j + 1
+            if not _starts_sentence(t.text):
+                out += raw[d : j + 1]
+                return j + 1
+            self._detach(raw, d, cands, j + 1, None, out)
+            return j + 1
+
+    @staticmethod
+    def _detach(raw: list, d: int, cands: list, stop: int,
+                punct: Tok | None, out: list) -> None:
+        """Detach the rightmost pending dot as sentence punctuation,
+        cascading left while the bare token starts a sentence, and
+        emit ``raw[d:stop]`` with the detached dots into ``out``.  A
+        detached dot right before ``punct`` (a ``.?!…`` run) merges
+        into it."""
+        k = len(cands) - 1
+        t = raw[cands[k]]
+        t.text = t.text[:-1]
+        t.end -= 1
+        while k > 0 and _starts_sentence(t.text):
+            k -= 1
+            t = raw[cands[k]]
+            t.text = t.text[:-1]
+            t.end -= 1
+        last = cands[-1]
+        merge_last = punct is not None and punct.start == raw[last].end + 1
+        if merge_last:
+            punct.text = "." + punct.text
+            punct.start = raw[last].end
+        prev = d
+        for c in cands[k:]:
+            out += raw[prev : c + 1]
+            if c != last or not merge_last:
+                e = raw[c].end
+                out.append(Tok(".", "PUNCTsent", e, e + 1))
+            prev = c + 1
+        out += raw[prev:stop]
 
 
 class LineTokenizer:

@@ -104,16 +104,18 @@ def w2v_corpus(ds: ray.data.Dataset, text_col="text",
                 uppercase_filter,
             )
 
+            fa = self.fa
+            lx = fa.lexemes
             lines = []
             for text in batch[text_col].to_pylist():
-                toks = self.fa.tokenizer.tokenize(text or "")
+                toks = fa.tokenizer.tokenize(text or "")
                 toks = boundary_filter(toks)
-                toks = clitic_filter(toks)
-                toks = replace_filter(toks, self.fa.normalization)
-                toks = uppercase_filter(toks, self.fa.ucwords)
-                toks = lemma_filter(toks, self.fa.lexicon)
-                toks = mwe_filter(toks, self.fa.automaton)
-                toks = stop_filter(toks, self.fa.stopwords)
+                toks = clitic_filter(toks, table=lx)
+                toks = replace_filter(toks, fa.normalization)
+                toks = uppercase_filter(toks, fa.ucwords, table=lx)
+                toks = lemma_filter(toks, fa.lexicon, table=lx)
+                toks = mwe_filter(toks, fa.automaton, table=lx)
+                toks = stop_filter(toks, fa.stopwords, table=lx)
                 kept = [
                     t for t in toks
                     if t.cls == "WORD" and t.text

@@ -780,13 +780,17 @@ class IndexBuilder:
         return (not done and getattr(self.store, "fs", None) is None
                 and self.hunspell_resources is None)
 
-    def _record_plan(self, plan: str, done: set, rows, t0: float) -> None:
-        """One ``stage="build"`` manifest row (plan, input rows, wall)
-        per build; a rerun that finds every stage done appends none."""
+    def _record_plan(self, plan: str, done: set, rows, t0: float,
+                     steps_ms: dict | None = None) -> None:
+        """One ``stage="build"`` manifest row (plan, input rows, wall,
+        and the flush plan's step walls) per build; a rerun that finds
+        every stage done appends none."""
         if len(done) < len(STAGES):
+            extra = {} if steps_ms is None else {"steps_ms": steps_ms}
             self.manifest.append(stage="build", status="built", plan=plan,
                                  rows=rows,
-                                 wall_ms=int((time.time() - t0) * 1000))
+                                 wall_ms=int((time.time() - t0) * 1000),
+                                 **extra)
 
     def build(self, input_ds: ray.data.Dataset, input_kind: str = "pages",
               fingerprint: str = "input") -> str:
@@ -802,13 +806,13 @@ class IndexBuilder:
 
         t0 = time.time()
         fps, done = self._plan_start(fingerprint)
-        n_rows = None
+        n_rows = steps_ms = None
         if input_kind == "pages" and "docs" not in done:
             n_rows = input_ds.count()
         if n_rows is not None and self._flush_ok(done) and \
                 n_rows <= smallbuild.SMALL_BUILD_MAX_ROWS:
             plan = "flush"
-            smallbuild.build_small(self, input_ds, fps)
+            steps_ms = smallbuild.build_small(self, input_ds, fps)
         else:
             plan = "staged"
             if input_kind != "pages":
@@ -834,7 +838,7 @@ class IndexBuilder:
             )
             self.manifest.append(stage="hunspell", status="done",
                                  rows=kept, fingerprint="sidecar")
-        self._record_plan(plan, done, n_rows, t0)
+        self._record_plan(plan, done, n_rows, t0, steps_ms)
         return self.out_dir
 
     def compact(self, sources: list[str], deleted: np.ndarray,
@@ -856,10 +860,11 @@ class IndexBuilder:
         # (validated at delete/update time)
         live = sum(json.load(open(os.path.join(s, "config.json")))["n_docs"]
                    for s in sources) - len(deleted)
+        steps_ms = None
         if self._flush_ok(done) and live <= smallbuild.SMALL_COMPACT_MAX_ROWS:
             plan = "flush"
-            smallbuild.compact_small(self, docs_files, an_files, deleted,
-                                     fps)
+            steps_ms = smallbuild.compact_small(self, docs_files, an_files,
+                                                deleted, fps)
         else:
             plan = "staged"
             del_ref = ray.put(np.asarray(deleted, np.int64))
@@ -888,6 +893,6 @@ class IndexBuilder:
                     stage="analyzed", fingerprint=fps["analyzed"],
                     status="done", wall_ms=int((time.time() - t_an) * 1000))
             self.build_from_analyzed(fingerprint)
-        self._record_plan(plan, done, live, t0)
+        self._record_plan(plan, done, live, t0, steps_ms)
         return self.out_dir
 

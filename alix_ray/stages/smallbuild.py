@@ -237,18 +237,28 @@ def _flush_begin(b, fps: dict) -> dict:
                                       clear=True))
 
 
-def build_small(b, pages, fps: dict) -> None:
+def _ms_since(t0: float) -> int:
+    return int((time.time() - t0) * 1000)
+
+
+def build_small(b, pages, fps: dict) -> dict:
     """Build pages-kind ``pages`` as one flush generation of builder
-    ``b`` under the stage fingerprints ``fps``."""
+    ``b`` under the stage fingerprints ``fps``; return the wall of each
+    step in ms (``extract_analyze`` job, ``url_dictionary``,
+    ``block_wave``, ``merge_assemble``)."""
     t_docs = time.time()
     dirs = _flush_begin(b, fps)
     refs = pages.map_batches(
         _fused_extract_analyze(b.analyzer, b.keep_positions),
         batch_format="pyarrow", zero_copy_batch=True,
     ).materialize().to_arrow_refs()
+    steps = {"extract_analyze": _ms_since(t_docs)}
+    t0 = time.time()
     parts = [p for p in ray.get([_url_ts_partial.remote(r) for r in refs])
              if p is not None]
     dict_ref = ray.put(merge_url_ts_tables(parts))
+    steps["url_dictionary"] = _ms_since(t0)
+    t0 = time.time()
     seg_tables = ray.get([
         _block_build.remote(
             r, dict_ref, id_base=b.id_base, docs_tmp=dirs["docs_tmp"],
@@ -256,7 +266,11 @@ def build_small(b, pages, fps: dict) -> None:
             rows_per_file=b.DOCS_ROWS_PER_FILE,
             shard_range=b.shard_range, num_buckets=b.num_buckets)
         for r in refs])
+    steps["block_wave"] = _ms_since(t0)
+    t0 = time.time()
     _assemble(b, seg_tables, fps, dirs, t_docs)
+    steps["merge_assemble"] = _ms_since(t0)
+    return steps
 
 
 def _assemble(b, seg_tables: list, fps: dict, dirs: dict,
@@ -357,14 +371,16 @@ def _compact_docs_block(docs_file: str, deleted: np.ndarray,
 
 
 def compact_small(b, docs_files: list[str], an_files: list[str],
-                  deleted: np.ndarray, fps: dict) -> None:
+                  deleted: np.ndarray, fps: dict) -> dict:
     """Flush compact/merge of a small LIVE doc set: the staged rebuild
     pays the same ~4 s of fixed overhead the flush build removes, so
     run it as two raw task waves (tombstone-filter + write + encode
     per source file, then the shared merge wave / driver assembly).
     ``IndexBuilder.compact`` gates it on live rows ≤
     ``SMALL_COMPACT_MAX_ROWS`` (2× the build gate — a compact has no
-    analysis stage, so twice the rows fit the same driver budget)."""
+    analysis stage, so twice the rows fit the same driver budget).
+    Returns the wall of each step in ms (``block_wave``,
+    ``merge_assemble``)."""
     t_docs = time.time()
     dirs = _flush_begin(b, fps)
     del_ref = ray.put(np.asarray(deleted, np.int64))
@@ -377,4 +393,8 @@ def compact_small(b, docs_files: list[str], an_files: list[str],
                  for f in docs_files]
     seg_tables = ray.get(seg_refs)
     ray.get(docs_refs)
+    steps = {"block_wave": _ms_since(t_docs)}
+    t0 = time.time()
     _assemble(b, seg_tables, fps, dirs, t_docs)
+    steps["merge_assemble"] = _ms_since(t0)
+    return steps

@@ -9,8 +9,14 @@ the BM25 top-10 query battery (p50/p95 latency, block-max WAND).
 Prints ONE JSON line:
   {"metric": "index_build_pages", "value": <sec>, "unit": "sec",
    "queries": {<stage/pipeline>: sec, ...}, "build_plan": "flush"|"staged",
-   "sf": <sf>, "num_cpus": N, "docs_per_sec": ..., "query_p50_ms": ...,
-   "query_p95_ms": ...}
+   "build_steps_ms": {<flush step>: ms, ...}, "sf": <sf>, "num_cpus": N,
+   "docs_per_sec": ..., "query_p50_ms": ..., "query_p95_ms": ...,
+   "query_first_touch_p50_ms": ..., "query_first_touch_p95_ms": ...}
+
+``query_p50_ms``/``query_p95_ms`` time the BM25 battery warm: after
+``BM25Index.warm()`` and one pass over the battery, so each query's
+postings and contributions are decoded.  The ``query_first_touch_*``
+figures time that first pass, which still decodes contributions.
 
 --scaling: runs the same job in two fresh processes (RAY_GRAFT_CPUS=8
 and 32) on the same input and reports both throughputs + efficiency
@@ -134,8 +140,12 @@ def run_bench() -> dict:
         if row.get("status") == "done" and "wall_ms" in row:
             stage_secs[f"stage_{row['stage']}"] = round(row["wall_ms"] / 1000.0, 3)
     # the plan build() picked; under "flush" stage_docs includes extract
-    # and analysis, and stage_analyzed is only the commit
-    build_plan = [r["plan"] for r in rows if r["stage"] == "build"][-1]
+    # and analysis, and stage_analyzed is only the commit, so the flush
+    # plan's own step walls (extract+analyze job, url dictionary, block
+    # wave, merge wave + assembly) are reported next to it
+    build_row = [r for r in rows if r["stage"] == "build"][-1]
+    build_plan = build_row["plan"]
+    build_steps_ms = build_row.get("steps_ms", {})
 
     from alix_ray.index.engine import BM25Index
 
@@ -158,20 +168,31 @@ def run_bench() -> dict:
     t0 = time.time()
     ix.warm()
     warm_sec = time.time() - t0
-    lat, lat_wand = [], []
+    # first touch: warm() loads postings, not their decoded
+    # contributions, so this pass is mostly contribution decode
+    lat_first, lat_wand = [], []
     for qs in queries:
         t0 = time.perf_counter()
         ix.search_terms(qs, 10)  # serving path (auto strategy)
-        lat.append(time.perf_counter() - t0)
+        lat_first.append(time.perf_counter() - t0)
         t0 = time.perf_counter()
         # the memory-bounded scale path: block-max windowed for
         # several terms, the single-term posting scan for one
         ix.search_block_window(qs, 10) if len(set(qs)) > 1 else ix.search_wand(qs, 10)
         lat_wand.append(time.perf_counter() - t0)
+    # warm steady state: the same battery, contributions decoded
+    lat = []
+    for qs in queries:
+        t0 = time.perf_counter()
+        ix.search_terms(qs, 10)
+        lat.append(time.perf_counter() - t0)
     lat.sort()
+    lat_first.sort()
     lat_wand.sort()
     p50 = lat[len(lat) // 2] * 1000
     p95 = lat[int(len(lat) * 0.95)] * 1000
+    first_p50 = lat_first[len(lat_first) // 2] * 1000
+    first_p95 = lat_first[int(len(lat_first) * 0.95)] * 1000
     wand_p95 = lat_wand[int(len(lat_wand) * 0.95)] * 1000
 
     # two-Zipf-head-term span battery on a FRESH positions-enabled
@@ -264,6 +285,7 @@ def run_bench() -> dict:
         "queries": {**stage_secs, **pipeline_secs,
                     "bm25_query_battery": round(sum(lat), 3)},
         "build_plan": build_plan,
+        "build_steps_ms": build_steps_ms,
         "sf": sf,
         "num_cpus": NUM_CPUS,
         "n_pages": n_pages,
@@ -273,6 +295,8 @@ def run_bench() -> dict:
         "index_warm_sec": round(warm_sec, 3),
         "query_p50_ms": round(p50, 3),
         "query_p95_ms": round(p95, 3),
+        "query_first_touch_p50_ms": round(first_p50, 3),
+        "query_first_touch_p95_ms": round(first_p95, 3),
         "query_p95_ms_cold": round(cold_p95, 3),
         "scale_path_p95_ms": round(wand_p95, 3),
         "span_hot_p95_ms": round(span_hot_p95, 3),

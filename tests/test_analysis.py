@@ -401,23 +401,26 @@ class TestTokenizerFastPath:
         "a" * 300 + " overlong",
         "", "   ", "fin.",
         "père.\nLa suite",
+        "lʼécole dʼabord motʼ fin.",  # modifier-letter apostrophe
     ]
 
     def _both(self, text):
+        """Tokens with every fast path on, and with all of them off:
+        the piece scanner (``_plain_piece``, which also decides the
+        dotted words it reads) and the per-char plain-run match."""
         import re
+
+        import pytest
 
         from alix_ray.analysis import tokenizer as T
 
         mt = T.MarkupTokenizer()
         fast = [(t.text, t.cls, t.start, t.end) for t in mt.tokenize(text)]
-        never = re.compile(r"(?!x)x")
-        orig = T._PLAIN_RUN
-        T._PLAIN_RUN = never
-        try:
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(T, "_PLAIN_RUN", re.compile(r"(?!x)x"))
+            m.setattr(T, "_plain_piece", lambda piece: False)
             slow = [(t.text, t.cls, t.start, t.end)
                     for t in mt.tokenize(text)]
-        finally:
-            T._PLAIN_RUN = orig
         return fast, slow
 
     def test_differential_fixed_cases(self):
@@ -443,3 +446,167 @@ class TestTokenizerFastPath:
                            for _ in range(random.randint(0, 60)))
             fast, slow = self._both(text)
             assert fast == slow, repr(text)
+
+    def test_differential_token_soup(self):
+        for text in soup(200, seed=5):
+            fast, slow = self._both(text)
+            assert fast == slow, repr(text)
+
+
+# ---------------------------------------------------------------------
+# Golden analyzer outputs and the per-surface table
+# ---------------------------------------------------------------------
+
+GOLDEN_PAGES = range(0, 600, 3)
+# whole-token fragments a soup text is built from: sentence-final and
+# brevidot dots, numbers, entities, clitics, ALL-CAPS, MWE parts,
+# homographs, runs at the 256-char token bound, non-plain letters and
+# number forms after a plain run, tags and punctuation
+SOUP_FRAGMENTS = [
+    "mot", "Mot", "MOT", "fin.", "Fin.", "var.", "suiv.", "etc.", "cf.",
+    "M.", "Dr.", "J.-J.", "U.S.A.", "e.g.", "Ph.D.", "l'X.", "A.",
+    "12,5", "-42", "3.14.", "1959", "12.", "p.", "n°", "2e",
+    "&amp;", "&lt;", "&gt;", "&quot;", "&apos;", "AT&amp;T", "B’&gt;",
+    "&bogus;", "x&gt;y", "&lt;frag",
+    "l'analyse", "qu'il", "j'aime", "donne-le-moi", "c'est-à-dire",
+    "quelqu'un", "d’abord", "Piaget's", "habite-t-il", "année-là",
+    "re\xadconnaître", "grand'chose", "aujourd'hui", "L'ÉTÉ",
+    "JEAN-PAUL", "CNRS", "LES", "USA", "ONU.", "ÉTÉ", "XIXE", "AB",
+    "parce", "que", "tout", "à", "fait", "au", "aux", "fur", "et",
+    "mesure", "avoir", "avait", "lieu", "a", "eu", "mettre", "en",
+    "œuvre", "oeuvre", "coeur", "pomme", "de", "terre", "chemin", "fer",
+    "n'importe", "bien", "afin",
+    "ferme", "la", "il", "porte", "Ferme", "montre", "sa", "les",
+    "enfants", "Mots", "vint", "fit", "y", "x",
+    "a" * 254, "b" * 255, "c" * 256, "d" * 254 + ".", "e" * 255 + ".",
+    "f" * 253 + ".",
+    "motš", "motⅰ", "mot²", "mot°", "mot_x", "wei°rd", "abc4", "αβγ",
+    "xq", "rrrrrr", "E.", "E", "Meyerson", "mot-", "trail'",
+    "<p>", "</p>", "<i>", "</i>", "</div>", "<br/>", "</section>",
+    "<unterminated", "<h1>",
+    ",", ";", ":", "(", ")", "«", "»", "—", "...", "?", "!", "…", ".",
+    "¶", "«mot»", "mot.</p>", "fin.\n", "abc.def.ghi",
+    "Ødegård", "déjà", "Été", "çà", "ÿ", "Œuvre",
+]
+SOUP_SEPS = [" ", " ", " ", " ", "\n", "", "\t", "  ", ". ", ", ", " \n"]
+
+
+def soup(n=400, seed=12):
+    """``n`` seeded texts of up to 60 fragments and separators."""
+    import random
+
+    rng = random.Random(seed)
+    docs = []
+    for _ in range(n):
+        parts = []
+        for _ in range(rng.randint(0, 60)):
+            parts.append(rng.choice(SOUP_FRAGMENTS))
+            parts.append(rng.choice(SOUP_SEPS))
+        docs.append("".join(parts))
+    return docs
+
+
+def golden_texts():
+    from alix_ray.corpus import make_page
+
+    return [make_page(i)["text"] for i in GOLDEN_PAGES] + soup()
+
+
+def _digest(rows) -> str:
+    import hashlib
+
+    h = hashlib.sha256()
+    for row in rows:
+        h.update(repr(row).encode())
+        h.update(b"\n")
+    return h.hexdigest()[:16]
+
+
+def _analyzers():
+    return (("default", FrenchAnalyzer()),
+            ("optional", FrenchAnalyzer(pers_initial=True, ocr_garbage=True,
+                                        sentence_start_lower=True)))
+
+
+def _tok_row(t):
+    return (t.text, t.cls, t.start, t.end, t.pos, t.lemma, t.lex)
+
+
+class TestGolden:
+    """Digests of the analyzer's outputs, recorded on the per-token
+    implementation the fast paths replaced: any drift in a token, a
+    lemma, a POS, a position or a count changes one of them."""
+
+    DIGESTS = {
+        "tokenize": "10828e4eaf9f0db6",
+        "default.chain": "701cd0bd6e6f8109",
+        "default.analyze": "dfd486acc8e29e00",
+        "default.counts": "4f78c8521c8081ad",
+        "optional.chain": "d9f3909fab54686e",
+        "optional.analyze": "f98d6c068c7f1d46",
+        "optional.counts": "28615aa9f815176b",
+    }
+
+    def test_digests(self):
+        texts = golden_texts()
+        tk = MarkupTokenizer()
+        got = {"tokenize": _digest((t.text, t.cls, t.start, t.end)
+                                   for s in texts for t in tk.tokenize(s))}
+        for name, fa in _analyzers():
+            got[name + ".chain"] = _digest(
+                _tok_row(t) for s in texts for t in fa._chain(s))
+            got[name + ".analyze"] = _digest(fa.analyze(s) for s in texts)
+            got[name + ".counts"] = _digest(
+                (sorted(c.items()), w, n)
+                for c, w, n in map(fa.analyze_counts, texts))
+        assert got == self.DIGESTS
+
+    def test_soup_covers_every_token_shape(self):
+        classes = {t.cls for s in soup() for t in MarkupTokenizer().tokenize(s)}
+        assert {"WORD", "DIGIT", "XML", "PUNCTclause",
+                "PUNCTsent"} <= classes
+
+
+class TestLexemeTable:
+    """Filters reading the analyzer's per-surface table give exactly
+    what their per-token rules give."""
+
+    @staticmethod
+    def _untabled(fa, text):
+        from functools import partial
+
+        from alix_ray.analysis.filters import cleanup
+
+        toks = fa.tokenizer.tokenize(text)
+        for _, step in fa.steps:
+            if isinstance(step, partial) and "table" in step.keywords:
+                kw = {k: v for k, v in step.keywords.items() if k != "table"}
+                step = partial(step.func, *step.args, **kw)
+            toks = step(toks)
+        rows = [_tok_row(t) for t in toks]
+        return rows, cleanup(toks)
+
+    def test_table_equals_per_token_rules(self):
+        texts = golden_texts()[::2]
+        for _, fa in _analyzers():
+            for text in texts:
+                toks = fa._chain(text)
+                rows = [_tok_row(t) for t in toks]
+                assert (rows, fa.analyze(text)) == self._untabled(fa, text)
+
+    def test_bounded(self, monkeypatch):
+        from alix_ray.analysis import filters
+
+        texts = golden_texts()[:80]
+        want = [FrenchAnalyzer().analyze(s) for s in texts]
+        monkeypatch.setattr(filters, "LEXEME_TABLE_MAX", 50)
+        fa = FrenchAnalyzer()
+        assert [fa.analyze(s) for s in texts] == want
+        assert 0 < len(fa.lexemes) <= 50
+
+    def test_tables_are_per_instance(self):
+        a = FrenchAnalyzer()
+        b = FrenchAnalyzer(stopwords=())
+        assert a.analyze("la maison") == ([("maison", 1)], 2, 1)
+        assert b.analyze("la maison") == ([("le", 0), ("maison", 1)], 2, 2)
+        assert a.lexemes is not b.lexemes

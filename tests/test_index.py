@@ -425,3 +425,43 @@ def test_wildcard_terms_and_search(built_index):
     exp = ix.wildcard_terms(pat)
     assert exp
     assert ix.search_wildcard(pat, 5) == ix.search_exact(exp, 5)
+
+
+def test_flush_build_content_golden(ray_session, tmp_path):
+    """A French flush build of a seeded 500-page window: digests of its
+    term_stats ``(term, df, cf)`` and doc_stats ``(doc_id, width,
+    tokens)`` rows, recorded on the per-token analyzer the fast paths
+    replaced, pin what the analyzer puts in an index.  The build's
+    manifest row names the flush plan and its step walls."""
+    import hashlib
+
+    import ray.data
+
+    from alix_ray.corpus import DUP_EVERY, pages_batch
+    from alix_ray.stages.build import IndexBuilder, Manifest
+    from alix_ray.stages.store import resolve_stage
+
+    slot = np.random.default_rng(2024).integers(0, 40_000_000 // DUP_EVERY)
+    start = int(slot) * DUP_EVERY
+    pages = pages_batch(np.arange(start, start + 500, dtype=np.int64))
+    out = str(tmp_path / "idx")
+    IndexBuilder(out, analyzer="french").build(ray.data.from_arrow(pages),
+                                               input_kind="pages")
+
+    def digest(stage, cols, key):
+        t = pq.read_table(resolve_stage(out, stage), columns=cols).sort_by(key)
+        h = hashlib.sha256()
+        for row in zip(*(t[c].to_pylist() for c in cols)):
+            h.update(repr(row).encode())
+            h.update(b"\n")
+        return t.num_rows, h.hexdigest()[:16]
+
+    assert digest("term_stats", ["term", "df", "cf"], "term") == (
+        1961, "bb4a73aebab85338")
+    assert digest("doc_stats", ["doc_id", "width", "tokens"], "doc_id") == (
+        490, "d9e229ad445e8009")
+    (row,) = [r for r in Manifest(out).rows() if r["stage"] == "build"]
+    assert row["plan"] == "flush" and row["rows"] == 500
+    assert set(row["steps_ms"]) == {"extract_analyze", "url_dictionary",
+                                    "block_wave", "merge_assemble"}
+    assert sum(row["steps_ms"].values()) <= row["wall_ms"]

@@ -29,6 +29,31 @@ class TestKeyness:
         v = keyness_logdice(np.array([8.0]), 100.0, np.array([8.0]))
         assert v[0] == pytest.approx(14 + np.log2(16 / 116))
 
+    def test_logratio_reference_formula(self):
+        """log2(relFocus/relOther)·ln(focusCount) (KeynessScorer.java
+        LogRatio:212-226), 0 where either count is 0 (no ratio, no
+        log): over-, under- and equally represented terms, a single
+        focus occurrence (ln 1 = 0) and both zero cases."""
+        import warnings
+
+        from alix_ray.ops.analytics import keyness_logratio
+
+        fo = np.array([8.0, 2.0, 10.0, 1.0, 0.0, 5.0, 0.0])
+        ot = np.array([2.0, 16.0, 20.0, 9.0, 4.0, 0.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = keyness_logratio(fo, 100.0, ot, 200.0)
+        want = [3 * np.log(8.0),          # rel 0.08/0.01 = 8
+                -2 * np.log(2.0),         # rel 0.02/0.08 = 1/4
+                0.0,                      # same rate: log2 1 = 0
+                0.0,                      # one focus hit: ln 1 = 0
+                0.0, 0.0, 0.0]            # a zero count
+        assert v == pytest.approx(want)
+        for f, o, got in zip(fo, ot, v):
+            if f and o:
+                ref = np.log2((f / 100.0) / (o / 200.0)) * np.log(f)
+                assert got == pytest.approx(ref)
+
 
 class TestHashStability:
     def test_token_hashes_stable(self):
