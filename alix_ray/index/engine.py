@@ -36,10 +36,13 @@ column in place.
 The index handle is immutable after load — share freely across query
 actors (reference: frozen ``LuceneIndex`` handle, SURVEY.md §3.2).
 
-Postings are LAZY: open scans only the ``term`` column of each posting
-row group (O(lexicon) work and memory — blobs stay on disk) to build a
-term → (file, row-group, row) directory; a term's posting rows are
-read on first use via row-group-pruned Parquet reads and memoized.
+Postings are LAZY: open reads only the ``term`` column of each posting
+file (blobs stay on disk) into a columnar directory — int32
+(file, row-group, row) arrays sorted by term plus int64 run starts
+keyed by lexicon position, 12 bytes per posting row and 8 per term,
+with no per-term or per-row Python objects.  A term's posting rows are
+read on first use via row-group-pruned Parquet reads, cut out of the
+columnar row group by offsets as copies, and memoized.
 The rail (positions forward index) is likewise lazy: per-row-group
 doc_id min/max statistics prune the read, so a span query touches only
 the row groups holding its candidate docs.
@@ -52,6 +55,7 @@ import os
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..codec import decode_block, decode_posting, deleted_mask, vb_decode
@@ -66,14 +70,16 @@ class PostingShard:
     __slots__ = ("docs_buf", "tfs_buf", "block_last", "off_docs", "off_tfs",
                  "block_max", "n", "_decoded")
 
-    def __init__(self, row):
-        self.docs_buf = row["docs"]
-        self.tfs_buf = row["tfs"]
-        self.block_last = np.asarray(row["block_last"], np.int64)
-        self.off_docs = np.asarray(row["block_off_docs"], np.int64)
-        self.off_tfs = np.asarray(row["block_off_tfs"], np.int64)
-        self.block_max = np.asarray(row["block_max"], np.float64)
-        self.n = int(row["df"])
+    def __init__(self, docs_buf: bytes, tfs_buf: bytes,
+                 block_last: np.ndarray, off_docs: np.ndarray,
+                 off_tfs: np.ndarray, block_max: np.ndarray, n: int):
+        self.docs_buf = docs_buf
+        self.tfs_buf = tfs_buf
+        self.block_last = block_last
+        self.off_docs = off_docs
+        self.off_tfs = off_tfs
+        self.block_max = block_max
+        self.n = n
         self._decoded = None
 
     def decode(self):
@@ -151,15 +157,50 @@ class PostingShard:
         return len(self.block_last)
 
 
+def _binary_buffers(arr) -> tuple[np.ndarray, object]:
+    """(offsets, data buffer) of a binary/string Arrow array, zero-copy:
+    value ``i`` is ``data[offsets[i]:offsets[i + 1]]``."""
+    _, offs, data = arr.buffers()
+    large = pa.types.is_large_string(arr.type) or pa.types.is_large_binary(
+        arr.type)
+    width = np.int64 if large else np.int32
+    if len(arr):
+        offs = np.frombuffer(offs, width, len(arr) + 1,
+                             arr.offset * np.dtype(width).itemsize)
+    else:
+        offs = np.zeros(1, width)
+    return offs, data if data is not None else b""
+
+
+def _var_column(col) -> tuple[np.ndarray, np.ndarray]:
+    """(offsets, values) numpy views of a one-chunk binary or list Arrow
+    column: row ``i`` is ``values[offsets[i]:offsets[i + 1]]`` (bytes
+    as uint8 for binary)."""
+    # a row-group read is one chunk; combine_chunks would copy it
+    arr = col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
+    if pa.types.is_binary(arr.type) or pa.types.is_large_binary(arr.type):
+        offs, data = _binary_buffers(arr)
+        return offs, np.frombuffer(data, np.uint8)
+    return arr.offsets.to_numpy(), arr.values.to_numpy()
+
+
 class PostingStore:
     """Lazy term → list[PostingShard] mapping over the postings Parquet.
 
-    Open cost is O(lexicon): only the ``term`` (+df ordering metadata)
-    column of each row group is scanned to build the directory; binary
-    posting blobs are read per row group on first access (LRU-cached),
-    so resident memory grows with the TOUCHED vocabulary, not the index
-    size.  (Reference keeps postings on disk behind Lucene's codec —
-    ``SURVEY.md §1.3``; this is the Parquet equivalent.)"""
+    Open reads only the ``term`` column, once per file, into a columnar
+    directory: every posting row's int32 ``(file, row_group, row)``,
+    sorted by term, and an int64 run start per lexicon position — 12
+    bytes per posting row and 8 per term, no per-term or per-row Python
+    objects.  A term's run is found by the UTF-8 binary search of the
+    handle's :class:`TermLexicon` (term_stats and postings carry one
+    vocabulary); a term already fetched is a hash probe in the shard
+    memo.  Row groups are read on first access and
+    kept columnar (offsets + value buffers, true-LRU-cached); a fetched
+    row is cut out by offsets and COPIED, so a memoized shard never
+    pins its row group.  Resident memory grows with the TOUCHED
+    vocabulary, not the index size.  (Reference keeps postings on disk
+    behind Lucene's codec — ``SURVEY.md §1.3``; this is the Parquet
+    equivalent.)"""
 
     _RG_CACHE_MAX = 32
     # decoded-shard memo cap (terms).  Without it a full-vocabulary
@@ -168,10 +209,10 @@ class PostingStore:
     # the "resident memory ∝ touched vocabulary" property.  True LRU:
     # hits re-insert at the tail.
     _SHARDS_CACHE_MAX = 4096
-    _COLS = ["term", "df", "docs", "tfs", "block_last",
-             "block_off_docs", "block_off_tfs", "block_max"]
+    _VAR_COLS = ["docs", "tfs", "block_last", "block_off_docs",
+                 "block_off_tfs", "block_max"]
 
-    def __init__(self, postings_dir):
+    def __init__(self, postings_dir, lexicon: TermLexicon):
         # one dir, or [(dir, block_max_scale), ...] for a generational
         # index: each generation's block_max was built against ITS OWN
         # avgdl; under the merged global avgdl a norm can shrink (avgdl
@@ -192,50 +233,112 @@ class PostingStore:
         self._file_scale = scales
         self.total_bytes = sum(os.path.getsize(f) for f in self.files)
         self._pf = [pq.ParquetFile(f) for f in self.files]
-        # term → list[(file_idx, row_group, row_in_group)]
-        self.locs: dict[str, list[tuple[int, int, int]]] = {}
+        # every posting row's (file, row group, row) in storage order,
+        # from one term-column read per file
+        typ = lexicon.terms.type
+        terms = [pa.array([], typ)]
+        fis, rgs, rows = ([np.empty(0, np.int32)] for _ in range(3))
         for fi, pf in enumerate(self._pf):
-            for rg in range(pf.metadata.num_row_groups):
-                terms = pf.read_row_group(rg, columns=["term"])["term"]
-                for row, t in enumerate(terms.to_pylist()):
-                    self.locs.setdefault(t, []).append((fi, rg, row))
+            md = pf.metadata
+            n = np.array([md.row_group(rg).num_rows
+                          for rg in range(md.num_row_groups)], np.int64)
+            terms += [c.cast(typ)
+                      for c in pf.read(columns=["term"])["term"].chunks]
+            fis.append(np.full(n.sum(), fi, np.int32))
+            rgs.append(np.repeat(np.arange(len(n), dtype=np.int32), n))
+            rows.append((np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n))
+                        .astype(np.int32))
+        pos = pc.index_in(pa.chunked_array(terms, typ),
+                          value_set=lexicon.terms)
+        if pos.null_count:
+            raise ValueError("postings hold a term that term_stats lacks")
+        self.lexicon = lexicon
+        pos = pos.to_numpy()
+        # rows sorted by lexicon position; stable, so a term's rows keep
+        # storage order
+        order = np.argsort(pos, kind="stable")
+        self._fi = np.concatenate(fis)[order]
+        self._rg = np.concatenate(rgs)[order]
+        self._row = np.concatenate(rows)[order]
+        runs = np.bincount(pos, minlength=len(lexicon))
+        self._starts = np.zeros(len(lexicon) + 1, np.int64)
+        np.cumsum(runs, out=self._starts[1:])
+        self._n_terms = int(np.count_nonzero(runs))
         self._rg_cache: dict[tuple[int, int], dict] = {}
         self._shards: dict[str, list[PostingShard]] = {}
 
+    def _run(self, i: int) -> tuple[int, int] | None:
+        """[start, end) of the directory rows of lexicon position ``i``
+        (-1: not in the lexicon), or None when it has none."""
+        if i < 0:
+            return None
+        lo, hi = int(self._starts[i]), int(self._starts[i + 1])
+        return (lo, hi) if lo < hi else None
+
     def __contains__(self, term: str) -> bool:
-        return term in self.locs
+        # a touched term is a hash probe; the binary search runs only
+        # for terms not fetched yet
+        return (term in self._shards
+                or self._run(self.lexicon.index(term)) is not None)
 
     def __iter__(self):
-        return iter(self.locs)
+        lex = self.lexicon
+        return (lex[int(i)] for i in np.flatnonzero(np.diff(self._starts)))
 
     def __len__(self) -> int:
-        return len(self.locs)
+        return self._n_terms
 
-    def _row_group(self, fi: int, rg: int):
+    def _row_group(self, fi: int, rg: int) -> dict:
+        """Row group ``rg`` of file ``fi`` as ``df`` plus (offsets,
+        values) per variable-width column."""
         key = (fi, rg)
-        hit = self._rg_cache.get(key)
+        hit = self._rg_cache.pop(key, None)
         if hit is None:
-            hit = self._pf[fi].read_row_group(rg, columns=self._COLS)
+            t = self._pf[fi].read_row_group(rg, columns=["df"] + self._VAR_COLS)
+            hit = {k: _var_column(t[k]) for k in self._VAR_COLS}
+            hit["df"] = t["df"].to_numpy()
             if len(self._rg_cache) >= self._RG_CACHE_MAX:
                 self._rg_cache.pop(next(iter(self._rg_cache)))
-            self._rg_cache[key] = hit
+        self._rg_cache[key] = hit  # (re)insert at tail: true LRU
         return hit
 
+    def _shard(self, fi: int, rg: int, row: int) -> PostingShard:
+        cols = self._row_group(fi, rg)
+
+        def cut(k):
+            offs, vals = cols[k]
+            return vals[offs[row]:offs[row + 1]]
+
+        block_max = cut("block_max").astype(np.float64)
+        scale = self._file_scale[fi]
+        if scale != 1.0:
+            # true bound is < 1 (tf/(tf+norm)), so capping the scaled
+            # value at 1.0 stays a safe upper bound
+            block_max = np.minimum(block_max * scale, 1.0)
+        # tobytes/astype copy: the shard holds no view of the row group
+        return PostingShard(
+            cut("docs").tobytes(), cut("tfs").tobytes(),
+            cut("block_last").astype(np.int64),
+            cut("block_off_docs").astype(np.int64),
+            cut("block_off_tfs").astype(np.int64),
+            block_max, int(cols["df"][row]))
+
     def __getitem__(self, term: str) -> list:
+        return self._get(term, None)
+
+    def _get(self, term: str, i: int | None) -> list:
+        """``term``'s shards through the memo; ``i`` is its lexicon
+        position when the caller knows it (None: binary search on a
+        memo miss)."""
         shards = self._shards.pop(term, None)
         if shards is None:
-            shards = []
-            for fi, rg, row in self.locs[term]:
-                t = self._row_group(fi, rg)
-                # convert ONLY this term's row to Python objects
-                s = PostingShard({k: t[k][row].as_py() for k in self._COLS})
-                scale = self._file_scale[fi]
-                if scale != 1.0:
-                    # true bound is < 1 (tf/(tf+norm)), so capping the
-                    # scaled value at 1.0 stays a safe upper bound
-                    s.block_max = np.minimum(s.block_max * scale, 1.0)
-                shards.append(s)
-            shards.sort(key=lambda s: s.first_doc())
+            run = self._run(self.lexicon.index(term) if i is None else i)
+            if run is None:
+                raise KeyError(term)
+            shards = [self._shard(int(self._fi[r]), int(self._rg[r]),
+                                  int(self._row[r])) for r in range(*run)]
+            if len(shards) > 1:
+                shards.sort(key=PostingShard.first_doc)
             if len(self._shards) >= self._SHARDS_CACHE_MAX:
                 self._shards.pop(next(iter(self._shards)))
         self._shards[term] = shards  # (re)insert at tail: true LRU
@@ -244,9 +347,13 @@ class PostingStore:
     def items(self):
         """Stream (term, shards) over the whole vocabulary in storage
         order (row-group-sequential, so the LRU cache hits)."""
-        order = sorted(self.locs, key=lambda t: self.locs[t][0])
-        for t in order:
-            yield t, self[t]
+        ids = np.flatnonzero(np.diff(self._starts))
+        first = self._starts[ids]
+        order = np.lexsort((self._row[first], self._rg[first],
+                            self._fi[first]))
+        for i in ids[order]:
+            t = self.lexicon[int(i)]
+            yield t, self._get(t, int(i))
 
 
 class Rail:
@@ -430,7 +537,7 @@ def _load_tombstones(out_dir: str) -> np.ndarray:
                         if f.endswith(".parquet"))
                  if os.path.isdir(tdir) else [])
     parts = [
-        pq.read_table(os.path.join(tdir, f), columns=["doc_id"])
+        pq.ParquetFile(os.path.join(tdir, f)).read(columns=["doc_id"])
         for f in names
     ]
     if not parts:
@@ -479,8 +586,9 @@ class DocStatsStore:
         if hit is not None:
             return hit
         parts = [
-            pq.read_table(p, columns=["doc_id", "tokens"])
+            pq.ParquetFile(f).read(columns=["doc_id", "tokens"])
             for p in self._shard_dirs.get(int(shard), [])
+            for f in sorted(walk_parquet(p))
         ]
         t = (pa.concat_tables(parts) if parts
              else pa.table({"doc_id": pa.array([], pa.int64()),
@@ -625,18 +733,12 @@ class TermLexicon:
 
     def __init__(self, terms):
         self.terms = terms
-        self._n = n = len(terms)
-        _, offs, data = terms.buffers()
-        width = np.int64 if pa.types.is_large_string(terms.type) else np.int32
-        if n:
-            offs = np.frombuffer(offs, width, n + 1,
-                                 terms.offset * np.dtype(width).itemsize)
-        else:
-            offs = np.zeros(1, width)
+        self._n = len(terms)
+        offs, data = _binary_buffers(terms)
         self._offs = memoryview(offs)  # indexing yields a plain int
         # unsigned bytes: a signed view would not compare equal to
         # ``bytes`` past ASCII
-        self._data = memoryview(data if data is not None else b"").cast("B")
+        self._data = memoryview(data).cast("B")
 
     def __reduce__(self):  # memoryviews do not pickle; the array does
         return TermLexicon, (self.terms,)
@@ -797,19 +899,17 @@ class BM25Index:
         # value columns — no O(vocab) Python dict/list objects.
         # Multi-generation: per-gen stats concat + group-sum (terms are
         # disjoint-by-doc-range across generations, df never double
-        # counts a doc).
-        import pyarrow.compute as _pc
-
+        # counts a doc).  The listed files are read directly: a
+        # directory read_table pays for dataset discovery.
         ts = pa.concat_tables([
-            pq.read_table(resolve_stage(g, "term_stats"),
-                          columns=["term", "df", "cf"])
-            for g in self.gen_dirs
+            pq.ParquetFile(f).read(columns=["term", "df", "cf"])
+            for f in stage_files(self.gen_dirs, "term_stats")
         ])
         if len(self.gen_dirs) > 1:
             ts = ts.group_by("term").aggregate(
                 [("df", "sum"), ("cf", "sum")]
             ).rename_columns(["term", "df", "cf"])
-        ts = ts.take(_pc.sort_indices(ts["term"]))
+        ts = ts.take(pc.sort_indices(ts["term"]))
         self.lexicon = TermLexicon(ts["term"].combine_chunks())
         self.df = TermStatsMap(self.lexicon, ts["df"].to_numpy())
         self.cf = TermStatsMap(self.lexicon, ts["cf"].to_numpy())
@@ -821,7 +921,7 @@ class BM25Index:
             (resolve_stage(g, "postings"),
              max(1.0, self.avgdl / c["avgdl"]))
             for g, c in zip(self.gen_dirs, cfgs)
-        ])
+        ], self.lexicon)
         self._analyzer = None
         # result caches are true-LRU-bounded (hits re-insert at the
         # tail): a long-running replica serving a wide query mix must
@@ -1012,19 +1112,17 @@ class BM25Index:
         standard unit-cost Levenshtein — identical to DuckDB's
         ``levenshtein``, which is what gives :func:`search_fuzzy` a
         full SQL oracle."""
-        import pyarrow.compute as _pc
-
         if max_edits < 0:
             raise ValueError("max_edits must be >= 0")
         arr = self.lexicon.terms
-        lens = _pc.utf8_length(arr)
-        mask = _pc.and_(
-            _pc.greater_equal(lens, pa.scalar(len(term) - max_edits)),
-            _pc.less_equal(lens, pa.scalar(len(term) + max_edits)))
+        lens = pc.utf8_length(arr)
+        mask = pc.and_(
+            pc.greater_equal(lens, pa.scalar(len(term) - max_edits)),
+            pc.less_equal(lens, pa.scalar(len(term) + max_edits)))
         if prefix_len > 0:
-            mask = _pc.and_(mask, _pc.starts_with(
+            mask = pc.and_(mask, pc.starts_with(
                 arr, pattern=term[:prefix_len]))
-        cands = _pc.filter(arr, mask).to_pylist()
+        cands = pc.filter(arr, mask).to_pylist()
         return [c for c in cands if _lev_leq(term, c, max_edits)]
 
     def search_after(self, terms, after, k: int = 10,
@@ -1122,12 +1220,10 @@ class BM25Index:
         automaton intersected with the term dict; the vectorized scan
         is the Arrow equivalent at O(vocab), corpus-size
         independent."""
-        import pyarrow.compute as _pc
-
         arr = self.lexicon.terms
-        mask = _pc.match_substring_regex(
+        mask = pc.match_substring_regex(
             arr, pattern=f"^(?:{pattern})$")
-        return _pc.filter(arr, mask).to_pylist()
+        return pc.filter(arr, mask).to_pylist()
 
     def wildcard_terms(self, pattern: str) -> list[str]:
         """Vocabulary terms matching a Lucene ``WildcardQuery``

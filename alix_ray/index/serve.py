@@ -142,18 +142,16 @@ def bulk_search(queries, index_dir: str, k: int = 3,
     queries dataset streams; each actor holds one replica; sizing is
     ``concurrency`` × one index handle of RAM.
 
-    The pool's actors together reserve at most all but one of the
-    cluster's CPUs (a fractional share each when there are too few):
-    the tasks feeding the pool (a read, a ``repartition``) need a CPU
-    too, and a pool holding every CPU waits forever on input those
-    tasks cannot run to produce."""
+    The pool is sized by :func:`alix_ray.ops._util.actor_pool`: its
+    actors together reserve at most all but one of the cluster's CPUs,
+    so the tasks feeding it (a read, a ``repartition``) can run."""
     import ray.data  # noqa: F401  (Dataset method surface)
 
-    cpus = ray.cluster_resources().get("CPU", 1.0)
-    share = min(1.0, max(cpus - 1.0, 0.0) / concurrency)
+    from ..ops._util import actor_pool
+
     return queries.map_batches(
         BulkScorer,
         fn_constructor_kwargs={"index_dir": index_dir, "k": k,
                                "warm_top_n": warm_top_n},
-        concurrency=concurrency, batch_size=batch_size,
-        num_cpus=share, batch_format="pyarrow")
+        batch_size=batch_size, batch_format="pyarrow",
+        **actor_pool(concurrency))

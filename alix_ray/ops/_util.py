@@ -1,5 +1,6 @@
-"""Shared op utilities: broadcast-object worker cache and actor-pool
-sizing (used by lm / dsir / reports — one definition, not three)."""
+"""Shared op utilities: the broadcast-object worker cache, the
+actor-pool sizing rule and the smallest-id row sample — one
+definition each."""
 
 from __future__ import annotations
 
@@ -27,6 +28,18 @@ def default_concurrency(cap: int = 8, floor: int = 2) -> int:
     CPUs, clamped — leaves headroom for the surrounding pipeline."""
     ncpu = int(ray.cluster_resources().get("CPU", 4))
     return max(floor, min(cap, ncpu // 2))
+
+
+def actor_pool(concurrency: int) -> dict:
+    """``map_batches`` arguments for a pool of ``concurrency`` per-doc
+    Python actors, the one rule every such pool follows: the actors'
+    CPU reservations together leave one CPU free (a fractional share
+    each when there are too few).  The tasks feeding the pool (a read,
+    a ``repartition``) need a CPU too; a pool holding every CPU waits
+    forever on input those tasks cannot run to produce."""
+    cpus = float(ray.cluster_resources().get("CPU", 4))
+    share = min(1.0, max(cpus - 1.0, 0.0) / concurrency)
+    return {"concurrency": concurrency, "num_cpus": share}
 
 
 def smallest_id_rows(ds, n: int, id_col: str, vec_col: str):

@@ -16,6 +16,14 @@ import pyarrow.compute as pc
 import ray.data
 
 from ..analysis import SimpleAnalyzer
+from ._util import actor_pool
+
+
+def _export_concurrency() -> int:
+    """Analyzer actors for an export: all cluster CPUs but two, at
+    least two."""
+    return max(2, int(ray.cluster_resources().get("CPU", 4)) - 2)
+
 
 W2V_POS = frozenset({"NOUN", "VERB", "ADJ", "PROPN"})  # VERB/SUB/ADJ/NAME
 
@@ -70,12 +78,10 @@ def french_token_table(ds: ray.data.Dataset, text_col="text",
                 }
             )
 
-    import ray
-
     if concurrency is None:
-        concurrency = max(2, int(ray.cluster_resources().get("CPU", 4)) - 2)
+        concurrency = _export_concurrency()
     return ds.map_batches(Analyze, batch_format="pyarrow",
-                          concurrency=concurrency)
+                          **actor_pool(concurrency))
 
 
 def w2v_corpus(ds: ray.data.Dataset, text_col="text",
@@ -124,7 +130,5 @@ def w2v_corpus(ds: ray.data.Dataset, text_col="text",
                 lines.append(" ".join((t.lemma or t.text) for t in kept))
             return pa.table({"line": pa.array(lines, pa.string())})
 
-    import ray
-
-    conc = max(2, int(ray.cluster_resources().get("CPU", 4)) - 2)
-    return ds.map_batches(ToLines, batch_format="pyarrow", concurrency=conc)
+    return ds.map_batches(ToLines, batch_format="pyarrow",
+                          **actor_pool(_export_concurrency()))

@@ -30,7 +30,7 @@ import ray
 import ray.data
 
 from ..analysis import SimpleAnalyzer
-from ._util import broadcast_cached, default_concurrency
+from ._util import actor_pool, broadcast_cached, default_concurrency
 from .analytics import keyness_g2
 from .textstats import round_half_away
 
@@ -198,7 +198,7 @@ def _freqlist(ds: ray.data.Dataset, forms_fn, k: int,
         concurrency = default_concurrency()
     counts = (
         ds.map_batches(Extract, batch_format="pyarrow",
-                       concurrency=concurrency)
+                       **actor_pool(concurrency))
         .groupby("form").sum("n").to_pandas()
         .rename(columns={"sum(n)": "n"})
     )
@@ -377,4 +377,4 @@ def balinoms(ds: ray.data.Dataset, text_col: str = "text",
     if concurrency is None:
         concurrency = default_concurrency()
     return ds.map_batches(Tag, batch_format="pyarrow",
-                          concurrency=concurrency)
+                          **actor_pool(concurrency))

@@ -11,12 +11,16 @@ Prints ONE JSON line:
    "queries": {<stage/pipeline>: sec, ...}, "build_plan": "flush"|"staged",
    "build_steps_ms": {<flush step>: ms, ...}, "sf": <sf>, "num_cpus": N,
    "docs_per_sec": ..., "query_p50_ms": ..., "query_p95_ms": ...,
-   "query_first_touch_p50_ms": ..., "query_first_touch_p95_ms": ...}
+   "query_first_touch_p50_ms": ..., "query_first_touch_p95_ms": ...,
+   "query_p95_ms_cold": ..., "open_ms": ..., "cold_session_ms": ...}
 
 ``query_p50_ms``/``query_p95_ms`` time the BM25 battery warm: after
 ``BM25Index.warm()`` and one pass over the battery, so each query's
 postings and contributions are decoded.  The ``query_first_touch_*``
 figures time that first pass, which still decodes contributions.
+``open_ms`` and ``cold_session_ms`` are medians over 10 fresh handles,
+each opened and then asked 20 battery queries (perfbench ``serve``'s
+cold session): the open alone, and open plus the 20 answers.
 
 --scaling: runs the same job in two fresh processes (RAY_GRAFT_CPUS=8
 and 32) on the same input and reports both throughputs + efficiency
@@ -29,6 +33,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import statistics
 import subprocess
 import sys
 import time
@@ -48,6 +53,8 @@ NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
 PAGES_PER_SF = 2_400_000  # sf0.1 → 240k pages (enough work that
 # fixed per-stage overhead does not dominate the scaling measurement)
 N_QUERIES = 200
+COLD_SESSIONS = 10
+SESSION_QUERIES = 20
 
 
 def _sf_of(path: str) -> float:
@@ -163,6 +170,19 @@ def run_bench() -> dict:
         lat_cold.append(time.perf_counter() - t0)
     lat_cold.sort()
     cold_p95 = lat_cold[int(len(lat_cold) * 0.95)] * 1000
+    # cold sessions (perfbench serve's definition): a fresh handle,
+    # opened, then 20 battery queries; medians over COLD_SESSIONS
+    opens, sessions = [], []
+    for s in range(COLD_SESSIONS):
+        t0 = time.perf_counter()
+        h = BM25Index(out_dir)
+        opens.append(time.perf_counter() - t0)
+        for j in range(SESSION_QUERIES):
+            h.search_terms(queries[(s * SESSION_QUERIES + j) % len(queries)],
+                           10)
+        sessions.append(time.perf_counter() - t0)
+    open_ms = statistics.median(opens) * 1000
+    cold_session_ms = statistics.median(sessions) * 1000
     # serving protocol: replicas warm the Zipf head at open
     # (index/serve.py) — the battery measures the warm steady state
     t0 = time.time()
@@ -298,6 +318,8 @@ def run_bench() -> dict:
         "query_first_touch_p50_ms": round(first_p50, 3),
         "query_first_touch_p95_ms": round(first_p95, 3),
         "query_p95_ms_cold": round(cold_p95, 3),
+        "open_ms": round(open_ms, 3),
+        "cold_session_ms": round(cold_session_ms, 3),
         "scale_path_p95_ms": round(wand_p95, 3),
         "span_hot_p95_ms": round(span_hot_p95, 3),
         "span_hot_p95_ms_cold": round(span_hot_cold_p95, 3),

@@ -197,3 +197,121 @@ def test_search_wand_scores_one_term(window_indexes):
     assert ix.search_wand(["nosuchterm"], 10) == []
     with pytest.raises(ValueError):
         ix.search_wand(["hota", "hotb"], 10)
+
+
+# -- postings directory ---------------------------------------------------
+
+def _posting_rows(ix):
+    """term → [(row, block_max scale)] read straight from each
+    generation's posting files, and the terms in storage order."""
+    import json
+    import os
+
+    import pyarrow.parquet as pq
+
+    from alix_ray.stages.store import stage_files
+
+    rows, order = {}, []
+    for g in ix.gen_dirs:
+        with open(os.path.join(g, "config.json")) as f:
+            scale = max(1.0, ix.avgdl / json.load(f)["avgdl"])
+        for f in stage_files([g], "postings"):
+            for row in pq.read_table(f).to_pylist():
+                if row["term"] not in rows:
+                    order.append(row["term"])
+                rows.setdefault(row["term"], []).append((row, scale))
+    return rows, order
+
+
+@pytest.mark.parametrize("kind", ["oneshot", "generations"])
+def test_postings_directory_matches_files(window_indexes, kind):
+    """Every term's shards equal its Parquet rows: blob bytes, block
+    arrays, the generation-scaled ``block_max``, ``df`` and the shard
+    order (first doc ascending); membership, iteration and the
+    storage-order ``items()`` agree with the files."""
+    from alix_ray.codec import decode_posting
+    from alix_ray.index.engine import BM25Index
+
+    ix = BM25Index(window_indexes[kind])
+    rows, order = _posting_rows(ix)
+    if kind == "generations":
+        assert any(s != 1.0 for s in ix.postings._file_scale)
+    assert len(ix.postings) == len(rows)
+    assert sorted(ix.postings) == sorted(rows)
+    assert [t for t, _ in ix.postings.items()] == order
+    assert "nosuchterm" not in ix.postings
+    with pytest.raises(KeyError):
+        ix.postings["nosuchterm"]
+    multi = False
+    for term, want in rows.items():
+        assert term in ix.postings
+        want.sort(key=lambda rs: decode_posting(rs[0]["docs"],
+                                                rs[0]["tfs"])[0][0])
+        got = ix.postings[term]
+        assert len(got) == len(want), term
+        multi |= len(got) > 1
+        for s, (row, scale) in zip(got, want):
+            assert type(s.docs_buf) is bytes and s.docs_buf == row["docs"]
+            assert type(s.tfs_buf) is bytes and s.tfs_buf == row["tfs"]
+            for field, col in (("block_last", "block_last"),
+                               ("off_docs", "block_off_docs"),
+                               ("off_tfs", "block_off_tfs")):
+                arr = getattr(s, field)
+                assert arr.dtype == np.int64
+                np.testing.assert_array_equal(arr, row[col])
+            bmax = np.asarray(row["block_max"], np.float64)
+            if scale != 1.0:
+                bmax = np.minimum(bmax * scale, 1.0)
+            assert s.block_max.dtype == np.float64
+            np.testing.assert_array_equal(s.block_max, bmax)
+            assert s.n == row["df"]
+        assert sum(s.n for s in got) == ix.df[term]
+    assert multi  # doc-range shards: some terms span several rows
+
+
+def test_postings_shards_copy_their_rows(window_indexes):
+    """A memoized shard holds copies, never views of its cached row
+    group, so it does not pin the group's buffers after eviction."""
+    from alix_ray.index.engine import BM25Index
+
+    ix = BM25Index(window_indexes["generations"])
+    store = ix.postings
+    shards = [s for t in store for s in store[t]]
+    cached = [vals for group in store._rg_cache.values()
+              for k, v in group.items() if k != "df" for vals in v]
+    assert cached
+    for s in shards:
+        assert type(s.docs_buf) is bytes and type(s.tfs_buf) is bytes
+        for arr in (s.block_last, s.off_docs, s.off_tfs, s.block_max):
+            assert not any(np.shares_memory(arr, vals) for vals in cached)
+
+
+def test_postings_term_missing_from_lexicon(window_indexes):
+    """A posting term that term_stats lacks is a broken index: open
+    refuses it."""
+    from alix_ray.index.engine import PostingStore, TermLexicon
+    from alix_ray.stages.store import resolve_stage
+
+    lex = TermLexicon(pa.array(["hota", "hotb"], pa.large_string()))
+    with pytest.raises(ValueError, match="term_stats lacks"):
+        PostingStore(resolve_stage(window_indexes["oneshot"], "postings"),
+                     lex)
+
+
+def test_postings_row_group_cache_is_lru(window_indexes):
+    """A row group touched again moves to the tail of the cache, so the
+    next eviction takes the least recently used group instead."""
+    from alix_ray.index.engine import BM25Index
+
+    store = BM25Index(window_indexes["generations"]).postings
+    keys = [(fi, rg) for fi, pf in enumerate(store._pf)
+            for rg in range(pf.metadata.num_row_groups)]
+    assert len(keys) >= 3
+    store._RG_CACHE_MAX = 2
+    a, b, c = keys[:3]
+    first = store._row_group(*a)
+    store._row_group(*b)
+    assert store._row_group(*a) is first  # a hit, re-inserted at the tail
+    store._row_group(*c)  # evicts b, the least recently used
+    assert list(store._rg_cache) == [a, c]
+    assert store._row_group(*a) is first

@@ -100,19 +100,19 @@ class TestThemeTerms:
         mask[5:12] = True  # distinct mask → no _theme_cache hit
         assert ix.postings.total_bytes <= ix.THEME_DISTRIBUTED_MIN_BYTES
         ix.theme_terms(mask, k=5)
-        assert len(ix.postings.locs) > 8  # sweep touched > cap terms
+        assert len(ix.postings) > 8  # sweep touched > cap terms
         assert len(ix.postings._shards) <= 8
         # decoded arrays on evicted shards are garbage — only the
         # cached tail may hold them
         ix._CONTRIB_CACHE_MAX = 3
         ix._contrib_cache.clear()
-        for t in list(ix.postings.locs)[:10]:
+        for t in list(ix.postings)[:10]:
             ix._term_contrib(t, "bm25")
         assert len(ix._contrib_cache) <= 3
         # hot entry survives: re-touch keeps it at the LRU tail
         hot = next(iter(ix._contrib_cache))
         ix._term_contrib(hot, "bm25")
-        ix._term_contrib(list(ix.postings.locs)[11], "bm25")
+        ix._term_contrib(list(ix.postings)[11], "bm25")
         assert hot in ix._contrib_cache
 
     def test_dkl_requires_both_parts(self, ix):

@@ -99,39 +99,24 @@ def test_bulk_search_matches_local(served, ray_session):
 
 
 BULK_AT_TWO_CPUS = r"""
-import sys
-
-import ray
-
-ray.init(address="local", num_cpus=2, include_dashboard=False,
-         logging_level="ERROR")
-import ray.data
-
-ray.data.DataContext.get_current().enable_progress_bars = False
 from alix_ray.pipelines.queries import BULK_K, _index, q_bulk_queries
 
-sf_dir = sys.argv[1]
 got = q_bulk_queries(sf_dir)
 ix = _index(sf_dir)
 for q, g in got.groupby("query"):
     want = [d for d, _ in ix.search_exact([q], BULK_K)]
     assert g.sort_values("rank")["doc_id"].tolist() == want, q
 print("rows", len(got))
-ray.shutdown()
 """
 
 
 def test_bulk_queries_progresses_at_two_cpus(tmp_path):
     """``q_bulk_queries`` under a 2-CPU Ray: the scorer actor pool must
     leave a CPU to the ``repartition`` tasks that feed it, or neither
-    side makes progress.  Runs in its own process and Ray instance (the
-    shared test session has 4 CPUs), under a timeout."""
-    import os
-    import signal
-    import subprocess
-    import sys
-
+    side makes progress."""
     import pandas as pd
+
+    from conftest import run_at_two_cpus
 
     words = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta",
              "theta", "iota", "kappa", "lambda", "mu", "nu", "xi"]
@@ -139,20 +124,5 @@ def test_bulk_queries_progresses_at_two_cpus(tmp_path):
              for i in range(60)]
     pd.DataFrame({"doc_id": range(60), "text": texts}).to_parquet(
         tmp_path / "documents.parquet")
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (root, os.environ.get("PYTHONPATH")) if p))
-    # own session: a timed-out run is killed with the Ray processes it
-    # started
-    proc = subprocess.Popen(
-        [sys.executable, "-c", BULK_AT_TWO_CPUS, str(tmp_path)],
-        cwd=root, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        text=True, start_new_session=True)
-    try:
-        stdout, stderr = proc.communicate(timeout=240)
-    except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)
-        proc.communicate()
-        pytest.fail("q_bulk_queries made no progress under num_cpus=2")
-    assert proc.returncode == 0, stderr[-3000:]
+    stdout = run_at_two_cpus(BULK_AT_TWO_CPUS, tmp_path, "q_bulk_queries")
     assert "rows " in stdout

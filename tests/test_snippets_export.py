@@ -33,6 +33,15 @@ class TestDocSnippets:
         assert doc_snippets("nothing here", {"zz"}) == []
 
 
+W2V_AT_TWO_CPUS = r"""
+from alix_ray.pipelines.queries import q_w2v_corpus
+
+got = q_w2v_corpus(sf_dir)
+print("rows", len(got))
+print(got["line"].iloc[0])
+"""
+
+
 class TestExports:
     def test_token_table_positions(self, ray_session):
         import ray.data
@@ -74,6 +83,20 @@ class TestExports:
         # lemmatized; 'contents' unknown-POS kept
         assert "enfant" in line
         assert "être" not in line and "étaient" not in line
+
+    def test_w2v_corpus_progresses_at_two_cpus(self, tmp_path):
+        """``q_w2v_corpus`` under a 2-CPU Ray: the analyzer actor pool
+        must leave a CPU to the read and ``repartition`` tasks that
+        feed it, or neither side makes progress."""
+        from conftest import run_at_two_cpus
+
+        texts = [f"Les enfants étaient contents du jardin numéro {i}."
+                 for i in range(60)]
+        pd.DataFrame({"doc_id": range(60), "text": texts}).to_parquet(
+            tmp_path / "documents.parquet")
+        stdout = run_at_two_cpus(W2V_AT_TWO_CPUS, tmp_path, "q_w2v_corpus")
+        assert "rows 60" in stdout
+        assert "enfant contents jardin numéro" in stdout
 
     def test_snippets_pipeline(self, ray_session):
         import ray.data
