@@ -21,9 +21,11 @@ Scorers that must agree exactly (tests enforce it):
   doc-range windows for multi-term queries; a window is skipped only
   when its summed block upper bound is *strictly* below the top-k
   threshold, so tie-breaks stay rank-identical to the exact scorer.
-  A scored window costs O(P log P) in the P postings it holds (the
-  sorted union of their doc offsets), or O(S) in the span S of doc ids
-  they touch when they fill most of it — never the window's width;
+  A scored window is one ``bincount`` of its postings' contributions
+  (in sorted-term order, so the float sums are the exact scorer's) and
+  one bool-mask scan for candidates: O(P + S) in the P postings it
+  holds and the span S of doc ids they touch — never the window's
+  width;
 - :meth:`BM25Index.search_wand` — memoized O(df) posting scan for a
   single-term query.
 
@@ -31,7 +33,11 @@ Scorers that must agree exactly (tests enforce it):
 dispatcher: it routes one distinct known term to ``search_wand`` and
 more to ``search_block_window``.  Lexicon lookups (``idf``, ``df``,
 range expansion) binary-search the UTF-8 bytes of the Arrow term
-column in place.
+column in place, and a bounded memo keeps each looked-up term's
+position, so a cold query pays one search per term.
+:meth:`BM25Index.parse` is the one query-string entry: it runs
+``query.parser.parse_query`` with the handle's analyzer behind a
+bounded per-handle word memo, so each query word is analyzed once.
 
 The index handle is immutable after load — share freely across query
 actors (reference: frozen ``LuceneIndex`` handle, SURVEY.md §3.2).
@@ -59,6 +65,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..codec import decode_block, decode_posting, deleted_mask, vb_decode
+from ..query import parser
 from ..stages.store import resolve_stage, stage_files, walk_parquet
 
 BLOCK = 128
@@ -727,12 +734,19 @@ class TermLexicon:
     through zero-copy memoryviews: a probe compares one term's UTF-8
     bytes with the encoded key (UTF-8 byte order is code-point order,
     so it agrees with ``str`` ordering and with Arrow's sort), and
-    strings materialize one at a time only when yielded."""
+    strings materialize one at a time only when yielded.
 
-    __slots__ = ("terms", "_n", "_offs", "_data")
+    :meth:`index` keeps a bounded memo term → position (at most
+    ``_INDEX_MEMO_MAX`` terms, the oldest dropped first), so each term a
+    handle looks up (postings, df, cf, idf) costs one binary search."""
+
+    __slots__ = ("terms", "_n", "_offs", "_data", "_memo")
+
+    _INDEX_MEMO_MAX = 8192
 
     def __init__(self, terms):
         self.terms = terms
+        self._memo: dict[str, int] = {}
         self._n = len(terms)
         offs, data = _binary_buffers(terms)
         self._offs = memoryview(offs)  # indexing yields a plain int
@@ -762,11 +776,17 @@ class TermLexicon:
         return lo
 
     def index(self, term: str) -> int:
-        lo = self.lower_bound(term)
-        if lo < self._n and self._bytes(lo) == term.encode(
-                "utf-8", "surrogatepass"):
-            return lo
-        return -1
+        """Position of ``term``, or -1 when it is absent."""
+        i = self._memo.get(term)
+        if i is None:
+            i = self.lower_bound(term)
+            if i >= self._n or self._bytes(i) != term.encode(
+                    "utf-8", "surrogatepass"):
+                i = -1
+            if len(self._memo) >= self._INDEX_MEMO_MAX:
+                self._memo.pop(next(iter(self._memo)))
+            self._memo[term] = i
+        return i
 
     def __contains__(self, term) -> bool:
         return self.index(term) >= 0
@@ -838,6 +858,7 @@ class BM25Index:
 
     _CONTRIB_CACHE_MAX = 4096  # terms; (d, c) arrays ∝ df each
     _TOPK_CACHE_MAX = 8192     # (term, k) result lists, O(k) each
+    _WORD_MEMO_MAX = 8192      # query words → their analyzed terms
     # above this postings size, theme_terms routes through the
     # distributed Ray job instead of streaming the artifact in-process
     THEME_DISTRIBUTED_MIN_BYTES = 256 << 20
@@ -923,6 +944,7 @@ class BM25Index:
             for g, c in zip(self.gen_dirs, cfgs)
         ], self.lexicon)
         self._analyzer = None
+        self._words = None  # WordMemo over the analyzer, at first parse
         # result caches are true-LRU-bounded (hits re-insert at the
         # tail): a long-running replica serving a wide query mix must
         # not accumulate O(touched vocabulary) float arrays forever
@@ -1276,52 +1298,53 @@ class BM25Index:
     def search_block_window(self, terms, k: int = 10, window: int = 16384):
         """Top-k via doc-range windows with block-max skipping.
 
-        The accumulator is ``min(window, max_doc + 1)`` slots, allocated
-        per call (never corpus-sized, and no scratch state on the
-        shared handle); a window is scored only when the sum of the
-        query terms' block maxima overlapping it can beat the current
-        threshold — the block-max pruning idea of BMW applied
-        window-at-a-time so scoring stays fully vectorized.
+        A window is scored only when the sum of the query terms' block
+        maxima overlapping it can beat the current threshold — the
+        block-max pruning idea of BMW applied window-at-a-time, so
+        scoring stays fully vectorized.  Memory is bounded by the window
+        (never corpus-sized), and no scratch state lives on the shared
+        handle.
 
-        A scored window's work follows the postings it holds, not its
-        width: the terms' contributions scatter into the accumulator,
-        and the candidates are read back from the touched slots only.
-        Two ways to find them, picked per window from what it holds:
-        a window of P postings touching a span of S slots takes the
-        sorted union of its touched offsets when that sort
-        (P·log2 P element steps) is cheaper than a scan of the span
-        (S slot steps), and scans the span otherwise (a hot-term
-        window whose postings cover most of it).  Either way only the
-        slots read are zeroed again.  Untouched slots hold 0.0, which
-        neither candidate rule keeps (``!= 0`` while the top-k fills,
-        ``>= theta`` with ``theta > 0`` after: BM25 contributions are
-        positive), so both ways find the same candidates.
+        A scored window is one step whose work follows the P postings
+        it holds, not its width:
 
-        The running top-k is maintained with a vectorized merge
-        (concat + lexsort of the window's candidates), not a per-doc
-        Python heap — hot-term windows have 10^4 candidate docs and the
-        heap loop dominated serving latency.  Posting decode is
-        memoized per term (shared with the serving path); a
-        disk-resident variant would decode only the overlapping blocks
-        — the per-block byte offsets are stored for exactly that.
-        Per-doc contributions sum in sorted-term order (identical float
-        arithmetic to ``search_exact`` → rank- and score-identical,
-        enforced by tests).
+        - each term's (doc, contribution) arrays, whole when they lie
+          inside the window (no search), else the ``searchsorted``
+          slice;
+        - concatenated in sorted-term order, and summed per doc by
+          ``np.bincount(docs - first, weights=...)`` into a fresh
+          accumulator as wide as the span of doc ids they touch.
+          ``bincount`` adds each doc's weights in input order starting
+          from 0.0, the same float operations as ``search_exact``'s
+          per-term ``acc[d] += c`` (rank- and score-identical, enforced
+          by tests);
+        - candidates from one bool-mask scan of that accumulator:
+          ``!= 0`` while the top-k fills, ``>= theta`` after (untouched
+          slots hold 0.0, which neither keeps, since BM25 contributions
+          are positive).
+
+        The running top-k is kept with a vectorized merge (a tie-safe
+        partition of a large window's candidates to everything ≥ its
+        kth score, then concat + lexsort by score desc, doc asc), not a
+        per-doc Python heap.  Contributions are the memoized per-term
+        ``_term_contrib`` arrays, shared with the rest of the serving
+        path.
         """
         qs = self._query_terms(terms)
-        contribs = [self._term_contrib(t, "bm25") for t in qs]
+        # per term with live postings: (first doc, last doc, d, c)
+        contribs = [(int(d[0]), int(d[-1]), d, c) for d, c in
+                    (self._term_contrib(t, "bm25") for t in qs) if len(d)]
+        if not contribs:
+            return []
         # windows cover the live docs; those past the last one hold no
         # postings to score
-        max_doc = max((int(d[-1]) for d, _ in contribs if len(d)), default=-1)
-        if max_doc < 0:
-            return []
+        max_doc = max(dn for _, dn, _, _ in contribs)
         window = min(window, max_doc + 1)
         bounds = None  # per term (w, block_last, block_max), at 1st skip test
         # running top-k, kept sorted by (score desc, doc asc) — the
         # TopArray tie rule; theta = weakest kept score once full
         top_s = np.empty(0, np.float64)
         top_d = np.empty(0, np.int64)
-        acc = np.zeros(window, np.float64)
         for lo in range(0, max_doc + 1, window):
             hi = lo + window
             full = len(top_s) >= k
@@ -1345,46 +1368,49 @@ class BM25Index:
                             ub += w * float(seg.max())
                 if ub < theta:
                     continue  # no doc in this window can enter the top-k
-            touched = []  # per term: sorted window offsets it scattered
-            for d, c in contribs:
-                a, b = np.searchsorted(d, (lo, hi)).tolist()
-                if a == b:
+            ds, cs = [], []  # each term's postings in [lo, hi)
+            first = hi
+            for d0, dn, d, c in contribs:
+                if d0 >= hi or dn < lo:
                     continue
-                off = d[a:b] - lo
-                acc[off] += c[a:b]
-                touched.append(off)
-            if not touched:
+                if lo <= d0 and dn < hi:  # the whole list: no search
+                    first = min(first, d0)
+                else:
+                    a, b = np.searchsorted(d, (lo, hi)).tolist()
+                    if a == b:
+                        continue
+                    d, c = d[a:b], c[a:b]
+                    first = min(first, int(d[0]))
+                ds.append(d)
+                cs.append(c)
+            if not ds:
                 continue
-            first = min(int(o[0]) for o in touched)
-            span = max(int(o[-1]) for o in touched) + 1 - first
-            n_post = sum(len(o) for o in touched)
-            if n_post * n_post.bit_length() < span:
-                nz = (touched[0] if len(touched) == 1
-                      else np.unique(np.concatenate(touched)))
-                scores = acc[nz]
-                acc[nz] = 0.0
-                keep = scores >= theta if full else scores != 0.0
-                nz, scores = nz[keep], scores[keep]
+            if len(ds) == 1:
+                docs, weights = ds[0], cs[0]
             else:
-                seg = acc[first : first + span]
-                # fused scan: once full, only candidates that can
-                # displace the weakest kept entry (ties kept — doc-id
-                # rule below)
-                nz = np.flatnonzero(seg >= theta if full else seg != 0.0)
-                scores = seg[nz]
-                nz += first
-                seg[:] = 0.0
+                docs, weights = np.concatenate(ds), np.concatenate(cs)
+            # per doc, the weights add in input order (sorted-term
+            # order) starting from 0.0: search_exact's float sums
+            acc = np.bincount(docs - first, weights=weights)
+            # one bool-mask scan; once full, only candidates that can
+            # displace the weakest kept entry (ties kept — doc-id rule
+            # below)
+            nz = (acc >= theta if full else acc != 0.0).nonzero()[0]
             if nz.size == 0:
                 continue
+            scores = acc[nz]
+            nz += first
             if not full and nz.size > 4 * k:
                 # bound the merge sort: partition to the window's own
                 # top-k first (tie-safe — keep everything ≥ kth score)
-                part = np.argpartition(-scores, k - 1)[:k]
-                theta0 = scores[part].min()
-                m = scores >= theta0
+                theta0 = np.partition(scores, nz.size - k)[nz.size - k]
+                m = (scores >= theta0).nonzero()[0]
                 nz, scores = nz[m], scores[m]
-            all_s = np.concatenate([top_s, scores])
-            all_d = np.concatenate([top_d, nz.astype(np.int64) + lo])
+            if len(top_s):
+                all_s = np.concatenate([top_s, scores])
+                all_d = np.concatenate([top_d, nz])
+            else:
+                all_s, all_d = scores, nz
             order = np.lexsort((all_d, -all_s))[:k]
             top_s = all_s[order]
             top_d = all_d[order]
@@ -1870,11 +1896,20 @@ class BM25Index:
                     break
         return self._root_dict
 
-    def search(self, query: str, k: int = 10, exact: bool = False):
-        from ..query.parser import parse_query
+    def parse(self, query: str) -> list[str]:
+        """Index terms of a query string: ``query.parser.parse_query``
+        over this handle's lexicon, root dictionary and df, with its
+        analyzer behind the handle's :class:`~alix_ray.query.parser.
+        WordMemo` (at most ``_WORD_MEMO_MAX`` texts), so each query word
+        is analyzed once per handle."""
+        if self._words is None:
+            self._words = parser.WordMemo(self.analyzer(),
+                                          self._WORD_MEMO_MAX)
+        return parser.parse_query(query, self._words, self.lexicon,
+                                  root_dict=self.root_dict(), df=self.df)
 
-        terms = parse_query(query, self.analyzer(), self.lexicon,
-                            root_dict=self.root_dict(), df=self.df)
+    def search(self, query: str, k: int = 10, exact: bool = False):
+        terms = self.parse(query)
         if exact:
             return self.search_exact(terms, k)
         return self.search_terms(terms, k)

@@ -71,13 +71,10 @@ def _hits(ix: BM25Index, pars: dict):
     query, optional conjunctive span mode, k / start pagination,
     explicit sort mode."""
     from ..ops.render import order_hits
-    from ..query.parser import parse_query
 
-    q = pars.get("q", "")
     k = int(pars.get("k", 10))
     start = int(pars.get("start", 0))
-    terms = parse_query(q, ix.analyzer(), ix.lexicon,
-                        root_dict=ix.root_dict(), df=ix.df)
+    terms = ix.parse(pars.get("q", ""))
     slop = pars.get("slop")
     if slop is not None:  # the reference's SpanNear relevance mode
         hits = ix.search_span(terms, start + k, slop=int(slop))
@@ -137,10 +134,8 @@ def op_snippets(ix: BM25Index, pars: dict):
     """Per-doc highlight fragments for q over the stored text (the
     /snippets op; milestones pass through to the fragment renderer)."""
     from ..ops.snippets import doc_snippets
-    from ..query.parser import parse_query
 
-    terms = set(parse_query(pars.get("q", ""), ix.analyzer(), ix.lexicon,
-                            root_dict=ix.root_dict(), df=ix.df))
+    terms = set(ix.parse(pars.get("q", "")))
     doc = ix.document(int(pars["id"]))
     return doc_snippets(doc.get("text", "") or "", terms,
                         merge_gap=int(pars.get("merge_gap", 6)),

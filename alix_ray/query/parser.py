@@ -24,9 +24,41 @@ _PHRASE = re.compile(r'"([^"]*)"')
 _WS = re.compile(r"\s+")
 
 
+class WordMemo:
+    """Bounded memo in front of an analyzer: text →
+    ``tuple(analyzer.terms(text))``, at most ``cap`` texts (the oldest
+    dropped first).  It has the analyzer's ``terms``, so
+    :func:`parse_query` takes it in the analyzer's place."""
+
+    __slots__ = ("analyzer", "cap", "memo")
+
+    def __init__(self, analyzer, cap: int):
+        self.analyzer = analyzer
+        self.cap = cap
+        self.memo: dict[str, tuple] = {}
+
+    def terms(self, text: str) -> tuple:
+        hit = self.memo.get(text)
+        if hit is None:
+            hit = tuple(self.analyzer.terms(text))
+            if len(self.memo) >= self.cap:
+                self.memo.pop(next(iter(self.memo)))
+            self.memo[text] = hit
+        return hit
+
+
 def parse_query(q: str, analyzer, lexicon=None, root_dict=None,
                 df=None) -> list[str]:
     """Query string → list of index terms (possibly with duplicates).
+
+    ``analyzer`` is read only through ``analyzer.terms(text)``, called
+    once per bare word (a run of non-space characters outside quotes and
+    parentheses, other than a wildcard or an ``a_b`` form) and once per
+    quoted phrase body, each on its own text and never on the whole
+    query.  So a :class:`WordMemo` in the
+    analyzer's place gives the same terms: ``BM25Index.parse`` passes
+    its handle's memo, and each distinct word is analyzed once per
+    handle.
 
     When ``root_dict`` (a :class:`alix_ray.analysis.hunspell.
     RootDictionary`) and ``df`` (term → document frequency) are given,

@@ -165,27 +165,30 @@ def test_block_window_bit_identical(window_indexes, kind):
     assert tied
 
 
-def test_block_window_takes_both_candidate_scans(window_indexes,
-                                                 monkeypatch):
-    """Rare + rare fills a window sparsely (candidates from the union of
-    the touched offsets), hot + hot densely (a scan of the touched
-    span); both give the exact answer."""
+def test_block_window_one_step_per_window(window_indexes, monkeypatch):
+    """Rare + rare fills a window sparsely and hot + hot densely; both
+    take the one per-window step (one ``bincount`` per scored window,
+    no ``np.unique`` union) and give the exact answer."""
     from alix_ray.index.engine import BM25Index
 
-    calls = {"unique": 0, "flatnonzero": 0}
+    ix = BM25Index(window_indexes["oneshot"])
+    queries = (["rarea", "rareb"], ["hota", "hotb"])
+    # exact answers first; they also memoize the contributions
+    want = {tuple(q): ix.search_exact(q, 10) for q in queries}
+    calls = {"bincount": 0, "unique": 0}
     for name in calls:
         def spy(*a, _f=getattr(np, name), _n=name, **kw):
             calls[_n] += 1
             return _f(*a, **kw)
         monkeypatch.setattr(np, name, spy)
-    ix = BM25Index(window_indexes["oneshot"])
-    for q, took in ((["rarea", "rareb"], "unique"),
-                    (["hota", "hotb"], "flatnonzero")):
-        for n in calls:
-            calls[n] = 0
-        got = ix.search_block_window(q, 10)
-        assert calls[took] == 1 and sum(calls.values()) == 1, (q, calls)
-        assert got == ix.search_exact(q, 10)
+    for q in queries:
+        for window, windows in ((16384, 1), (64, -(-N_DOCS // 64))):
+            for n in calls:
+                calls[n] = 0
+            got = ix.search_block_window(q, 10, window)
+            assert 1 <= calls["bincount"] <= windows, (q, window, calls)
+            assert calls["unique"] == 0, (q, window, calls)
+            assert got == want[tuple(q)], (q, window)
 
 
 def test_search_wand_scores_one_term(window_indexes):
@@ -315,3 +318,117 @@ def test_postings_row_group_cache_is_lru(window_indexes):
     store._row_group(*c)  # evicts b, the least recently used
     assert list(store._rg_cache) == [a, c]
     assert store._row_group(*a) is first
+
+
+# -- lookups of a cold session and the query-string entry -----------------
+
+def test_cold_session_searches_lexicon_once_per_term(window_indexes,
+                                                     monkeypatch):
+    """A fresh handle answering a session of term and parsed queries
+    binary-searches the lexicon at most once per distinct query term:
+    the postings, df and idf lookups of a term share one position."""
+    from alix_ray.index.engine import BM25Index, TermLexicon
+
+    calls = []
+    lower_bound = TermLexicon.lower_bound
+    monkeypatch.setattr(TermLexicon, "lower_bound",
+                        lambda lex, t: calls.append(t) or lower_bound(lex, t))
+    session = [["hota", "hotb"], ["rarea", "rareb", "nosuchterm"],
+               ["hota", "rarea"], ["mida"], ["hotb", "pad", "f3"],
+               "mida midb", "rarea (f3 nosuchterm)", "hota"]
+    for kind in ("oneshot", "generations"):
+        calls.clear()
+        ix = BM25Index(window_indexes[kind])
+        terms = set()
+        for q in session:
+            if isinstance(q, str):
+                got = ix.search(q, 10)
+                q = q.replace("(", " ").replace(")", " ").split()
+            else:
+                got = ix.search_terms(q, 10)
+            assert got == ix.search_exact(q, 10), q
+            terms.update(q)
+        assert calls and len(calls) <= len(terms), (kind, sorted(calls))
+        assert len(set(calls)) == len(calls), kind
+
+
+def test_lexicon_position_memo_is_bounded(monkeypatch):
+    from alix_ray.index.engine import TermLexicon
+
+    monkeypatch.setattr(TermLexicon, "_INDEX_MEMO_MAX", 4)
+    lex = TermLexicon(pa.array(VOCAB, pa.large_string()))
+    for _ in range(2):
+        for p in VOCAB + ABSENT:
+            i = bisect.bisect_left(VOCAB, p)
+            found = i < len(VOCAB) and VOCAB[i] == p
+            assert lex.index(p) == (i if found else -1), p
+            assert len(lex._memo) <= 4
+
+
+DOCS_FR = [
+    "Les chats mangent des pommes de terre au jardin.",
+    "Le chemin de fer traverse le jardin des chats.",
+    "Une pomme de terre et une pomme rouge.",
+    "Les chiens courent sur le chemin de fer.",
+    "Le jardin du chemin est fleuri, les chats dorment.",
+    "Parce que la pomme de terre pousse au jardin.",
+] * 3
+
+PARSED = [
+    "chats jardin",
+    'chats "pomme de terre"',
+    '"chemin de fer" (chiens chats)',
+    "(jardin pomme) chemin",
+    "chat* jardin",
+    "pomme de terre",
+    "Chats CHATS chats",
+    "nosuchword jardin",
+]
+
+
+@pytest.fixture(scope="module")
+def french_index(ray_session, tmp_path_factory):
+    import ray.data
+
+    from alix_ray.stages.build import IndexBuilder
+
+    out = str(tmp_path_factory.mktemp("french"))
+    IndexBuilder(out).build(ray.data.from_arrow(pa.table({
+        "doc_id": pa.array(range(len(DOCS_FR)), pa.int64()),
+        "text": pa.array(DOCS_FR),
+    })), input_kind="documents", fingerprint="memo")
+    return out
+
+
+def test_parsed_queries_through_the_word_memo(french_index):
+    """Groups, quoted MWE phrases and wildcard words answer the same
+    before and after the handle's word memo holds their words, and
+    parse to what the parser gives with the bare analyzer."""
+    from alix_ray.index.engine import BM25Index
+    from alix_ray.query.parser import parse_query
+
+    ix = BM25Index(french_index)
+    bare = BM25Index(french_index)
+    want = {q: parse_query(q, bare.analyzer(), bare.lexicon) for q in PARSED}
+    assert any("_" in t for q in PARSED for t in want[q])  # an MWE term
+    assert any(len(want[q]) > 2 for q in PARSED)  # a wildcard expansion
+    for _ in range(3):
+        for q in PARSED:
+            assert ix.parse(q) == want[q], q
+            for k in (1, 10):
+                assert ix.search(q, k) == ix.search(q, k, exact=True), q
+                assert ix.search(q, k) == bare.search_exact(want[q], k), q
+    assert ix._words.memo
+
+
+def test_word_memo_is_bounded_and_per_handle(french_index, monkeypatch):
+    from alix_ray.index.engine import BM25Index
+    from alix_ray.query.parser import parse_query
+
+    monkeypatch.setattr(BM25Index, "_WORD_MEMO_MAX", 3)
+    ix = BM25Index(french_index)
+    assert ix._words is None  # a fresh handle has analyzed nothing
+    for q in PARSED * 2:
+        assert ix.parse(q) == parse_query(q, ix.analyzer(), ix.lexicon), q
+        assert 0 < len(ix._words.memo) <= 3
+    assert BM25Index(french_index)._words is None
