@@ -98,19 +98,30 @@ def encode_doc_deltas(doc_ids: np.ndarray) -> bytes:
     return vb_encode(deltas)
 
 
-def decode_doc_deltas(buf: bytes | memoryview) -> np.ndarray:
-    """Inverse of :func:`encode_doc_deltas` (fully vectorized: global
-    cumsum + per-block constant correction for the absolute restarts)."""
+def decode_doc_deltas(buf: bytes | memoryview,
+                      starts: np.ndarray | None = None) -> np.ndarray:
+    """Inverse of :func:`encode_doc_deltas`.  ``starts`` are the entry
+    indices where the stored value restarts absolute (ascending, first
+    0); the default is every ``BLOCK``-th entry, one encoded list.  The
+    streams of several lists joined end to end decode in ONE call with
+    their block starts concatenated, each shifted by the entries before
+    it — a list's last block may be short.  Fully vectorized."""
     deltas = vb_decode(buf).astype(np.int64)
     n = deltas.size
     if n == 0:
         return deltas
-    csum = np.cumsum(deltas)
-    # block j restarts absolute at S=j*BLOCK: out[i] = csum[i] + (deltas[S] - csum[S])
-    corr = deltas[::BLOCK] - csum[::BLOCK]
-    reps = np.full(corr.size, BLOCK, np.int64)
-    reps[-1] = n - (corr.size - 1) * BLOCK
-    return csum + np.repeat(corr, reps)
+    if starts is None:
+        starts = block_starts(n)
+    if len(starts) > 1:
+        # a restart becomes the gap from the previous block's last id
+        # (its first id plus its in-block deltas), so one cumsum gives
+        # every id and no partial sum exceeds the largest id
+        first = deltas[starts]
+        deltas[starts] = 0
+        inblock = np.add.reduceat(deltas, starts)
+        first[1:] -= first[:-1] + inblock[:-1]
+        deltas[starts] = first
+    return np.cumsum(deltas)
 
 
 def block_starts(n_entries: int) -> np.ndarray:
@@ -171,10 +182,17 @@ def decode_posting(docs_buf, tfs_buf):
     return decode_doc_deltas(docs_buf), vb_decode(tfs_buf).astype(np.int64)
 
 
-def decode_block(docs_buf, tfs_buf, block_idx, n_entries, off_docs, off_tfs):
-    """Decode a single block of a posting shard without touching the rest."""
-    s = block_idx * BLOCK
-    e = min(s + BLOCK, n_entries)
+def decode_block(docs_buf, tfs_buf, block_idx, n_entries, off_docs, off_tfs,
+                 starts: np.ndarray | None = None):
+    """Decode a single block of a posting list without touching the
+    rest.  ``starts`` are the blocks' entry starts (default every
+    ``BLOCK``-th entry; joined lists pass theirs, see
+    :func:`decode_doc_deltas`)."""
+    if starts is None:
+        starts = block_starts(n_entries)
+    s = int(starts[block_idx])
+    e = (int(starts[block_idx + 1]) if block_idx + 1 < len(starts)
+         else n_entries)
     nd = e - s
     do = int(off_docs[block_idx])
     to = int(off_tfs[block_idx])

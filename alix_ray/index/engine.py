@@ -46,9 +46,14 @@ Postings are LAZY: open reads only the ``term`` column of each posting
 file (blobs stay on disk) into a columnar directory — int32
 (file, row-group, row) arrays sorted by term plus int64 run starts
 keyed by lexicon position, 12 bytes per posting row and 8 per term,
-with no per-term or per-row Python objects.  A term's posting rows are
-read on first use via row-group-pruned Parquet reads, cut out of the
-columnar row group by offsets as copies, and memoized.
+with no per-term or per-row Python objects.  A term's posting rows
+(one per doc-range shard per generation) are read on first use via
+row-group-pruned Parquet reads, cut out of the columnar row groups by
+offsets, and joined into ONE memoized :class:`PostingShard` per term
+in doc order, so a cold term costs one ``vb_decode`` per stream, one
+tombstone mask, one contribution pass and one norms gather however
+many shards and generations hold it (Lucene decodes a term through one
+codec pass per segment, SURVEY.md §1.3).
 The rail (positions forward index) is likewise lazy: per-row-group
 doc_id min/max statistics prune the read, so a span query touches only
 the row groups holding its candidate docs.
@@ -64,7 +69,13 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from ..codec import decode_block, decode_posting, deleted_mask, vb_decode
+from ..codec import (
+    decode_block,
+    decode_doc_deltas,
+    decode_posting,
+    deleted_mask,
+    vb_decode,
+)
 from ..query import parser
 from ..stages.store import resolve_stage, stage_files, walk_parquet
 
@@ -72,60 +83,76 @@ BLOCK = 128
 
 
 class PostingShard:
-    """One posting row (term × doc-range shard); decode memoized."""
+    """One term's posting list: every stored row of the term (one per
+    doc-range shard per generation) joined into one list in doc order.
+
+    ``docs_buf``/``tfs_buf`` hold the rows' byte streams end to end.
+    ``block_last``, the generation-scaled ``block_max`` and the block
+    byte offsets ``off_docs``/``off_tfs`` (shifted into the joined
+    streams) run over every block of every row, and ``block_start`` is
+    each block's first entry: a row's last block may be short, so a
+    block may hold fewer than ``BLOCK`` entries.  ``n`` is the entry
+    count.  :meth:`decode` is one ``vb_decode`` of each stream,
+    memoized."""
 
     __slots__ = ("docs_buf", "tfs_buf", "block_last", "off_docs", "off_tfs",
-                 "block_max", "n", "_decoded")
+                 "block_max", "block_start", "n", "_decoded")
 
     def __init__(self, docs_buf: bytes, tfs_buf: bytes,
                  block_last: np.ndarray, off_docs: np.ndarray,
-                 off_tfs: np.ndarray, block_max: np.ndarray, n: int):
+                 off_tfs: np.ndarray, block_max: np.ndarray,
+                 block_start: np.ndarray, n: int):
         self.docs_buf = docs_buf
         self.tfs_buf = tfs_buf
         self.block_last = block_last
         self.off_docs = off_docs
         self.off_tfs = off_tfs
         self.block_max = block_max
+        self.block_start = block_start
         self.n = n
         self._decoded = None
 
     def decode(self):
         if self._decoded is None:
-            self._decoded = decode_posting(self.docs_buf, self.tfs_buf)
+            self._decoded = (
+                decode_doc_deltas(self.docs_buf, self.block_start),
+                vb_decode(self.tfs_buf).astype(np.int64))
         return self._decoded
+
+    def _block(self, b) -> tuple[np.ndarray, np.ndarray]:
+        return decode_block(self.docs_buf, self.tfs_buf, int(b), self.n,
+                            self.off_docs, self.off_tfs, self.block_start)
+
+    @staticmethod
+    def _probe(d: np.ndarray, cand: np.ndarray):
+        """(hit mask, insertion index) of sorted ``cand`` in sorted
+        ``d``."""
+        idx = np.searchsorted(d, cand)
+        ok = idx < len(d)
+        hit = np.zeros(len(cand), bool)
+        hit[ok] = d[idx[ok]] == cand[ok]
+        return hit, idx
 
     def contains(self, cand: np.ndarray) -> np.ndarray:
         """Membership mask for sorted candidate doc ids, decoding ONLY
         the blocks the candidates land in (block_last skip list) — the
         skip-list intersection path; never the full posting list."""
-        out = np.zeros(len(cand), bool)
         if self._decoded is not None:  # already paid for — use it
-            d = self._decoded[0]
-            idx = np.searchsorted(d, cand)
-            ok = idx < len(d)
-            out[ok] = d[idx[ok]] == cand[ok]
-            return out
+            return self._probe(self._decoded[0], cand)[0]
+        out = np.zeros(len(cand), bool)
         bi = np.searchsorted(self.block_last, cand, side="left")
         valid = bi < len(self.block_last)
         for b in np.unique(bi[valid]):
-            bdocs, _ = decode_block(
-                self.docs_buf, self.tfs_buf, int(b), self.n,
-                self.off_docs, self.off_tfs,
-            )
             sel = valid & (bi == b)
-            idx = np.searchsorted(bdocs, cand[sel])
-            ok = idx < len(bdocs)
-            hit = np.zeros(sel.sum(), bool)
-            hit[ok] = bdocs[idx[ok]] == cand[sel][ok]
-            out[np.flatnonzero(sel)] = hit
+            out[sel] = self._probe(self._block(b)[0], cand[sel])[0]
         return out
 
     def tf_of(self, cand: np.ndarray) -> np.ndarray:
         """Term frequencies for sorted candidate doc ids (0 where the
-        doc is outside this shard), decoding ONLY the blocks the
-        candidates land in — the scoring twin of :meth:`contains`, so
-        ranking a candidate set against a Zipf-head term costs
-        O(touched blocks), never a full postings decode."""
+        term does not occur), decoding ONLY the blocks the candidates
+        land in — the scoring twin of :meth:`contains`, so ranking a
+        candidate set against a Zipf-head term costs O(touched blocks),
+        never a full postings decode."""
         out = np.zeros(len(cand), np.int64)
         bi = np.searchsorted(self.block_last, cand, side="left")
         valid = bi < len(self.block_last)
@@ -136,29 +163,15 @@ class PostingShard:
         if self._decoded is not None or (
                 len(touched) * 2 > len(self.block_last)):
             d, t = self.decode()
-            idx = np.searchsorted(d, cand)
-            ok = idx < len(d)
-            hit = np.zeros(len(cand), bool)
-            hit[ok] = d[idx[ok]] == cand[ok]
+            hit, idx = self._probe(d, cand)
             out[hit] = t[idx[hit]]
             return out
         for b in touched:
-            bdocs, btfs = decode_block(
-                self.docs_buf, self.tfs_buf, int(b), self.n,
-                self.off_docs, self.off_tfs,
-            )
-            sel = valid & (bi == b)
-            idx = np.searchsorted(bdocs, cand[sel])
-            ok = idx < len(bdocs)
-            hit = np.zeros(sel.sum(), bool)
-            hit[ok] = bdocs[idx[ok]] == cand[sel][ok]
-            pos = np.flatnonzero(sel)
+            bdocs, btfs = self._block(b)
+            pos = np.flatnonzero(valid & (bi == b))
+            hit, idx = self._probe(bdocs, cand[pos])
             out[pos[hit]] = btfs[idx[hit]]
         return out
-
-    def first_doc(self) -> int:
-        head = vb_decode(bytes(self.docs_buf[:10]))
-        return int(head[0]) if len(head) else 0
 
     def n_blocks(self) -> int:
         return len(self.block_last)
@@ -192,7 +205,9 @@ def _var_column(col) -> tuple[np.ndarray, np.ndarray]:
 
 
 class PostingStore:
-    """Lazy term → list[PostingShard] mapping over the postings Parquet.
+    """Lazy term → :class:`PostingShard` mapping over the postings
+    Parquet: ONE posting object per term, joining the term's rows of
+    every doc-range shard of every generation.
 
     Open reads only the ``term`` column, once per file, into a columnar
     directory: every posting row's int32 ``(file, row_group, row)``,
@@ -200,17 +215,19 @@ class PostingStore:
     bytes per posting row and 8 per term, no per-term or per-row Python
     objects.  A term's run is found by the UTF-8 binary search of the
     handle's :class:`TermLexicon` (term_stats and postings carry one
-    vocabulary); a term already fetched is a hash probe in the shard
-    memo.  Row groups are read on first access and
-    kept columnar (offsets + value buffers, true-LRU-cached); a fetched
-    row is cut out by offsets and COPIED, so a memoized shard never
-    pins its row group.  Resident memory grows with the TOUCHED
-    vocabulary, not the index size.  (Reference keeps postings on disk
-    behind Lucene's codec — ``SURVEY.md §1.3``; this is the Parquet
-    equivalent.)"""
+    vocabulary); a term already fetched is a hash probe in the term
+    memo.  Row groups are read on first access and kept columnar
+    (offsets + value buffers, true-LRU-cached); a term's rows are cut
+    out by offsets and joined into fresh buffers in doc order (rows
+    sort by their last ``block_last``: shard doc ranges are disjoint,
+    so no row is decoded to be placed), so a memoized term never pins
+    a row group.  Resident memory grows with the TOUCHED vocabulary,
+    not the index size.  (Reference keeps postings on disk behind
+    Lucene's codec, one codec pass per term and segment — ``SURVEY.md
+    §1.3``; this is the Parquet equivalent.)"""
 
     _RG_CACHE_MAX = 32
-    # decoded-shard memo cap (terms).  Without it a full-vocabulary
+    # term memo cap (terms).  Without it a full-vocabulary
     # sweep (theme_terms) left every term's decoded postings resident —
     # the replica ended up holding the whole decoded index, defeating
     # the "resident memory ∝ touched vocabulary" property.  True LRU:
@@ -272,7 +289,7 @@ class PostingStore:
         np.cumsum(runs, out=self._starts[1:])
         self._n_terms = int(np.count_nonzero(runs))
         self._rg_cache: dict[tuple[int, int], dict] = {}
-        self._shards: dict[str, list[PostingShard]] = {}
+        self._shards: dict[str, PostingShard] = {}
 
     def _run(self, i: int) -> tuple[int, int] | None:
         """[start, end) of the directory rows of lexicon position ``i``
@@ -296,64 +313,106 @@ class PostingStore:
         return self._n_terms
 
     def _row_group(self, fi: int, rg: int) -> dict:
-        """Row group ``rg`` of file ``fi`` as ``df`` plus (offsets,
-        values) per variable-width column."""
+        """Row group ``rg`` of file ``fi``, columnar: ``df`` and each
+        row's byte offsets into the ``docs``/``tfs`` value buffers (as
+        lists) and its block range in ``blocks`` — the block_last,
+        block_off_docs and block_off_tfs values stacked as one int64
+        (3, n_blocks) array — and ``block_max`` (float64, scaled for
+        this file's generation; see ``__init__``)."""
         key = (fi, rg)
         hit = self._rg_cache.pop(key, None)
         if hit is None:
             t = self._pf[fi].read_row_group(rg, columns=["df"] + self._VAR_COLS)
-            hit = {k: _var_column(t[k]) for k in self._VAR_COLS}
-            hit["df"] = t["df"].to_numpy()
+            hit = {"df": t["df"].to_pylist()}
+            for k in ("docs", "tfs"):
+                offs, vals = _var_column(t[k])
+                hit[k] = (offs.tolist(), vals)
+            # one value per block in each list column: a row's blocks
+            # are the same range of every column
+            per_block = {}
+            for k in self._VAR_COLS[2:]:
+                offs, vals = _var_column(t[k])
+                per_block[k] = vals[offs[0]:offs[-1]]
+            hit["blocks"] = ((offs - offs[0]).tolist(), np.stack(
+                [per_block[k] for k in self._VAR_COLS[2:5]]).astype(np.int64))
+            bmax = per_block["block_max"].astype(np.float64)
+            scale = self._file_scale[fi]
+            if scale != 1.0:
+                # the true bound is < 1 (tf/(tf+norm)), so capping the
+                # scaled value at 1.0 stays a safe upper bound
+                bmax = np.minimum(bmax * scale, 1.0)
+            hit["block_max"] = bmax
             if len(self._rg_cache) >= self._RG_CACHE_MAX:
                 self._rg_cache.pop(next(iter(self._rg_cache)))
         self._rg_cache[key] = hit  # (re)insert at tail: true LRU
         return hit
 
-    def _shard(self, fi: int, rg: int, row: int) -> PostingShard:
-        cols = self._row_group(fi, rg)
-
-        def cut(k):
-            offs, vals = cols[k]
-            return vals[offs[row]:offs[row + 1]]
-
-        block_max = cut("block_max").astype(np.float64)
-        scale = self._file_scale[fi]
-        if scale != 1.0:
-            # true bound is < 1 (tf/(tf+norm)), so capping the scaled
-            # value at 1.0 stays a safe upper bound
-            block_max = np.minimum(block_max * scale, 1.0)
-        # tobytes/astype copy: the shard holds no view of the row group
+    def _join(self, lo: int, hi: int) -> PostingShard:
+        """Directory rows ``[lo, hi)`` (one term's) as one posting list:
+        each row cut out of its cached row group, the rows ordered by
+        their last ``block_last`` (doc order, as row doc ranges are
+        disjoint: one shard of a generation each, and generations are
+        checked at open), then joined into fresh buffers (the list
+        holds no view of a row group)."""
+        rows = []  # (last doc, docs, tfs, blocks, block_max, entries)
+        for fi, rg, i in zip(self._fi[lo:hi].tolist(),
+                             self._rg[lo:hi].tolist(),
+                             self._row[lo:hi].tolist()):
+            g = self._row_group(fi, rg)
+            (doffs, docs), (toffs, tfs) = g["docs"], g["tfs"]
+            boffs, blocks = g["blocks"]
+            a, b = boffs[i], boffs[i + 1]
+            rows.append((blocks[0, b - 1] if b > a else -1,
+                         docs[doffs[i]:doffs[i + 1]],
+                         tfs[toffs[i]:toffs[i + 1]],
+                         blocks[:, a:b], g["block_max"][a:b], g["df"][i]))
+        if len(rows) > 1:
+            rows.sort(key=lambda row: row[0])
+        nb = [row[3].shape[1] for row in rows]
+        # block_last, off_docs, off_tfs, then each block's first entry
+        out = np.empty((4, sum(nb)), np.int64)
+        np.concatenate([row[3] for row in rows], axis=1, out=out[:3])
+        out[3] = np.arange(0, out.shape[1] * BLOCK, BLOCK)
+        if len(rows) > 1:
+            # shift each row's byte offsets past the bytes of the rows
+            # before it, and its block starts past their entries
+            base = []
+            docs_at = tfs_at = entry_at = block_at = 0
+            for row, m in zip(rows, nb):
+                base.append((docs_at, tfs_at, entry_at - block_at * BLOCK))
+                docs_at += len(row[1])
+                tfs_at += len(row[2])
+                entry_at += row[5]
+                block_at += m
+            out[1:] += np.repeat(np.array(base, np.int64).T, nb, axis=1)
         return PostingShard(
-            cut("docs").tobytes(), cut("tfs").tobytes(),
-            cut("block_last").astype(np.int64),
-            cut("block_off_docs").astype(np.int64),
-            cut("block_off_tfs").astype(np.int64),
-            block_max, int(cols["df"][row]))
+            b"".join([row[1] for row in rows]),
+            b"".join([row[2] for row in rows]),
+            out[0], out[1], out[2],
+            np.concatenate([row[4] for row in rows]), out[3],
+            sum(row[5] for row in rows))
 
-    def __getitem__(self, term: str) -> list:
+    def __getitem__(self, term: str) -> PostingShard:
         return self._get(term, None)
 
-    def _get(self, term: str, i: int | None) -> list:
-        """``term``'s shards through the memo; ``i`` is its lexicon
-        position when the caller knows it (None: binary search on a
-        memo miss)."""
-        shards = self._shards.pop(term, None)
-        if shards is None:
+    def _get(self, term: str, i: int | None) -> PostingShard:
+        """``term``'s posting list through the memo; ``i`` is its
+        lexicon position when the caller knows it (None: binary search
+        on a memo miss)."""
+        post = self._shards.pop(term, None)
+        if post is None:
             run = self._run(self.lexicon.index(term) if i is None else i)
             if run is None:
                 raise KeyError(term)
-            shards = [self._shard(int(self._fi[r]), int(self._rg[r]),
-                                  int(self._row[r])) for r in range(*run)]
-            if len(shards) > 1:
-                shards.sort(key=PostingShard.first_doc)
+            post = self._join(*run)
             if len(self._shards) >= self._SHARDS_CACHE_MAX:
                 self._shards.pop(next(iter(self._shards)))
-        self._shards[term] = shards  # (re)insert at tail: true LRU
-        return shards
+        self._shards[term] = post  # (re)insert at tail: true LRU
+        return post
 
     def items(self):
-        """Stream (term, shards) over the whole vocabulary in storage
-        order (row-group-sequential, so the LRU cache hits)."""
+        """Stream (term, posting list) over the whole vocabulary in
+        storage order (row-group-sequential, so the LRU cache hits)."""
         ids = np.flatnonzero(np.diff(self._starts))
         first = self._starts[ids]
         order = np.lexsort((self._row[first], self._rg[first],
@@ -521,6 +580,46 @@ def _generation_dirs(out_dir: str) -> list[str]:
         return [os.path.normpath(os.path.join(out_dir, g))
                 for g in state["generations"]]
     return [out_dir]
+
+
+def _min_doc_id(docs_dir: str):
+    """Min doc_id across a doc-keyed stage dir (``docs``,
+    ``doc_stats``) via Parquet row-group statistics — a metadata scan,
+    no data read."""
+    lo = None
+    for f in walk_parquet(docs_dir):
+        md = pq.read_metadata(f)
+        ci = md.schema.to_arrow_schema().get_field_index("doc_id")
+        for rg in range(md.num_row_groups):
+            st = md.row_group(rg).column(ci).statistics
+            if st is not None and st.has_min_max:
+                lo = int(st.min) if lo is None else min(lo, int(st.min))
+    return lo
+
+
+def _check_generation_ranges(gen_dirs: list[str], cfgs: list[dict]) -> None:
+    """Raise ``ValueError`` unless the generations' doc-id ranges are
+    disjoint and ascending in list order.  :class:`PostingStore` joins
+    a term's rows by their last doc id, which gives doc order only over
+    disjoint ranges.  An index whose merge took two generations with
+    another between them (merges took any subset before they took
+    adjacent runs only) holds one posting row with doc ids on both
+    sides of that generation's; ``IndexWriter.compact`` rewrites it as
+    one generation.  The lows come from ``doc_stats`` (one small file
+    per shard), a cheaper metadata scan than ``docs``."""
+    prev_hi, prev = -1, None
+    for g, c in zip(gen_dirs, cfgs):
+        lo = _min_doc_id(resolve_stage(g, "doc_stats"))
+        if lo is None:  # a generation without docs holds no postings
+            continue
+        if lo <= prev_hi:
+            raise ValueError(
+                f"generation {os.path.basename(g)} starts at doc id {lo}, "
+                f"inside or below {os.path.basename(prev)} (up to doc id "
+                f"{prev_hi}): generation doc-id ranges must be disjoint "
+                "and ascending; IndexWriter(root).compact() rewrites the "
+                "index as one generation")
+        prev_hi, prev = c["max_doc_id"], g
 
 
 def _load_tombstones(out_dir: str) -> np.ndarray:
@@ -882,6 +981,8 @@ class BM25Index:
                     raise ValueError(
                         f"generation config mismatch on {key!r}: "
                         f"{c.get(key)!r} != {c0.get(key)!r}")
+        if len(cfgs) > 1:
+            _check_generation_ranges(self.gen_dirs, cfgs)
         self.k1 = c0["k1"]
         self.b = c0["b"]
         self.idf_exp = c0["idf_exp"]
@@ -1035,23 +1136,12 @@ class BM25Index:
             if hit is not None:
                 self._contrib_cache[term] = hit  # refresh LRU position
                 return hit
-        ds_list, cs_list = [], []
-        for shard in self.postings[term]:
-            d, t = shard.decode()
-            if len(self.deleted):
-                live = ~deleted_mask(d, self.deleted)
-                if not live.all():
-                    d, t = d[live], t[live]
-                if not len(d):
-                    continue
-            ds_list.append(d)
-            cs_list.append(self._contrib(term, d, t.astype(np.float64), scorer))
-        if not ds_list:
-            d = np.empty(0, np.int64)
-            c = np.empty(0, np.float64)
-        else:
-            d = np.concatenate(ds_list)
-            c = np.concatenate(cs_list)
+        d, t = self.postings[term].decode()
+        if len(self.deleted):
+            live = ~deleted_mask(d, self.deleted)
+            if not live.all():
+                d, t = d[live], t[live]
+        c = self._contrib(term, d, t.astype(np.float64), scorer)
         if scorer == "bm25":
             if len(self._contrib_cache) >= self._CONTRIB_CACHE_MAX:
                 self._contrib_cache.pop(next(iter(self._contrib_cache)))
@@ -1072,9 +1162,7 @@ class BM25Index:
             self._contrib_cache[term] = hit  # refresh LRU position
             d, c = hit
             return c[np.searchsorted(d, cand)]
-        tf = np.zeros(len(cand), np.int64)
-        for shard in self.postings[term]:  # doc-range shards: disjoint
-            tf += shard.tf_of(cand)
+        tf = self.postings[term].tf_of(cand)
         return self._contrib(term, cand, tf.astype(np.float64), "bm25")
 
     # -- exact term-at-a-time (the oracle) ----------------------------
@@ -1350,14 +1438,12 @@ class BM25Index:
             full = len(top_s) >= k
             theta = top_s[-1] if full else -1.0
             if full:
-                if bounds is None:
+                if bounds is None:  # read off each term's posting list
                     bounds = []
                     for t in qs:
-                        shards = self.postings[t]
-                        bounds.append((
-                            self.idf(t) * (self.k1 + 1.0),
-                            np.concatenate([s.block_last for s in shards]),
-                            np.concatenate([s.block_max for s in shards])))
+                        post = self.postings[t]
+                        bounds.append((self.idf(t) * (self.k1 + 1.0),
+                                       post.block_last, post.block_max))
                 ub = 0.0
                 for w, bl, bm in bounds:
                     a = int(np.searchsorted(bl, lo, side="left"))
@@ -1500,19 +1586,14 @@ class BM25Index:
         qs = self._query_terms(terms)
         if not qs:
             return []
-        # conjunctive candidates: decode ONLY the rarest term's list,
-        # then shrink it through the other terms' block skip lists
-        # (PostingShard.contains decodes just the touched blocks)
+        # conjunctive candidates: decode ONLY the rarest term's list
+        # (doc order), then shrink it through the other terms' block
+        # skip lists (PostingShard.contains decodes just the touched
+        # blocks)
         by_df = sorted(qs, key=lambda t: int(self.df.get(t, 0)))
-        cand = np.concatenate(
-            [s.decode()[0] for s in self.postings[by_df[0]]]
-        )
-        cand.sort()
+        cand = self.postings[by_df[0]].decode()[0]
         for t in by_df[1:]:
-            mask = np.zeros(len(cand), bool)
-            for s in self.postings[t]:
-                mask |= s.contains(cand)
-            cand = cand[mask]
+            cand = cand[self.postings[t].contains(cand)]
             if cand.size == 0:
                 return []
         if len(self.deleted):
@@ -1569,14 +1650,9 @@ class BM25Index:
             return hit
         terms, dfv, fdfv, accv, oaccv = [], [], [], [], []
         ftfv, otfv, ftlt, ftld, otlt, otld = [], [], [], [], [], []
-        for term, shards in self.postings.items():
-            d_all, tf_all = [], []
-            for s in shards:
-                d, t = s.decode()
-                d_all.append(d)
-                tf_all.append(t)
-            d = np.concatenate(d_all)
-            tf = np.concatenate(tf_all).astype(np.float64)
+        for term, post in self.postings.items():
+            d, tf = post.decode()
+            tf = tf.astype(np.float64)
             tfpart = tf * (self.k1 + 1.0) / (tf + self.norms[d])
             m = focus_mask[d]
             logtf = np.log(tf)
@@ -1835,8 +1911,7 @@ class BM25Index:
                 rail._docs_of(fi, rg)  # 8 B/doc probe columns, own LRU
             for t in hot[:span_terms]:
                 if t in self.postings:
-                    for s in self.postings[t]:
-                        s.decode()
+                    self.postings[t].decode()
                     self._term_contrib(t, "bm25")
         return n
 

@@ -61,8 +61,8 @@ import pyarrow.parquet as pq
 import ray.data
 
 from ..stages.build import IndexBuilder
-from ..stages.store import resolve_stage, stage_files, walk_parquet
-from .engine import _load_tombstones
+from ..stages.store import resolve_stage, stage_files
+from .engine import _load_tombstones, _min_doc_id
 
 _STATE = "generations.json"
 _LOCK = "write.lock"
@@ -397,16 +397,19 @@ class IndexWriter:
 
     @_locked
     def merge(self, names: list[str]) -> str:
-        """Merge a SUBSET of generations into one new generation — the
-        unit step of a tiered merge policy (Lucene TieredMergePolicy:
-        bounded segment count without paying a full forceMerge).
-        Tombstones falling inside the merged generations' doc-id ranges
-        are applied; the rest stay live — the state swap that publishes
-        the merged generation also swaps in the consolidated remaining
-        tombstone list, so no crash or concurrent open can resurrect a
-        deleted doc.  Doc-id ranges across generations are disjoint, so
-        merging ANY subset (contiguous or not) preserves serving
-        invariants."""
+        """Merge a run of ADJACENT generations into one new generation
+        — the unit step of a tiered merge policy (Lucene
+        TieredMergePolicy: bounded segment count without paying a full
+        forceMerge).  Tombstones falling inside the merged generations'
+        doc-id ranges are applied; the rest stay live — the state swap
+        that publishes the merged generation also swaps in the
+        consolidated remaining tombstone list, so no crash or
+        concurrent open can resurrect a deleted doc.  Generations are
+        listed in doc-id order and their ranges are disjoint; merging
+        generations with another between them would give one posting
+        row (one doc-range shard) doc ids on both sides of that
+        generation's, and the engine joins a term's rows in doc order,
+        so such a subset raises."""
         state = self._state()
         gens = state["generations"]
         names = list(names)
@@ -416,6 +419,10 @@ class IndexWriter:
         if len(names) < 2:
             raise ValueError("merge needs ≥ 2 generations (use compact "
                              "for single-generation tombstone purges)")
+        at = sorted(gens.index(n) for n in set(names))
+        if at[-1] - at[0] + 1 != len(at):
+            raise ValueError(
+                f"merge needs adjacent generations, got {names} of {gens}")
         deleted = _load_tombstones(self.root)
         in_range = np.zeros(len(deleted), bool)
         for g in names:
@@ -450,18 +457,19 @@ class IndexWriter:
 
     def maybe_merge(self, max_generations: int = 8) -> str | None:
         """Size-tiered policy: when the generation count exceeds the
-        cap, merge the SMALLEST generations (by n_docs) down to the
-        cap in one step — open cost per replica is one O(lexicon) scan
-        per generation, so the cap bounds it.  Returns the new
-        generation name, or None if under the cap."""
+        cap, merge the adjacent run of generations with the fewest
+        docs (n_docs) down to the cap in one step — open cost per
+        replica is one O(lexicon) scan per generation, so the cap
+        bounds it; :meth:`merge` takes adjacent generations only.
+        Returns the new generation name, or None if under the cap."""
         gens = self.generations()
         if len(gens) <= max_generations:
             return None
-        sizes = {g: c["n_docs"]
-                 for g, c in zip(gens, self._gen_cfgs(gens))}
-        by_size = sorted(gens, key=lambda g: (sizes[g], g))
+        sizes = [c["n_docs"] for c in self._gen_cfgs(gens)]
         n_merge = len(gens) - max_generations + 1
-        return self.merge(by_size[:n_merge])
+        first = min(range(len(gens) - n_merge + 1),
+                    key=lambda i: sum(sizes[i:i + n_merge]))
+        return self.merge(gens[first:first + n_merge])
 
     @_locked
     def prune(self) -> list[str]:
@@ -691,17 +699,3 @@ def _merge_metas(metas: list) -> dict:
 
 def _read_column(dir_: str, col: str) -> list:
     return pq.read_table(dir_, columns=[col])[col].to_pylist()
-
-
-def _min_doc_id(docs_dir: str):
-    """Min doc_id across the docs artifact via Parquet row-group
-    statistics — a metadata scan, no data read."""
-    lo = None
-    for f in walk_parquet(docs_dir):
-        md = pq.read_metadata(f)
-        ci = md.schema.to_arrow_schema().get_field_index("doc_id")
-        for rg in range(md.num_row_groups):
-            st = md.row_group(rg).column(ci).statistics
-            if st is not None and st.has_min_max:
-                lo = int(st.min) if lo is None else min(lo, int(st.min))
-    return lo

@@ -24,9 +24,10 @@ size take the same plan.  For a pages input (``build_small``):
    the driver merges them into the url→id dictionary
    (``docids.merge_url_ts_tables``, shared with the staged builder);
 3. a second wave dedups/stamps ids per block against the broadcast
-   dictionary, writes its docs / analyzed / doc_stats files, and
-   returns only its ``SegmentEncode`` inverted segment
-   (combine-before-anything: a few bytes per posting leave the task);
+   dictionary, writes its docs / analyzed files, and returns only its
+   ``SegmentEncode`` inverted segment (combine-before-anything: a few
+   bytes per posting leave the task) and its (doc_id, width, tokens)
+   stats projection, written as ONE doc_stats file per shard;
 4. a final wave merges segments per (bucket, shard) — the exact group
    shape and kernel of the staged ``groupby`` merge — and the driver
    writes config.json and the term_stats lexicon through the staged
@@ -144,38 +145,42 @@ def _write_docs_files(t: pa.Table, docs_tmp: str, key: str,
                        os.path.join(docs_tmp, f"{key}-{j:04d}.parquet"))
 
 
+_STATS_COLS = ["doc_id", "width", "tokens"]
+_NO_BLOCK = (None, None)  # a block with no rows: no segment, no stats
+
+
 def _write_analyzed_encode(an_t: pa.Table, key: str, an_gtmp: str,
-                           stats_tmp: str, shard_range: int,
-                           num_buckets: int) -> pa.Table:
-    """Write one analyzed block and its doc_stats shard slices; return
-    the block's local inverted segment (the only bytes that travel
+                           shard_range: int, num_buckets: int) -> tuple:
+    """Write one analyzed block; return the block's local inverted
+    segment and its doc_stats projection (the only bytes that travel
     onward)."""
     pq.write_table(an_t, os.path.join(an_gtmp, f"{key}.parquet"))
-    write_stats_shards(an_t, stats_tmp, key, shard_range)
-    return SegmentEncode(shard_range, num_buckets)(an_t)
+    return (SegmentEncode(shard_range, num_buckets)(an_t),
+            an_t.select(_STATS_COLS))
 
 
 @ray.remote
 def _block_build(t: pa.Table, urls_ts, id_base: int, docs_tmp: str,
-                 an_gtmp: str, stats_tmp: str, rows_per_file: int,
-                 shard_range: int, num_buckets: int) -> pa.Table:
+                 an_gtmp: str, rows_per_file: int, shard_range: int,
+                 num_buckets: int) -> tuple:
     """Dedup + id-stamp one analyzed block against the dictionary
     (``docids.stamp_ids_batch`` — the staged builder's exact kernel,
     so keep-first/rank semantics are shared, not copied), write its
-    docs / analyzed / doc_stats files, return its inverted segment."""
+    docs / analyzed files, return its inverted segment and stats
+    projection."""
     if t.num_rows == 0 or "url" not in t.schema.names:
-        return _empty_segment_table()
+        return _NO_BLOCK
     t = stamp_ids_batch(t, urls_ts, id_base=id_base)
     if t.num_rows == 0:
-        return _empty_segment_table()
+        return _NO_BLOCK
     key = _block_key(t)
     _write_docs_files(t.select([c for c in t.schema.names
                                 if c not in _ANALYZED_COLS]),
                       docs_tmp, key, rows_per_file)
     an_t = t.select(["doc_id"] + [c for c in _ANALYZED_COLS
                                   if c in t.schema.names])
-    return _write_analyzed_encode(an_t, key, an_gtmp, stats_tmp,
-                                  shard_range, num_buckets)
+    return _write_analyzed_encode(an_t, key, an_gtmp, shard_range,
+                                  num_buckets)
 
 
 # ---------------------------------------------------------------------
@@ -259,33 +264,42 @@ def build_small(b, pages, fps: dict) -> dict:
     dict_ref = ray.put(merge_url_ts_tables(parts))
     steps["url_dictionary"] = _ms_since(t0)
     t0 = time.time()
-    seg_tables = ray.get([
+    blocks = ray.get([
         _block_build.remote(
             r, dict_ref, id_base=b.id_base, docs_tmp=dirs["docs_tmp"],
-            an_gtmp=dirs["an_gtmp"], stats_tmp=dirs["stats_tmp"],
-            rows_per_file=b.DOCS_ROWS_PER_FILE,
+            an_gtmp=dirs["an_gtmp"], rows_per_file=b.DOCS_ROWS_PER_FILE,
             shard_range=b.shard_range, num_buckets=b.num_buckets)
         for r in refs])
     steps["block_wave"] = _ms_since(t0)
     t0 = time.time()
-    _assemble(b, seg_tables, fps, dirs, t_docs)
+    _assemble(b, blocks, fps, dirs, t_docs)
     steps["merge_assemble"] = _ms_since(t0)
     return steps
 
 
-def _assemble(b, seg_tables: list, fps: dict, dirs: dict,
+def _assemble(b, blocks: list, fps: dict, dirs: dict,
               t_docs: float) -> None:
     """Driver-side tail shared by the flush build and compact plans:
     doc_stats commit + config (the staged builder's writer), the
     (bucket, shard) merge wave, the docs / analyzed commits + lineage,
-    and the term_stats lexicon."""
-    seg_tables = [t for t in seg_tables if "term" in t.schema.names]
+    and the term_stats lexicon.  ``blocks`` are the workers'
+    (segment, stats projection) pairs."""
+    seg_tables = [seg for seg, _ in blocks
+                  if seg is not None and "term" in seg.schema.names]
     segments = (pa.concat_tables(seg_tables) if seg_tables
                 else _empty_segment_table())
 
     # ---- doc_stats commit + config, then LAUNCH the merge wave
     # asynchronously; the remaining commits / lineage run under it ----
     t0 = time.time()
+    stats = [st for _, st in blocks if st is not None]
+    if stats:
+        # doc order: the file bytes do not depend on the block order
+        stats = pa.concat_tables(stats)
+        stats = stats.take(pc.sort_indices(stats, sort_keys=[
+            ("doc_id", "ascending")]))
+        write_stats_shards(stats, dirs["stats_tmp"], _block_key(stats),
+                           b.shard_range)
     stats_final = b.store.stage_commit("doc_stats", fps["doc_stats"])
     avgdl = b.write_config(stats_final, fps["doc_stats"],
                            int((time.time() - t0) * 1000))["avgdl"]
@@ -348,18 +362,16 @@ def _assemble(b, seg_tables: list, fps: dict, dirs: dict,
 
 @ray.remote
 def _compact_an_block(an_file: str, deleted: np.ndarray, an_gtmp: str,
-                      stats_tmp: str, shard_range: int,
-                      num_buckets: int) -> pa.Table:
+                      shard_range: int, num_buckets: int) -> tuple:
     """Compact-wave worker: filter tombstones out of ONE existing
-    analyzed file, write it (plus its doc_stats shard slices) into the
-    new generation, and return its inverted segment.  Analysis never
-    re-runs and doc ids are preserved — the ``IndexBuilder.compact``
-    contract."""
+    analyzed file, write it into the new generation, and return its
+    inverted segment and stats projection.  Analysis never re-runs and
+    doc ids are preserved — the ``IndexBuilder.compact`` contract."""
     t = drop_deleted(pq.read_table(an_file), deleted)
     if t.num_rows == 0:
-        return _empty_segment_table()
-    return _write_analyzed_encode(t, _block_key(t), an_gtmp, stats_tmp,
-                                  shard_range, num_buckets)
+        return _NO_BLOCK
+    return _write_analyzed_encode(t, _block_key(t), an_gtmp, shard_range,
+                                  num_buckets)
 
 
 @ray.remote
@@ -385,16 +397,15 @@ def compact_small(b, docs_files: list[str], an_files: list[str],
     dirs = _flush_begin(b, fps)
     del_ref = ray.put(np.asarray(deleted, np.int64))
     seg_refs = [_compact_an_block.remote(f, del_ref, dirs["an_gtmp"],
-                                         dirs["stats_tmp"], b.shard_range,
-                                         b.num_buckets)
+                                         b.shard_range, b.num_buckets)
                 for f in an_files]
     docs_refs = [_compact_docs_block.remote(f, del_ref, dirs["docs_tmp"],
                                             b.DOCS_ROWS_PER_FILE)
                  for f in docs_files]
-    seg_tables = ray.get(seg_refs)
+    blocks = ray.get(seg_refs)
     ray.get(docs_refs)
     steps = {"block_wave": _ms_since(t_docs)}
     t0 = time.time()
-    _assemble(b, seg_tables, fps, dirs, t_docs)
+    _assemble(b, blocks, fps, dirs, t_docs)
     steps["merge_assemble"] = _ms_since(t0)
     return steps

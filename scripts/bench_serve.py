@@ -19,10 +19,16 @@ caches, as the workload's does.  Then it prints one JSON line:
 - ``cold_session_ms``: median over ``--sessions`` cold sessions, each a
   fresh handle opened and then asked 20 pool queries, as the
   workload's cold phase does;
-- ``lower_bound_per_session`` and ``distinct_terms_per_session``: mean
-  ``TermLexicon.lower_bound`` calls (the lexicon's binary search) per
-  cold session, counted in one more round of sessions, and the mean
-  number of distinct query terms those sessions hold.
+- ``lower_bound_per_session``, ``vb_decode_per_session`` and
+  ``distinct_terms_per_session``: mean ``TermLexicon.lower_bound``
+  calls (the lexicon's binary search) and ``codec.vb_decode`` calls
+  (posting decodes, whole lists and single blocks) per cold session,
+  counted in one more round of sessions, and the mean number of
+  distinct query terms those sessions hold;
+- ``generations`` and ``posting_rows_per_term``: the index's live
+  generations and the mean number of stored posting rows (one per
+  doc-range shard per generation) of a distinct session term that has
+  postings — what one term's posting list joins.
 """
 
 from __future__ import annotations
@@ -123,32 +129,41 @@ def cold_sessions(index: str, pool, sessions: int) -> list:
     return walls
 
 
-def lower_bound_counts(index: str, pool, terms: list, sessions: int
-                       ) -> tuple[float, float]:
-    """Mean lexicon binary searches and distinct query terms per cold
-    session; ``terms[i]`` is the index terms of ``pool[i]``."""
-    from alix_ray.index.engine import BM25Index, TermLexicon
+def session_counts(index: str, pool, terms: list, sessions: int
+                   ) -> tuple[dict, list]:
+    """Mean lexicon binary searches and posting decodes per cold
+    session, and each session's distinct query terms; ``terms[i]`` is
+    the index terms of ``pool[i]``."""
+    from alix_ray import codec
+    from alix_ray.index import engine
 
-    lower_bound = TermLexicon.lower_bound
-    calls = [0]
+    calls = {"lower_bound": 0, "vb_decode": 0}
+    lower_bound, vb_decode = engine.TermLexicon.lower_bound, codec.vb_decode
 
-    def counted(self, term):
-        calls[0] += 1
+    def counted_lower_bound(self, term):
+        calls["lower_bound"] += 1
         return lower_bound(self, term)
 
-    distinct = 0
-    TermLexicon.lower_bound = counted
+    def counted_vb_decode(buf):
+        calls["vb_decode"] += 1
+        return vb_decode(buf)
+
+    seen = []
+    engine.TermLexicon.lower_bound = counted_lower_bound
+    # the engine calls its own import; the codec's block decoders the
+    # module's
+    codec.vb_decode = engine.vb_decode = counted_vb_decode
     try:
         for s in range(sessions):
-            h = BM25Index(index)
-            seen = set()
+            h = engine.BM25Index(index)
+            seen.append(set())
             for i in session_ids(s, len(pool)):
                 answer(h, pool[i])
-                seen.update(terms[i])
-            distinct += len(seen)
+                seen[-1].update(terms[i])
     finally:
-        TermLexicon.lower_bound = lower_bound
-    return calls[0] / sessions, distinct / sessions
+        engine.TermLexicon.lower_bound = lower_bound
+        codec.vb_decode = engine.vb_decode = vb_decode
+    return {k: v / sessions for k, v in calls.items()}, seen
 
 
 def main(argv=None) -> int:
@@ -172,8 +187,11 @@ def main(argv=None) -> int:
     walls, per_kind = warm_passes(ix, pool, args.repeats)
     split = parsed_split(ix, pool)
     cold = cold_sessions(args.index, pool, args.sessions)
-    lb, distinct = lower_bound_counts(args.index, pool, terms,
-                                      min(args.sessions, 10))
+    counts, seen = session_counts(args.index, pool, terms,
+                                  min(args.sessions, 10))
+    # stored rows per term, from the postings directory (no fetch)
+    runs = [ix.postings._run(ix.lexicon.index(t)) for s in seen for t in s]
+    rows = [hi - lo for lo, hi in filter(None, runs)]
     qps = [len(pool) / w for w in walls]
     print(json.dumps({
         "seed": args.seed,
@@ -185,8 +203,12 @@ def main(argv=None) -> int:
         "us_per_query": per_kind,
         "parsed_split_us": split,
         "cold_session_ms": round(median(cold) * 1000, 2),
-        "lower_bound_per_session": round(lb, 1),
-        "distinct_terms_per_session": round(distinct, 1),
+        "lower_bound_per_session": round(counts["lower_bound"], 1),
+        "vb_decode_per_session": round(counts["vb_decode"], 1),
+        "distinct_terms_per_session": round(
+            sum(map(len, seen)) / len(seen), 1),
+        "generations": len(ix.gen_dirs),
+        "posting_rows_per_term": round(sum(rows) / max(len(rows), 1), 2),
         "cpus": len(os.sched_getaffinity(0)),
         "python": sys.version.split()[0],
     }))

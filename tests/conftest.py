@@ -42,6 +42,13 @@ def staged_plan():
         yield
 
 
+def posting_rows(ix, term: str) -> int:
+    """Stored posting rows of ``term`` in ``ix`` (one per doc-range
+    shard per generation), counted in the postings directory."""
+    lo, hi = ix.postings._run(ix.lexicon.index(term))
+    return hi - lo
+
+
 def run_at_two_cpus(body: str, sf_dir, what: str,
                     timeout: float = 240) -> str:
     """Run ``body`` (``sf_dir`` bound to the given dir) in its own

@@ -123,8 +123,7 @@ class TestRound2Scorers:
         # gsimple mirrors SimilarityGsimple.java:51-70 exactly:
         # measure = tf·ln(tf/E0), negated when tf < E0 (so the returned
         # value is |measure| — the code's behavior, not its comment)
-        shards = ix.postings[term]
-        tf = np.concatenate([s.decode()[1] for s in shards]).astype(float)
+        tf = ix.postings[term].decode()[1].astype(float)
         expected = float(ix.cf[term]) * ix.doc_tokens[dg] / ix.cfg["total_tokens"]
         measure = tf * np.log(tf / expected)
         want = np.where(tf < expected, -measure, measure)

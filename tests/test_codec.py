@@ -70,6 +70,58 @@ def test_posting_concat_shards():
     assert np.array_equal(d, np.array([3, 9, 10, 100, 150]))
 
 
+def test_joined_postings_decode_in_one_call(monkeypatch):
+    """Encoded lists over disjoint doc ranges, joined end to end, decode
+    in ONE ``decode_doc_deltas`` call (one ``vb_decode``) given their
+    block starts, to the concatenation of their own decodes; every
+    block, a short one in mid-list included, decodes on its own."""
+    from alix_ray import codec
+
+    rng = np.random.default_rng(2)
+    # a 1-entry list, short last blocks, a list of whole blocks
+    sizes = [1, BLOCK + 5, 3, 2 * BLOCK, BLOCK - 1, 1]
+    docs_b = tfs_b = b""
+    starts, off_d, off_t, lasts, want_d, want_t = ([] for _ in range(6))
+    n = first = 0
+    for size in sizes:
+        d = first + np.cumsum(rng.integers(1, 300, size)).astype(np.int64)
+        t = rng.integers(1, 2000, size).astype(np.int64)
+        first = int(d[-1]) + 1000
+        db, tb, last, od, ot = encode_posting(d, t)
+        starts.append(n + np.arange(0, size, BLOCK))
+        off_d.append(od + len(docs_b))
+        off_t.append(ot + len(tfs_b))
+        lasts.append(last)
+        dd, tt = decode_posting(db, tb)
+        want_d.append(dd)
+        want_t.append(tt)
+        docs_b += db
+        tfs_b += tb
+        n += size
+    starts, off_d, off_t, lasts = map(np.concatenate,
+                                      (starts, off_d, off_t, lasts))
+    want_d, want_t = np.concatenate(want_d), np.concatenate(want_t)
+    assert (np.diff(starts) < BLOCK).sum() >= 3  # short blocks mid-list
+    calls = [0]
+    vb_decode_ = codec.vb_decode
+
+    def counted(buf):
+        calls[0] += 1
+        return vb_decode_(buf)
+
+    monkeypatch.setattr(codec, "vb_decode", counted)
+    got = decode_doc_deltas(docs_b, starts)
+    assert calls[0] == 1
+    assert got.dtype == np.int64 and np.array_equal(got, want_d)
+    assert np.array_equal(vb_decode(tfs_b).astype(np.int64), want_t)
+    ends = np.append(starts[1:], n)
+    for bi, (s, e) in enumerate(zip(starts, ends)):
+        bd, bt = decode_block(docs_b, tfs_b, bi, n, off_d, off_t, starts)
+        assert np.array_equal(bd, want_d[s:e]), bi
+        assert np.array_equal(bt, want_t[s:e]), bi
+        assert lasts[bi] == want_d[e - 1]
+
+
 def test_encode_deterministic():
     docs = np.arange(1, 1000, 3, dtype=np.int64)
     tfs = np.ones_like(docs)

@@ -12,6 +12,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pytest
 
+from conftest import posting_rows
+
 # ASCII, accented and other non-ASCII terms (2-, 3- and 4-byte UTF-8),
 # prefix pairs (e/ez, é/éa, ab/abc) and the empty string
 VOCAB = sorted({
@@ -191,6 +193,42 @@ def test_block_window_one_step_per_window(window_indexes, monkeypatch):
             assert got == want[tuple(q)], (q, window)
 
 
+def test_block_window_reads_bounds_off_posting_lists(window_indexes,
+                                                    monkeypatch):
+    """A repeated warm multi-term query takes each term's block bounds
+    straight from its posting list: its skip tests search the list's
+    own ``block_last``, and no ``np.concatenate`` call joins a
+    ``block_last`` or ``block_max`` array."""
+    from alix_ray.index.engine import BM25Index
+
+    ix = BM25Index(window_indexes["generations"])
+    q = ["hota", "hotb"]
+    want = ix.search_exact(q, 1)
+    assert ix.search_block_window(q, 1, 8) == want  # warms the handle
+    posts = [ix.postings[t] for t in q]
+    assert all(posting_rows(ix, t) > 1 for t in q)
+    bounds = [a for p in posts for a in (p.block_last, p.block_max)]
+    joined, searched = [], [0]
+    concatenate, searchsorted = np.concatenate, np.searchsorted
+
+    def concat_spy(arrays, *a, **kw):
+        arrays = list(arrays)
+        joined.extend(x for x in arrays if isinstance(x, np.ndarray))
+        return concatenate(arrays, *a, **kw)
+
+    def search_spy(a, *args, **kw):
+        searched[0] += any(a is p.block_last for p in posts)
+        return searchsorted(a, *args, **kw)
+
+    monkeypatch.setattr(np, "concatenate", concat_spy)
+    monkeypatch.setattr(np, "searchsorted", search_spy)
+    for _ in range(2):
+        assert ix.search_block_window(q, 1, 8) == want
+    assert searched[0]  # the skip tests ran
+    assert joined  # the kernel still joins postings and top-k arrays
+    assert not any(np.shares_memory(x, b) for x in joined for b in bounds)
+
+
 def test_search_wand_scores_one_term(window_indexes):
     from alix_ray.index.engine import BM25Index
 
@@ -226,13 +264,44 @@ def _posting_rows(ix):
     return rows, order
 
 
+def _joined_rows(want):
+    """A term's Parquet rows (``[(row, block_max scale)]``) in doc order
+    and joined the way a posting list joins them: byte streams end to
+    end, block arrays concatenated, byte offsets shifted by the bytes
+    before each row, block starts every ``BLOCK`` entries from each
+    row's first."""
+    from alix_ray import BLOCK
+    from alix_ray.codec import decode_posting
+
+    want = sorted(want, key=lambda rs: decode_posting(
+        rs[0]["docs"], rs[0]["tfs"])[0][0])
+    docs = tfs = b""
+    out = {k: [] for k in ("block_last", "off_docs", "off_tfs",
+                           "block_max", "block_start")}
+    n = 0
+    for row, scale in want:
+        out["block_last"] += row["block_last"]
+        out["off_docs"] += [o + len(docs) for o in row["block_off_docs"]]
+        out["off_tfs"] += [o + len(tfs) for o in row["block_off_tfs"]]
+        bmax = np.asarray(row["block_max"], np.float64)
+        if scale != 1.0:
+            bmax = np.minimum(bmax * scale, 1.0)
+        out["block_max"].append(bmax)
+        out["block_start"] += [n + j * BLOCK
+                               for j in range(len(row["block_last"]))]
+        docs += row["docs"]
+        tfs += row["tfs"]
+        n += row["df"]
+    out["block_max"] = np.concatenate(out["block_max"])
+    return docs, tfs, out, n
+
+
 @pytest.mark.parametrize("kind", ["oneshot", "generations"])
 def test_postings_directory_matches_files(window_indexes, kind):
-    """Every term's shards equal its Parquet rows: blob bytes, block
-    arrays, the generation-scaled ``block_max``, ``df`` and the shard
-    order (first doc ascending); membership, iteration and the
-    storage-order ``items()`` agree with the files."""
-    from alix_ray.codec import decode_posting
+    """Every term is ONE posting list equal to its Parquet rows joined
+    in doc order: blob bytes, block arrays, the generation-scaled
+    ``block_max``, ``df`` summed over the rows; membership, iteration
+    and the storage-order ``items()`` agree with the files."""
     from alix_ray.index.engine import BM25Index
 
     ix = BM25Index(window_indexes[kind])
@@ -248,45 +317,99 @@ def test_postings_directory_matches_files(window_indexes, kind):
     multi = False
     for term, want in rows.items():
         assert term in ix.postings
-        want.sort(key=lambda rs: decode_posting(rs[0]["docs"],
-                                                rs[0]["tfs"])[0][0])
         got = ix.postings[term]
-        assert len(got) == len(want), term
-        multi |= len(got) > 1
-        for s, (row, scale) in zip(got, want):
-            assert type(s.docs_buf) is bytes and s.docs_buf == row["docs"]
-            assert type(s.tfs_buf) is bytes and s.tfs_buf == row["tfs"]
-            for field, col in (("block_last", "block_last"),
-                               ("off_docs", "block_off_docs"),
-                               ("off_tfs", "block_off_tfs")):
-                arr = getattr(s, field)
-                assert arr.dtype == np.int64
-                np.testing.assert_array_equal(arr, row[col])
-            bmax = np.asarray(row["block_max"], np.float64)
-            if scale != 1.0:
-                bmax = np.minimum(bmax * scale, 1.0)
-            assert s.block_max.dtype == np.float64
-            np.testing.assert_array_equal(s.block_max, bmax)
-            assert s.n == row["df"]
-        assert sum(s.n for s in got) == ix.df[term]
+        assert posting_rows(ix, term) == len(want), term
+        multi |= len(want) > 1
+        docs, tfs, arrays, n = _joined_rows(want)
+        assert type(got.docs_buf) is bytes and got.docs_buf == docs
+        assert type(got.tfs_buf) is bytes and got.tfs_buf == tfs
+        for field in ("block_last", "off_docs", "off_tfs", "block_start"):
+            arr = getattr(got, field)
+            assert arr.dtype == np.int64
+            np.testing.assert_array_equal(arr, arrays[field])
+        assert got.block_max.dtype == np.float64
+        np.testing.assert_array_equal(got.block_max, arrays["block_max"])
+        assert got.n == n == ix.df[term]
+        # doc order: the joined list decodes strictly ascending
+        assert (np.diff(got.decode()[0]) > 0).all(), term
     assert multi  # doc-range shards: some terms span several rows
 
 
 def test_postings_shards_copy_their_rows(window_indexes):
-    """A memoized shard holds copies, never views of its cached row
-    group, so it does not pin the group's buffers after eviction."""
+    """A memoized posting list holds copies, never views of its cached
+    row groups, so it does not pin a group's buffers after eviction."""
     from alix_ray.index.engine import BM25Index
 
     ix = BM25Index(window_indexes["generations"])
     store = ix.postings
-    shards = [s for t in store for s in store[t]]
-    cached = [vals for group in store._rg_cache.values()
-              for k, v in group.items() if k != "df" for vals in v]
-    assert cached
-    for s in shards:
-        assert type(s.docs_buf) is bytes and type(s.tfs_buf) is bytes
-        for arr in (s.block_last, s.off_docs, s.off_tfs, s.block_max):
+    posts = [store[t] for t in store]
+    cached = [a for group in store._rg_cache.values()
+              for v in group.values()
+              for a in (v if isinstance(v, tuple) else (v,))
+              if isinstance(a, np.ndarray)]
+    assert cached and any(posting_rows(ix, t) > 1 for t in store)
+    for p in posts:
+        assert type(p.docs_buf) is bytes and type(p.tfs_buf) is bytes
+        for arr in (p.block_last, p.off_docs, p.off_tfs, p.block_max,
+                    p.block_start):
             assert not any(np.shares_memory(arr, vals) for vals in cached)
+
+
+def test_term_decodes_once_as_its_rows(window_indexes, monkeypatch):
+    """A term's posting list decodes with one ``vb_decode`` per stream
+    to the concatenation of its rows' own decodes in doc order; block
+    probes (``contains``/``tf_of``) agree with it on every doc,
+    across the seams between rows, without a full decode."""
+    from alix_ray import codec
+    from alix_ray.codec import decode_posting
+    from alix_ray.index import engine
+    from alix_ray.stages.store import resolve_stage
+
+    ix = engine.BM25Index(window_indexes["generations"])
+    rows, _ = _posting_rows(ix)
+    calls = [0]
+    vb_decode = codec.vb_decode
+
+    def counted(buf):
+        calls[0] += 1
+        return vb_decode(buf)
+
+    monkeypatch.setattr(codec, "vb_decode", counted)
+    monkeypatch.setattr(engine, "vb_decode", counted)
+    seams = 0
+    probe = np.arange(-1, ix.n_slots + 1)
+    for term, want in rows.items():
+        parts = sorted((decode_posting(r["docs"], r["tfs"])
+                        for r, _ in want), key=lambda dt: dt[0][0])
+        post = ix.postings[term]
+        calls[0] = 0
+        d, t = post.decode()
+        assert calls[0] == 2, term
+        np.testing.assert_array_equal(d, np.concatenate([p[0] for p in parts]))
+        np.testing.assert_array_equal(t, np.concatenate([p[1] for p in parts]))
+        ref_tf = np.zeros(len(probe), np.int64)
+        ref_tf[np.searchsorted(probe, d)] = t
+        # a fresh list probes block by block (contains never decodes
+        # the whole list)
+        cold = engine.BM25Index(window_indexes["generations"]).postings[term]
+        np.testing.assert_array_equal(cold.contains(probe), ref_tf > 0)
+        assert cold._decoded is None
+        # blocks on both sides of a seam between two rows
+        for (a, _), (b, _) in zip(parts, parts[1:]):
+            seams += 1
+            near = np.array([a[-1], a[-1] + 1, b[0] - 1, b[0]])
+            sel = np.isin(probe, near)
+            np.testing.assert_array_equal(cold.tf_of(probe[sel]),
+                                          ref_tf[sel])
+        np.testing.assert_array_equal(cold.tf_of(probe), ref_tf)
+    assert seams
+    # rows join in doc order whatever order storage lists them in
+    rev = engine.PostingStore(
+        [(resolve_stage(g, "postings"), 1.0) for g in ix.gen_dirs[::-1]],
+        ix.lexicon)
+    for term in rows:
+        np.testing.assert_array_equal(rev[term].decode()[0],
+                                      ix.postings[term].decode()[0])
 
 
 def test_postings_term_missing_from_lexicon(window_indexes):

@@ -369,6 +369,94 @@ def test_tiered_merge_subset(ray_session, tmp_path_factory):
         assert url_out not in {ix2.document(d)["url"] for d, _ in got}
 
 
+def test_merge_takes_adjacent_generations(ray_session, tmp_path_factory):
+    """At the default shard_range a generation is one doc-range shard,
+    so merging two generations around a third would give one posting
+    row doc ids on both sides of the third's.  ``merge`` refuses such a
+    subset, and ``maybe_merge`` picks the adjacent run with the fewest
+    docs even when the two smallest generations are not adjacent;
+    serving then equals the exact scorer."""
+    import pyarrow as pa
+    import ray.data
+
+    from alix_ray.index.engine import BM25Index
+    from alix_ray.index.incremental import IndexWriter
+
+    def docs(lo, hi):
+        return ray.data.from_arrow(pa.table({
+            "doc_id": pa.array(range(lo, hi), pa.int64()),
+            "text": pa.array([f"hot {'odd' if i % 2 else 'even'} f{i % 7}"
+                              for i in range(lo, hi)])}))
+
+    root = str(tmp_path_factory.mktemp("adjacent"))
+    w = IndexWriter(root, analyzer="simple", num_buckets=4)
+    for lo, hi in ((0, 100), (100, 400), (400, 500), (500, 900)):
+        w.add_documents(docs(lo, hi), input_kind="documents")
+    gens = w.generations()
+    with pytest.raises(ValueError, match="adjacent"):
+        w.merge([gens[0], gens[2]])
+    assert w.generations() == gens
+    # the two smallest (100 docs each) are gens 0 and 2; the adjacent
+    # pairs hold 400, 400 and 500 docs, and the first fewest is merged
+    name = w.maybe_merge(max_generations=3)
+    assert w.generations() == [name, gens[2], gens[3]]
+    ix = BM25Index(root)
+    for q in (["hot", "odd"], ["even", "f3"], ["f1", "f2", "hot"]):
+        for k in (1, 10, 50):
+            want = ix.search_exact(q, k)
+            assert ix.search_terms(q, k) == want, (q, k)
+            for window in (64, 16384):
+                assert ix.search_block_window(q, k, window) == want
+
+
+def test_open_refuses_interleaved_generations(ray_session,
+                                              tmp_path_factory):
+    """Merges once took any subset of generations, so an index on disk
+    may hold a generation merged from two around a third: one posting
+    row then has doc ids on both sides of the third's, and joining a
+    term's rows by their last doc id would not give doc order.  Opening
+    such an index, or one listing its generations out of doc-id order,
+    raises and names ``compact()``, which repairs it."""
+    import pyarrow as pa
+    import ray.data
+
+    from alix_ray.index.engine import BM25Index
+    from alix_ray.index.incremental import IndexWriter
+
+    root = str(tmp_path_factory.mktemp("interleaved"))
+    w = IndexWriter(root, analyzer="simple", num_buckets=4)
+    for lo in (0, 100, 200):
+        w.add_documents(ray.data.from_arrow(pa.table({
+            "doc_id": pa.array(range(lo, lo + 100), pa.int64()),
+            "text": pa.array([f"hot f{i % 7} g{i % 3}"
+                              for i in range(lo, lo + 100)])})),
+            input_kind="documents")
+    gens = w.generations()
+    # what the subset merge of gens 0 and 2 left, written by hand
+    merged = w._rebuild_from([gens[0], gens[2]], np.empty(0, np.int64),
+                             "gen-00099")
+    gj = os.path.join(root, "generations.json")
+    with open(gj) as f:
+        state = json.load(f)
+
+    def publish(names):
+        with open(gj, "w") as f:
+            json.dump(dict(state, generations=names, next=100), f)
+
+    for names in ([merged, gens[1]], gens[::-1]):
+        publish(names)
+        with pytest.raises(ValueError, match=r"compact\(\)"):
+            BM25Index(root)
+    publish([merged, gens[1]])
+    w.compact()
+    ix = BM25Index(root)
+    assert len(ix.gen_dirs) == 1 and ix.n_docs == 300
+    for q in (["hot", "f1"], ["f3", "g2"], ["f1", "f2", "g0"]):
+        want = ix.search_exact(q, 10)
+        assert ix.search_terms(q, 10) == want, q
+        assert ix.search_block_window(q, 10, 64) == want, q
+
+
 def test_mass_delete_keeps_idf_nonnegative(ray_session, tmp_path_factory):
     """Stats-staleness regression: with live-N idf, deleting most docs
     of a hot term (df > live N) would flip idf negative and break the
@@ -790,6 +878,47 @@ def test_small_path_matches_staged(ray_session, tmp_path_factory):
     for q in queries_for(ixb, n=4):
         assert by_url(ixa, ixa.search_exact(q, 10)) == \
             by_url(ixb, ixb.search_exact(q, 10))
+
+
+def test_flush_writes_one_stats_file_per_shard(ray_session,
+                                               tmp_path_factory):
+    """A flush build of a several-block input and a flush compact of
+    several analyzed files each leave ONE doc_stats file per shard dir,
+    and those files hold every doc of the generation exactly once."""
+    import pyarrow.parquet as pq
+    import ray.data
+
+    from alix_ray.corpus import pages_batch
+    from alix_ray.index.incremental import IndexWriter
+    from alix_ray.stages.store import resolve_stage
+
+    root = str(tmp_path_factory.mktemp("statsfiles"))
+    w = IndexWriter(root, analyzer="french", shard_range=SHARD_RANGE,
+                    num_buckets=8)
+    pages = pages_batch(np.arange(N_BASE))
+    blocks = [pages.slice(lo, 30) for lo in range(0, N_BASE, 30)]
+    assert w.add_documents(ray.data.from_arrow(blocks)) == "gen-00000"
+    assert w.add_documents(pages_slice(N_BASE, N_ALL)) == "gen-00001"
+    w.delete_documents(doc_ids=[3, 130])
+    assert w.compact() == "gen-00002"
+    for gen, n_files in (("gen-00000", 4), ("gen-00002", 2)):
+        g = os.path.join(root, gen)
+        analyzed = [f for _, _, fs in os.walk(resolve_stage(g, "analyzed"))
+                    for f in fs if f.endswith(".parquet")]
+        assert len(analyzed) >= n_files, gen  # a multi-block build
+        stats = resolve_stage(g, "doc_stats")
+        shards = sorted(d for d in os.listdir(stats)
+                        if d.startswith("shard="))
+        assert len(shards) > 1, gen
+        ids = []
+        for d in shards:
+            files = os.listdir(os.path.join(stats, d))
+            assert len(files) == 1, (gen, d, files)
+            ids += pq.read_table(os.path.join(stats, d, files[0]))[
+                "doc_id"].to_pylist()
+        want = pq.read_table(resolve_stage(g, "analyzed"),
+                             columns=["doc_id"])["doc_id"].to_pylist()
+        assert sorted(ids) == sorted(want) and len(set(ids)) == len(ids)
 
 
 def test_small_path_block_splits_dont_overcount(ray_session,

@@ -13,7 +13,7 @@ import numpy as np
 import pyarrow.parquet as pq
 import pytest
 
-from conftest import staged_plan
+from conftest import posting_rows, staged_plan
 
 N_PAGES = 300
 
@@ -107,13 +107,10 @@ def test_postings_roundtrip_and_sharding(built_index):
             want[term].append((doc_id, tf))
     assert set(ix.postings) == set(want)
     multi = 0
-    for term, shards in ix.postings.items():
-        multi += len(shards) > 1
-        got = []
-        for s in shards:
-            d, t = s.decode()
-            got.extend(zip(d.tolist(), t.tolist()))
-        assert got == want[term], term
+    for term, post in ix.postings.items():
+        multi += posting_rows(ix, term) > 1
+        d, t = post.decode()
+        assert list(zip(d.tolist(), t.tolist())) == want[term], term
     assert multi > 0  # shard_range=50 must split broad terms
 
 
@@ -122,27 +119,17 @@ def test_exact_matches_manual_bm25(built_index):
     from alix_ray.index.engine import BM25Index
 
     ix = BM25Index(out)
-    term = max(ix.cf, key=lambda t: ix.cf[t] if len(ix.postings[t]) > 1 else 0)
+    term = max(ix.cf, key=lambda t: ix.cf[t] if posting_rows(ix, t) > 1 else 0)
     res = ix.search_exact([term], 5)
     # manual formula (IdfTermScorer.java:253,266)
     N = ix.n_docs
     df = ix.df[term]
     idf = math.log(1 + (N - df + 0.5) / (df + 0.5)) ** ix.idf_exp
     d0, s0 = res[0]
-    tf = dict(
-        zip(*[x.tolist() for x in ix.postings[term][_shard_of(ix, term, d0)].decode()])
-    )[d0]
+    tf = dict(zip(*[x.tolist() for x in ix.postings[term].decode()]))[d0]
     dl = ix.doc_tokens[d0]
     tfp = tf * (ix.k1 + 1) / (tf + ix.k1 * (1 - ix.b + ix.b * dl / ix.avgdl))
     assert s0 == pytest.approx(idf * tfp, rel=1e-12)
-
-
-def _shard_of(ix, term, doc):
-    for i, s in enumerate(ix.postings[term]):
-        d, _ = s.decode()
-        if doc in d:
-            return i
-    raise AssertionError
 
 
 def test_wand_rank_identical(built_index):

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from conftest import posting_rows
+
 
 @pytest.fixture(scope="module")
 def span_index(ray_session, tmp_path_factory):
@@ -77,9 +79,8 @@ class TestSpanSearch:
         assert ix._has_positions()
         ix.warm(span_terms=4)
         hot = ix.cf.top(4)
-        assert any(s._decoded is not None
-                   for t in hot if t in ix.postings
-                   for s in ix.postings[t])
+        assert any(ix.postings[t]._decoded is not None
+                   for t in hot if t in ix.postings)
         assert any(t in ix._contrib_cache for t in hot)
         assert len(ix.rail()._docs_cache) > 0
         assert ix.search_span(["chat", "noir"], slop=10) == cold
@@ -88,7 +89,7 @@ class TestSpanSearch:
                                                   tmp_path_factory):
         """r3-verdict directive 3: scoring span candidates must decode
         only candidate-bearing posting BLOCKS of the non-rarest terms
-        (``PostingShard._decoded`` stays None), with scores still
+        (the term's ``PostingShard._decoded`` stays None), with scores still
         bit-equal to the exact full-decode path."""
         import ray.data
 
@@ -96,24 +97,59 @@ class TestSpanSearch:
         from alix_ray.stages.build import IndexBuilder
 
         out = str(tmp_path_factory.mktemp("spanhot"))
-        # "commun" is a Zipf head (every doc, >128 docs → multiple
-        # posting blocks); "rare" appears in 4 docs — the span query
-        # pairs them, so the hot term must be scored block-pruned
-        rows = [{"doc_id": i,
-                 "text": f"<p>commun {'rare ' if i % 977 == 0 else ''}"
-                         f"mot{i}.</p>"} for i in range(3000)]
         b = IndexBuilder(out, analyzer="french", keep_positions=True)
-        b.build(ray.data.from_items(rows), input_kind="documents",
-                fingerprint="spanhot")
+        b.build(ray.data.from_items(_hot_rare_rows(0, 3000)),
+                input_kind="documents", fingerprint="spanhot")
         ix = BM25Index(out)
-        res = ix.search_span(["rare", "commun"], k=10, slop=2)
+        res = _assert_candidates_block_pruned(ix)
         assert {d for d, _ in res} == {0, 977, 1954, 2931}
+
+    def test_candidate_scoring_block_pruned_over_generations(
+            self, ray_session, tmp_path_factory):
+        """The same check on three generations of doc-range-sharded
+        postings: the hot term's one posting list joins many rows, and
+        span scoring still decodes only the blocks its candidates land
+        in."""
+        import ray.data
+
+        from alix_ray.index.engine import BM25Index
+        from alix_ray.index.incremental import IndexWriter
+
+        root = str(tmp_path_factory.mktemp("spanhotgen"))
+        w = IndexWriter(root, analyzer="french", keep_positions=True,
+                        shard_range=512, num_buckets=4)
+        for lo in range(0, 3000, 1000):
+            w.add_documents(ray.data.from_items(_hot_rare_rows(lo, lo + 1000)),
+                            input_kind="documents")
+        ix = BM25Index(root)
+        assert len(ix.gen_dirs) == 3
         hot = ix._query_terms(["commun"])[0]
-        assert any(s.n_blocks() > 1 for s in ix.postings[hot])
-        for s in ix.postings[hot]:
-            assert s._decoded is None  # block-pruned, never full
-        assert hot not in ix._contrib_cache
-        # bit-equality with the exact scorer (which DOES full-decode)
-        exact = dict(ix.search_exact(["rare", "commun"], 10))
-        for d, sc in res:
-            assert sc == exact[d]
+        assert posting_rows(ix, hot) > 3
+        _assert_candidates_block_pruned(ix)
+
+
+def _hot_rare_rows(lo: int, hi: int) -> list[dict]:
+    """"commun" is a Zipf head (every doc, >128 docs → multiple posting
+    blocks); "rare" appears in every 977th doc — the span query pairs
+    them, so the hot term must be scored block-pruned."""
+    return [{"doc_id": i,
+             "text": f"<p>commun {'rare ' if i % 977 == 0 else ''}"
+                     f"mot{i}.</p>"} for i in range(lo, hi)]
+
+
+def _assert_candidates_block_pruned(ix) -> list:
+    """Span-score ``rare`` ∧ ``commun`` on a fresh handle: the hits are
+    the docs of ``rare``, the hot term's list is never fully decoded
+    nor its contributions memoized, and the scores equal the exact
+    scorer's (which DOES decode it fully)."""
+    res = ix.search_span(["rare", "commun"], k=10, slop=2)
+    rare, hot = ix._query_terms(["rare"])[0], ix._query_terms(["commun"])[0]
+    assert len(res) == 4
+    assert {d for d, _ in res} == set(ix.postings[rare].decode()[0].tolist())
+    assert ix.postings[hot].n_blocks() > 1
+    assert ix.postings[hot]._decoded is None  # block-pruned, never full
+    assert hot not in ix._contrib_cache
+    exact = dict(ix.search_exact(["rare", "commun"], 10))
+    for d, sc in res:
+        assert sc == exact[d]
+    return res
