@@ -1,16 +1,20 @@
 """Token filters of the canonical chain (reference parity: SURVEY.md §2.2).
 
-Each filter is a pure ``list[Tok] → list[Tok]`` function; the chain
-composition lives in :mod:`alix_ray.analysis.chain`.  Semantics are
-re-implemented from the reference's published behavior (file:line cited
-per filter), not ported code.
+Each filter is a pure ``list[Tok] → list[Tok]`` function, re-implemented
+from the reference's published behavior (file:line cited per filter),
+not ported code.  These per-token functions are the reference rules:
+``FrenchAnalyzer.steps`` composes them in chain order, and
+``tests/test_analysis.py`` checks the analyzer's walk against them.
 
-The context-free part of each filter is a rule on one surface string
-(``_clitic_parts``, ``_uppercase``, ``_lexicon_hit``, ``_cleanup_verdict``,
-a lowercase, a set test).  A :class:`LexemeTable` memoizes every rule's
-result per surface, and a filter given ``table=`` reads the table instead
-of re-running the rule; without one it runs the rule per token.  Both
-give the same output (``tests/test_analysis.py`` checks it).
+The analyzer itself never runs them token by token.  The context-free
+part of each filter is a rule on one surface string (``_clitic_parts``,
+``_uppercase``, ``_lexicon_hit``, ``_cleanup_verdict``, a lowercase, a set
+test), and :class:`LexemeTable` holds every rule's result once per
+surface, as numpy columns indexed by the surface's id; the walk
+(:mod:`alix_ray.analysis.chain`) gathers them over a whole batch's id
+array.  Ids are local to one table: outputs leave the walk as strings,
+and the table may start over (``LEXEME_TABLE_MAX``) only between walks,
+never while a walk holds ids.
 """
 
 from __future__ import annotations
@@ -20,7 +24,21 @@ import unicodedata
 from collections import deque
 from functools import lru_cache
 
-from .tokenizer import Tok, _is_digit, _is_letter
+import numpy as np
+
+from .tokenizer import (
+    PUNCT_CLAUSE,
+    PUNCT_PARA,
+    PUNCT_SECTION,
+    PUNCT_SENT,
+    WORD,
+    XML,
+    Columns,
+    Surfaces,
+    Tok,
+    _is_digit,
+    _is_letter,
+)
 
 # ---------------------------------------------------------------------
 # MarkupBoundaryFilter (MarkupBoundaryFilter.java:96; behavior :1-110)
@@ -195,15 +213,12 @@ def _clitic_parts(text: str) -> list[str] | None:
     return parts
 
 
-def clitic_filter(toks: list[Tok], table=None) -> list[Tok]:
-    get = table.get if table is not None else None
+def clitic_filter(toks: list[Tok]) -> list[Tok]:
     out: list[Tok] | None = None  # built from the first split on
     for i, t in enumerate(toks):
         parts = None
         if t.cls == "WORD":
-            text = t.text
-            parts = ((get(text) or table[text]).clitic if get is not None
-                     else _clitic_parts(text))
+            parts = _clitic_parts(t.text)
         if parts is None:
             if out is not None:
                 out.append(t)
@@ -269,20 +284,14 @@ def _uppercase(text: str, ucwords, min_uc: int = 4) -> str:
     return "".join(chars)
 
 
-def uppercase_filter(toks: list[Tok], ucwords=frozenset(), min_uc: int = 4,
-                     table=None) -> list[Tok]:
+def uppercase_filter(toks: list[Tok], ucwords=frozenset(),
+                     min_uc: int = 4) -> list[Tok]:
     """All-caps handling: protected / initials / dotted kept; short
     all-caps suppressed (emptied); long all-caps capitalized
     (``JEAN-PAUL`` → ``Jean-Paul``)."""
-    get = table.get if table is not None else None
     for t in toks:
-        if t.cls != "WORD":
-            continue
-        text = t.text
-        new = ((get(text) or table[text]).upper if get is not None
-               else _uppercase(text, ucwords, min_uc))
-        if new is not text:
-            t.text = new
+        if t.cls == "WORD":
+            t.text = _uppercase(t.text, ucwords, min_uc)
     return toks
 
 
@@ -300,18 +309,16 @@ def _lexicon_hit(text: str, lexicon) -> tuple[str, str] | None:
     return hit
 
 
-def lemma_filter(toks: list[Tok], lexicon: dict[str, tuple[str, str]],
-                 table=None) -> list[Tok]:
+def lemma_filter(toks: list[Tok],
+                 lexicon: dict[str, tuple[str, str]]) -> list[Tok]:
     """Sparse lemma channel: lookup surface (exact, then lowercase);
     never rewrites surface; skips punct/XML; lemma written only when
     distinct from surface."""
-    get = table.get if table is not None else None
     for t in toks:
         text = t.text
         if t.cls != "WORD" or not text:
             continue
-        hit = ((get(text) or table[text]).hit if get is not None
-               else _lexicon_hit(text, lexicon))
+        hit = _lexicon_hit(text, lexicon)
         if hit is None:
             continue
         pos, lemma = hit
@@ -342,63 +349,63 @@ class MweAutomaton:
         self.starts = frozenset(
             [k[0] for k in form_entries] + [k[0] for k in lemma_entries]
         )
+        # the keys' proper prefixes: a match grows only through them
+        self.prefixes = frozenset(
+            k[:n] for k in [*form_entries, *lemma_entries]
+            for n in range(1, len(k)))
 
-    def start_positions(self, toks: list[Tok], table=None) -> list[int]:
+    def start_positions(self, toks: list[Tok]) -> list[int]:
         """Indices of the WORD tokens whose lowercase form or lemma can
         start an entry."""
-        if table is None:
-            starts = self.starts
-            return [i for i, t in enumerate(toks) if t.cls == "WORD" and (
-                t.text.lower() in starts
-                or t.lemma is not None and t.lemma.lower() in starts)]
-        get = table.get
+        starts = self.starts
         return [i for i, t in enumerate(toks) if t.cls == "WORD" and (
-            (get(t.text) or table[t.text]).mwe
-            or t.lemma is not None and (get(t.lemma) or table[t.lemma]).mwe)]
+            t.text.lower() in starts
+            or t.lemma is not None and t.lemma.lower() in starts)]
 
-    def match(self, toks: list[Tok], i: int, table=None):
+    def match(self, toks: list[Tok], i: int):
         """Longest match starting at i → (length, canonical, pos) or None.
 
         Form path reads token text; lemma path reads lemma-or-text.
-        Equal lengths → form path wins (more specific analysis).
         """
-        best = None  # (length, canonical, pos, is_form)
-        limit = min(self.max_len, len(toks) - i)
-        forms: list[str] = []
-        lemmas: list[str] = []
-        for k in range(limit):
-            t = toks[i + k]
+        words = []
+        for t in toks[i : i + self.max_len]:
             if t.cls != "WORD" or not t.text:
                 break
-            if table is not None:
-                forms.append(table[t.text].low)
-                lemmas.append(table[t.lemma or t.text].low)
-            else:
-                forms.append(t.text.lower())
-                lemmas.append((t.lemma or t.text).lower())
-            fkey = tuple(forms)
-            lkey = tuple(lemmas)
+            words.append((t.text.lower(), (t.lemma or t.text).lower()))
+        return self.longest(words)
+
+    def longest(self, words):
+        """Longest entry that the first k of ``words`` spell, for some
+        k, as ``(k, canonical, pos)``: the lowercased forms (form path)
+        or lemmas-or-forms (lemma path) of ``(form, lemma)`` pairs,
+        read only while they can still grow into a key.  Equal lengths
+        → the form path wins (more specific analysis)."""
+        best = None
+        fkey = lkey = ()
+        prefixes = self.prefixes
+        for k, (form, lemma) in enumerate(words, 1):
+            fkey += (form,)
+            lkey += (lemma,)
             hit = self.form.get(fkey)
+            if hit is None:
+                hit = self.lemma.get(lkey)
             if hit is not None:
-                best = (k + 1, hit[0], hit[1], True)
-            hit = self.lemma.get(lkey)
-            if hit is not None:
-                if best is None or best[0] < k + 1:
-                    best = (k + 1, hit[0], hit[1], False)
+                best = (k, hit[0], hit[1])
+            if fkey not in prefixes and lkey not in prefixes:
+                break
         return best
 
 
-def mwe_filter(toks: list[Tok], automaton: MweAutomaton,
-               table=None) -> list[Tok]:
+def mwe_filter(toks: list[Tok], automaton: MweAutomaton) -> list[Tok]:
     out: list[Tok] = []
     i = 0  # first token not yet copied to out
-    for s in automaton.start_positions(toks, table):
+    for s in automaton.start_positions(toks):
         if s < i:
             continue  # inside the previous match
-        m = automaton.match(toks, s, table)
+        m = automaton.match(toks, s)
         if m is None:
             continue
-        length, canonical, pos, _ = m
+        length, canonical, pos = m
         out += toks[i:s]
         out.append(Tok(canonical, "WORD", toks[s].start,
                        toks[s + length - 1].end, pos=pos))
@@ -422,9 +429,11 @@ def _ocr_accept(t: Tok) -> bool:
     (LEXICON hit — the KeywordAttribute analog) always pass; a context
     tagger's POS alone does not count as resolution (it may tag OCR
     noise)."""
-    if t.lex:
-        return True
-    text = t.text
+    return t.lex or _ocr_shape(t.text)
+
+
+def _ocr_shape(text: str) -> bool:
+    """An unresolved surface that passes the OCR garbage test."""
     if not text:
         return False
     if text[-1] in ".-":
@@ -434,8 +443,6 @@ def _ocr_accept(t: Tok) -> bool:
     repeats = 0
     for c in text:
         if _is_letter(c):
-            from .filters import _is_latin_letter  # self-module (clarity)
-
             if not _is_latin_letter(c):
                 return False
             letters += 1
@@ -527,15 +534,10 @@ def pers_initial_filter(toks: list[Tok]) -> list[Tok]:
 # ---------------------------------------------------------------------
 
 
-def stop_filter(toks: list[Tok], stopwords: frozenset, table=None) -> list[Tok]:
+def stop_filter(toks: list[Tok], stopwords: frozenset) -> list[Tok]:
     """Mark stop words for drop-with-gap (position holes preserved)."""
-    get = table.get if table is not None else None
     for t in toks:
-        if t.cls != "WORD":
-            continue
-        text = t.text
-        if ((get(text) or table[text]).stop if get is not None
-                else text.lower() in stopwords):
+        if t.cls == "WORD" and t.text.lower() in stopwords:
             t.cls = "STOP"
     return toks
 
@@ -602,7 +604,7 @@ def _all_latin(text: str) -> bool:
     return True
 
 
-def cleanup(toks: list[Tok], table=None) -> tuple[list[tuple[str, int]], int, int]:
+def cleanup(toks: list[Tok]) -> tuple[list[tuple[str, int]], int, int]:
     """Final hygiene → ``([(term, position)...], width, n_tokens)``.
 
     Invariant (TermStats.java:40-46): every emitted token is a word;
@@ -610,7 +612,6 @@ def cleanup(toks: list[Tok], table=None) -> tuple[list[tuple[str, int]], int, in
     ``n_tokens ≤ width``.
     """
     emitted: list[tuple[str, int]] = []
-    get = table.get if table is not None else None
     pos = 0
     last_emitted_pos = -1
     for t in toks:
@@ -618,8 +619,7 @@ def cleanup(toks: list[Tok], table=None) -> tuple[list[tuple[str, int]], int, in
         if not text:
             pos += 1  # emptied upstream (e.g. suppressed all-caps): hole
             continue
-        skip, acc = ((get(text) or table[text]).verdict if get is not None
-                     else _cleanup_verdict(text))
+        skip, acc = _cleanup_verdict(text)
         if t.cls == "XML" or skip and (
                 skip == _SKIP or t.pos not in _ONE_CHAR_KEEP):
             continue
@@ -632,79 +632,185 @@ def cleanup(toks: list[Tok], table=None) -> tuple[list[tuple[str, int]], int, in
     return emitted, width, len(emitted)
 
 
-def cleanup_counts(toks: list[Tok], table=None) -> tuple[dict, int, int]:
-    """Same walk as :func:`cleanup`, but aggregates per-term COUNTS
-    instead of emitting a (term, position) stream — for consumers that
-    only need tf (the BM25 build).  Identical skip/accept/width
-    semantics by construction."""
-    counts: dict[str, int] = {}
-    get = table.get if table is not None else None
-    pos = 0
-    last_emitted_pos = -1
-    n = 0
-    for t in toks:
-        text = t.text
-        if not text:
-            pos += 1
-            continue
-        skip, acc = ((get(text) or table[text]).verdict if get is not None
-                     else _cleanup_verdict(text))
-        if t.cls == "XML" or skip and (
-                skip == _SKIP or t.pos not in _ONE_CHAR_KEEP):
-            continue
-        p = pos
-        pos += 1
-        if acc and t.cls not in _NO_TERM_CLS and (acc == _ACCEPT or t.lemma):
-            term = t.lemma if t.lemma else text
-            counts[term] = counts.get(term, 0) + 1
-            last_emitted_pos = p
-            n += 1
-    return counts, last_emitted_pos + 1, n
-
-
 # ---------------------------------------------------------------------
 # Per-surface table (the context-free half of every filter above)
 # ---------------------------------------------------------------------
 
-# Bound on one table's surfaces; a full table starts over (the Zipf
-# head refills it at once).  Same bound as ``_all_latin``'s cache.
+# Bound on one table's surfaces (and pieces): a table over it starts
+# over when its walk ends (the Zipf head refills it at once).
 LEXEME_TABLE_MAX = 65_536
 
+# reserved ids of the boundary marks (after tokenizer.EMPTY and DOT)
+PARA, SECTION = 2, 3
 
-class Lexeme:
-    """One surface string's context-free filter results."""
+# ``cl``: what cleanup does with a surface's token: drop it, keep it
+# only under a one-char POS, or let it take a position (a hole when
+# empty); a kept token emits its term iff ``emit`` + (it has a lemma)
+# ≥ ``EMIT``
+CL_DROP, CL_ONE_CHAR, CL_HOLE, CL_KEEP = range(4)
+EMIT = 2
+_EMIT_CODE = {_REJECT: 0, _ACCEPT_IF_LEMMA: 1, _ACCEPT: 2}
 
-    __slots__ = ("low", "clitic", "upper", "hit", "stop", "mwe", "verdict")
+# ``flags`` bits (after tokenizer.F_DOTTED and F_XML): a word the
+# tagger decides, a form or lemma that can start an MWE entry, a
+# one-char surface that only a kept POS saves, a word that expands to
+# more than one token
+F_AMB, F_MWE, F_ONE_CHAR, F_SPLIT = 4, 8, 16, 32
+
+_NO_TERM_KINDS = (PUNCT_CLAUSE, PUNCT_SENT, PUNCT_PARA, PUNCT_SECTION)
 
 
-class LexemeTable(dict):
-    """Surface string → :class:`Lexeme`, filled on first lookup.
+class LexemeTable(Surfaces):
+    """The analyzer's surface table: for each surface id, the result of
+    every context-free rule of the chain (see the module docstring), as
+    numpy columns (``cols``), plus its lowercase (``low``).
+
+    - ``x0``/``xn`` → ``parts.sid``: the ids a WORD becomes after the
+      clitic split, the replacements and the all-caps rules (itself for
+      any other kind); ``x1``, that id when there is one; ``xsplit``,
+      the split made new tokens (a POS set before it is lost);
+    - ``lex``/``hpos``/``lem``: lexicon hit, its POS code and lemma id
+      (-1 when none or equal to the surface);
+    - ``flags``: the ``F_*`` bits, here whether the lowercase or the
+      lemma starts an MWE entry, the word is one the tagger decides,
+      the surface is one char that only a kept POS saves, or it
+      expands to more than one token;
+    - ``stop``: a stop word (WORDs only); ``word``: a non-empty WORD;
+    - ``cl``/``emit``: the cleanup verdict (``CL_*``) and whether a
+      kept token emits its term: always (2), only with a lemma (1) or
+      never (0);
+    - ``bcode``: the boundary filter's closing-element code;
+    - ``ocr``, ``ssl``, ``initial``, ``capword``, ``sentcat``: the
+      per-surface tests of the ``optional`` filters (the analyzer's
+      flag names), filled only for those that are on.
 
     Built once per analyzer from the resources its filters are given
-    (``FrenchAnalyzer.lexemes``); a filter passed ``table=`` must get the
-    table of the same resources.  The results are the filters' own rule
-    functions, so reading them here is exact."""
+    (``FrenchAnalyzer.lexemes``).  POS strings get small codes
+    (``pos_names[code]``, 0 = none) that outlive a start-over."""
 
-    def __init__(self, lexicon, ucwords, stopwords, automaton):
-        super().__init__()
+    def __init__(self, tokenizer, lexicon, normalization, ucwords,
+                 stopwords, automaton, ambiguous=(), optional=()):
         self.lexicon = lexicon
+        self.normalization = normalization
         self.ucwords = ucwords
         self.stopwords = stopwords
         self.starts = automaton.starts
+        self.ambiguous = frozenset(ambiguous)
+        self.optional = frozenset(optional)
+        self.pos_names: list = [None]
+        self.pos_codes: dict = {None: 0}
+        self._keep = None
+        super().__init__(tokenizer)
 
-    def __missing__(self, text: str) -> Lexeme:
-        if len(self) >= LEXEME_TABLE_MAX:
-            self.clear()
-        lx = Lexeme()
-        lx.low = low = text.lower()
-        lx.clitic = _clitic_parts(text)
-        lx.upper = _uppercase(text, self.ucwords)
-        lx.hit = _lexicon_hit(text, self.lexicon)
-        lx.stop = low in self.stopwords
-        lx.mwe = low in self.starts
-        lx.verdict = _cleanup_verdict(text) if text else (_KEEP, _REJECT)
-        self[text] = lx
-        return lx
+    def start_over(self) -> None:
+        self.low: list[str] = []
+        self.parts = Columns(sid=np.int32)
+        super().start_over()
+        self.intern(PARA_MARK, PUNCT_PARA)
+        self.intern(SECTION_MARK, PUNCT_SECTION)
+
+    def settle(self) -> None:
+        """End of a walk: no id is live, so a table over its bound
+        starts over."""
+        if max(len(self.text), self.pcols.n) > LEXEME_TABLE_MAX:
+            self.start_over()
+
+    def pos_code(self, name) -> int:
+        code = self.pos_codes.get(name)
+        if code is None:
+            code = self.pos_codes[name] = len(self.pos_names)
+            self.pos_names.append(name)
+            self._keep = None
+        return code
+
+    def one_char_keep(self) -> np.ndarray:
+        """Per POS code: a one-char token under it takes a position."""
+        if self._keep is None:
+            self._keep = np.array([p in _ONE_CHAR_KEEP
+                                   for p in self.pos_names])
+        return self._keep
+
+    def _columns(self) -> Columns:
+        return Columns(
+            kind=np.int8, flags=np.int16, dcode=np.int8, undot=np.int32,
+            x0=np.int32, xn=np.int32, x1=np.int32, xsplit=np.bool_,
+            lex=np.bool_, hpos=np.int16, lem=np.int32,
+            stop=np.bool_, word=np.bool_,
+            cl=np.int8, emit=np.int8, ocr=np.bool_, ssl=np.int32,
+            initial=np.bool_, capword=np.bool_, bcode=np.int8,
+            sentcat=np.int8)
+
+    def _fill(self, sid: int, text: str, kind: int) -> None:
+        low = text.lower()
+        self.low.append(low)  # before any nested intern
+        super()._fill(sid, text, kind)
+        c = self.cols
+        is_word = kind == WORD
+        # clitic split → replace → all-caps rules
+        split = _clitic_parts(text) if is_word else None
+        out = []
+        for part in split or (text,):
+            if is_word:
+                part = _uppercase(self.normalization.get(part, part),
+                                  self.ucwords)
+            out.append(self.intern(part, kind))
+        c.xsplit[sid] = split is not None
+        c.x0[sid] = self.parts.n
+        c.xn[sid] = len(out)
+        c.x1[sid] = out[0] if len(out) == 1 else -1
+        for x in out:
+            i = self.parts.add()
+            self.parts.sid[i] = x
+        c.lem[sid] = c.ssl[sid] = -1
+        if is_word and text:
+            c.word[sid] = True
+            hit = _lexicon_hit(text, self.lexicon)
+            if hit is not None:
+                c.lex[sid] = True
+                c.hpos[sid] = self.pos_code(hit[0])
+                if hit[1] != text:
+                    c.lem[sid] = self.intern(hit[1])
+            opt = self.optional
+            if "ocr_garbage" in opt:
+                c.ocr[sid] = _ocr_shape(text)
+            if text[0].isupper():
+                if "pers_initial" in opt:
+                    c.capword[sid] = len(text) >= 2
+                    c.initial[sid] = text[0].isalpha() and (
+                        len(text) == 1 or len(text) == 2 and text[1] == ".")
+                if "sentence_start_lower" in opt and low in self.lexicon:
+                    c.ssl[sid] = self.intern(low)
+        stop = is_word and low in self.stopwords
+        c.stop[sid] = stop
+        flags = F_SPLIT if len(out) > 1 else 0
+        if is_word:
+            if low in self.ambiguous:
+                flags |= F_AMB
+            lem = c.lem[sid]
+            if low in self.starts or lem >= 0 and self.low[lem] in self.starts:
+                flags |= F_MWE
+        if not text:
+            c.cl[sid] = CL_HOLE
+        else:
+            skip, acc = _cleanup_verdict(text)
+            if kind == XML or skip == _SKIP:
+                c.cl[sid] = CL_DROP
+            elif skip:
+                c.cl[sid] = CL_ONE_CHAR
+                flags |= F_ONE_CHAR
+            else:
+                c.cl[sid] = CL_KEEP
+            if not stop and kind not in _NO_TERM_KINDS:
+                c.emit[sid] = _EMIT_CODE[acc]
+        c.flags[sid] |= flags
+        if kind == XML:
+            name = _close_tag_local_name(text)
+            c.bcode[sid] = (2 if name in SECTION_ELEMENTS
+                            else 1 if name in PARA_ELEMENTS else 0)
+        if "sentence_start_lower" in self.optional:
+            c.sentcat[sid] = (
+                1 if kind in (PUNCT_SENT, PUNCT_PARA, PUNCT_SECTION)
+                else 2 if kind in (XML, PUNCT_CLAUSE) else 0)
 
 
 # ---------------------------------------------------------------------

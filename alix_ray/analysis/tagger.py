@@ -135,7 +135,8 @@ class PerceptronTagger:
     ``ambiguous`` (everything else stays with the lexicon tagger).
     Plug as ``FrenchAnalyzer(tagger=...)`` — instantiate once per
     actor; ``__call__`` mutates ``t.pos`` in place (the hook
-    contract, analysis/chain.py)."""
+    contract, analysis/chain.py), and the analyzer's walk calls
+    ``tags`` on the documents that hold an ``ambiguous`` word."""
 
     LABELS = ("NOUN", "VERB")
 
@@ -188,17 +189,20 @@ class PerceptronTagger:
                 best, best_s = lab, s
         return best
 
+    def tags(self, words: list) -> list:
+        """``[(i, label)]`` for the ambiguous words of ``words`` (the
+        lowercased token texts, ``_PUN`` for a non-word)."""
+        amb = self.ambiguous
+        return [(i, self._predict(_features(words, i), self.weights))
+                for i, w in enumerate(words) if w in amb]
+
     def __call__(self, toks) -> None:
         words = [
             (t.text.lower() if (t.cls == "WORD" and t.text) else _PUN)
             for t in toks
         ]
-        amb = self.ambiguous
-        if amb.isdisjoint(words):
-            return
-        for i, w in enumerate(words):
-            if w in amb:
-                toks[i].pos = self._predict(_features(words, i), self.weights)
+        for i, label in self.tags(words):
+            toks[i].pos = label
 
 
 _DEFAULT: PerceptronTagger | None = None

@@ -97,33 +97,14 @@ def w2v_corpus(ds: ray.data.Dataset, text_col="text",
         def __init__(self):
             from ..analysis import FrenchAnalyzer
 
-            self.fa = FrenchAnalyzer()
+            # the canonical chain up to the stop filter, no tagger
+            self.fa = FrenchAnalyzer(tagger=None)
 
         def __call__(self, batch: pa.Table) -> pa.Table:
-            from ..analysis.filters import (
-                boundary_filter,
-                clitic_filter,
-                lemma_filter,
-                mwe_filter,
-                replace_filter,
-                stop_filter,
-                uppercase_filter,
-            )
-
-            fa = self.fa
-            lx = fa.lexemes
             lines = []
             for text in batch[text_col].to_pylist():
-                toks = fa.tokenizer.tokenize(text or "")
-                toks = boundary_filter(toks)
-                toks = clitic_filter(toks, table=lx)
-                toks = replace_filter(toks, fa.normalization)
-                toks = uppercase_filter(toks, fa.ucwords, table=lx)
-                toks = lemma_filter(toks, fa.lexicon, table=lx)
-                toks = mwe_filter(toks, fa.automaton, table=lx)
-                toks = stop_filter(toks, fa.stopwords, table=lx)
                 kept = [
-                    t for t in toks
+                    t for t in self.fa._chain(text or "")
                     if t.cls == "WORD" and t.text
                     and (t.pos is None or t.pos in pos_filter)
                 ]

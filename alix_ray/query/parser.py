@@ -27,7 +27,7 @@ _WS = re.compile(r"\s+")
 class WordMemo:
     """Bounded memo in front of an analyzer: text →
     ``tuple(analyzer.terms(text))``, at most ``cap`` texts (the oldest
-    dropped first).  It has the analyzer's ``terms``, so
+    dropped first).  It has the analyzer's ``terms_of``, so
     :func:`parse_query` takes it in the analyzer's place."""
 
     __slots__ = ("analyzer", "cap", "memo")
@@ -37,28 +37,36 @@ class WordMemo:
         self.cap = cap
         self.memo: dict[str, tuple] = {}
 
-    def terms(self, text: str) -> tuple:
-        hit = self.memo.get(text)
-        if hit is None:
-            hit = tuple(self.analyzer.terms(text))
-            if len(self.memo) >= self.cap:
-                self.memo.pop(next(iter(self.memo)))
-            self.memo[text] = hit
-        return hit
+    def terms_of(self, texts: list) -> list:
+        """The terms of each text; the texts not in the memo go to the
+        analyzer in one ``terms_of`` call."""
+        memo = self.memo
+        try:
+            return [memo[t] for t in texts]
+        except KeyError:
+            pass
+        got = {t: memo[t] for t in texts if t in memo}
+        new = [t for t in dict.fromkeys(texts) if t not in got]
+        for text, hit in zip(new, self.analyzer.terms_of(new)):
+            got[text] = hit = tuple(hit)
+            if len(memo) >= self.cap:
+                memo.pop(next(iter(memo)))
+            memo[text] = hit
+        return [got[t] for t in texts]
 
 
 def parse_query(q: str, analyzer, lexicon=None, root_dict=None,
                 df=None) -> list[str]:
     """Query string → list of index terms (possibly with duplicates).
 
-    ``analyzer`` is read only through ``analyzer.terms(text)``, called
-    once per bare word (a run of non-space characters outside quotes and
-    parentheses, other than a wildcard or an ``a_b`` form) and once per
-    quoted phrase body, each on its own text and never on the whole
-    query.  So a :class:`WordMemo` in the
-    analyzer's place gives the same terms: ``BM25Index.parse`` passes
-    its handle's memo, and each distinct word is analyzed once per
-    handle.
+    ``analyzer`` is read only through ``analyzer.terms_of(texts)``,
+    called once per query on its quoted phrase bodies and bare words (a
+    bare word is a run of non-space characters outside quotes and
+    parentheses, other than a wildcard or an ``a_b`` form), each
+    analyzed as its own text and never the whole query.  So a
+    :class:`WordMemo` in the analyzer's place gives the same terms:
+    ``BM25Index.parse`` passes its handle's memo, and each distinct
+    word is analyzed once per handle.
 
     When ``root_dict`` (a :class:`alix_ray.analysis.hunspell.
     RootDictionary`) and ``df`` (term → document frequency) are given,
@@ -70,13 +78,14 @@ def parse_query(q: str, analyzer, lexicon=None, root_dict=None,
     """
     if not q:
         return []
-    terms: list[str] = []
-
-    def phrase(m):
-        words = analyzer.terms(m.group(1))
-        if words:
-            terms.append("_".join(words))
-        return " "
+    phrases = _PHRASE.findall(q) if '"' in q else []
+    rest = _PHRASE.sub(" ", q) if phrases else q
+    words = _WS.split(rest.replace("(", " ").replace(")", " ").strip())
+    bare = [w for w in words if w and "*" not in w and "?" not in w
+            and "_" not in w]
+    analyzed = analyzer.terms_of(phrases + bare)
+    terms = ["_".join(p) for p in analyzed[:len(phrases)] if p]
+    bare_terms = iter(analyzed[len(phrases):])
 
     def resolve(token: str) -> list[str]:
         if root_dict is None or df is None:
@@ -84,9 +93,7 @@ def parse_query(q: str, analyzer, lexicon=None, root_dict=None,
         roots = [r for r in root_dict.get_roots(token) if df.get(r, 0) > 0]
         return roots if roots else [token]
 
-    rest = _PHRASE.sub(phrase, q)
-    rest = rest.replace("(", " ").replace(")", " ")
-    for word in _WS.split(rest.strip()):
+    for word in words:
         if not word:
             continue
         if "*" in word or "?" in word:
@@ -97,6 +104,6 @@ def parse_query(q: str, analyzer, lexicon=None, root_dict=None,
         if "_" in word:
             terms.append(word)  # already-canonical MWE term
             continue
-        for tok in analyzer.terms(word):
+        for tok in next(bare_terms):
             terms.extend(resolve(tok))
     return terms

@@ -9,6 +9,7 @@ per batch.
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
 
 from ..extract import extract_text
@@ -89,63 +90,46 @@ def analyze_batch_fn(batch: pa.Table, profile: str = "french",
 class AnalyzeDocs:
     """Stateful stage: docs → per-doc term/tf lists + width/tokens.
 
-    Emits per-doc aggregated term counts (tf) — the partial aggregation
-    that keeps the posting shuffle small (SURVEY.md §2.5 TermStats row).
-    Positions are optional (``keep_positions``) — BM25 needs only tf
-    (§7.4.6); positions feed the rail/cooc artifacts.
-    """
+    Emits per-doc aggregated term counts (tf), each row's terms in
+    code-point order — the partial aggregation that keeps the posting
+    shuffle small (SURVEY.md §2.5 TermStats row).  Positions are
+    optional (``keep_positions``) — BM25 needs only tf (§7.4.6);
+    positions feed the rail/cooc artifacts.  One analyzer walk per
+    batch gives every column; the list columns are taken from the
+    batch's term strings by offsets."""
 
-    def __init__(self, analyzer_factory=None, text_col: str = "text",
-                 keep_positions: bool = False):
-        if analyzer_factory is None:
-            from ..analysis import FrenchAnalyzer
+    def __init__(self, text_col: str = "text", keep_positions: bool = False):
+        from ..analysis import FrenchAnalyzer
 
-            self.analyzer = FrenchAnalyzer()
-        else:
-            self.analyzer = analyzer_factory()
+        self.analyzer = FrenchAnalyzer()
         self.text_col = text_col
         self.keep_positions = keep_positions
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        texts = batch[self.text_col].to_pylist()
-        terms_col, tfs_col, widths, ntoks = [], [], [], []
-        pos_terms_col, pos_col = [], []
-        # fast path: BM25 needs only tf — analyze_counts skips the
-        # per-token (term, position) tuple stream entirely
-        count_mode = not self.keep_positions and hasattr(
-            self.analyzer, "analyze_counts"
-        )
-        analyze = (
-            self.analyzer.analyze_counts if count_mode
-            else self.analyzer.analyze
-        )
-        for text in texts:
-            if count_mode:
-                counts, width, n = analyze(text or "")
-            else:
-                emitted, width, n = analyze(text or "")
-                counts = {}
-                for term, _ in emitted:
-                    counts[term] = counts.get(term, 0) + 1
-            # deterministic order: sorted by term (stable across runs)
-            items = sorted(counts.items())
-            terms_col.append([t for t, _ in items])
-            tfs_col.append([c for _, c in items])
-            widths.append(width)
-            ntoks.append(n)
-            if self.keep_positions:
-                pos_terms_col.append([t for t, _ in emitted])
-                pos_col.append([p for _, p in emitted])
+        texts = [t or "" for t in batch[self.text_col].to_pylist()]
+        return self._columns(
+            batch, self.analyzer.count_rows(texts, self.keep_positions))
+
+    def _columns(self, batch: pa.Table, r: dict) -> pa.Table:
+        """The output table of ``batch`` from its walk's ``count_rows``."""
+        vocab = pa.array(r["vocabulary"], pa.large_string())
+
+        def lists(row_lengths, values):
+            offsets = np.zeros(len(row_lengths) + 1, np.int32)
+            np.cumsum(row_lengths, out=offsets[1:])
+            return pa.ListArray.from_arrays(pa.array(offsets), values)
+
         cols = {
             "doc_id": batch["doc_id"],
-            "terms": pa.array(terms_col, pa.list_(pa.large_string())),
-            "tfs": pa.array(tfs_col, pa.list_(pa.int32())),
-            "width": pa.array(widths, pa.int32()),
-            "tokens": pa.array(ntoks, pa.int32()),
+            "terms": lists(r["row_terms"], vocab.take(r["term"])),
+            "tfs": lists(r["row_terms"], pa.array(r["tf"].astype(np.int32))),
+            "width": pa.array(r["width"].astype(np.int32)),
+            "tokens": pa.array(r["tokens"].astype(np.int32)),
         }
         if self.keep_positions:
-            cols["pos_terms"] = pa.array(pos_terms_col, pa.list_(pa.large_string()))
-            cols["positions"] = pa.array(pos_col, pa.list_(pa.int32()))
+            cols["pos_terms"] = lists(r["tokens"], vocab.take(r["pos_term"]))
+            cols["positions"] = lists(
+                r["tokens"], pa.array(r["positions"].astype(np.int32)))
         return pa.table(cols)
 
 

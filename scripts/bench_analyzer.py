@@ -4,18 +4,24 @@
 
 Takes the ``--pages`` window of the synthetic corpus that the benchmark's
 ``build`` workload indexes for ``--seed`` (``perfbench.inputs``), and runs
-``FrenchAnalyzer.analyze_counts`` over its pinned ``text`` column in this
-process, under the analyze workers' GC settings
-(``stages.analyze.tune_worker_gc``: frozen heap, no cyclic collection).
-One untimed pass warms the analyzer's per-surface table, as a worker's
-first batch does.  Then it prints one JSON line:
+the analyzer over its pinned ``text`` column in this process, under the
+analyze workers' GC settings (``stages.analyze.tune_worker_gc``: frozen
+heap, no cyclic collection).  One untimed pass warms the analyzer's
+surface table, as a worker's first batch does.  Then it prints one JSON
+line:
 
-- ``window_ms``: ``analyze_counts`` over the window, median of the
-  repeats (``window_ms_runs`` lists them all);
+- ``window_ms``: ``FrenchAnalyzer.analyze_counts`` text by text over the
+  window, median of the repeats (``window_ms_runs`` lists them all);
 - ``us_per_token``: that median per raw token of the window;
-- ``steps_ms``: one stepwise pass, tokenizer, each chain filter and the
-  cleanup timed apart (their sum exceeds ``window_ms`` by the timer
-  calls).
+- ``batch_ms`` / ``batch_us_per_token``: the build's path,
+  ``stages.analyze.AnalyzeDocs`` over the window in batches of
+  ``BATCH_ROWS`` rows, output columns included, median of the repeats;
+- ``steps_ms``: one stepwise pass over the same batches, the walk's
+  phases timed apart: ``scan`` (texts to surface ids), ``gathers`` (the
+  context-free clitic/replace/all-caps expansion and lexicon columns),
+  ``context`` (dots, boundary, tagger, MWE and any optional filter),
+  ``count`` (cleanup and the per-row term counts) and ``columns`` (the
+  Arrow output); their sum exceeds ``batch_ms`` by the timer calls.
 """
 
 from __future__ import annotations
@@ -30,27 +36,55 @@ _REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if _REPO not in sys.path:
     sys.path.insert(0, _REPO)
 
+# rows per AnalyzeDocs batch: the size of one block of a 2,000-page build
+BATCH_ROWS = 1000
+# the walk's stages that read only per-surface columns
+GATHERS = ("expand", "lemma")
 
-def stepwise(fa, texts: list[str]) -> dict:
-    """Milliseconds per chain step over ``texts``."""
-    from alix_ray.analysis.filters import cleanup_counts
 
+def batches(texts: list[str]):
+    import pyarrow as pa
+
+    for i in range(0, len(texts), BATCH_ROWS):
+        part = texts[i:i + BATCH_ROWS]
+        yield pa.table({"doc_id": pa.array(range(i, i + len(part)),
+                                           pa.int64()),
+                        "text": pa.array(part, pa.string())})
+
+
+def stepwise(stage, tables: list) -> dict:
+    """Milliseconds per phase of ``stage`` (an ``AnalyzeDocs``) over
+    ``tables``."""
+    fa = stage.analyzer
     clock = time.perf_counter
-    ms = {"tokenize": 0.0, **{name: 0.0 for name, _ in fa.steps},
-          "cleanup_counts": 0.0}
-    for text in texts:
+    ms = dict.fromkeys(("scan", "gathers", "context", "count", "columns"),
+                       0.0)
+    for table in tables:
         t0 = clock()
-        toks = fa.tokenizer.tokenize(text)
+        st = fa.lexemes.scan(table["text"].to_pylist())
         t1 = clock()
-        ms["tokenize"] += t1 - t0
-        for name, step in fa.steps:
-            toks = step(toks)
+        ms["scan"] += t1 - t0
+        for name, step in fa.stages:
+            st = step(st)
             t2 = clock()
-            ms[name] += t2 - t1
+            ms["gathers" if name in GATHERS else "context"] += t2 - t1
             t1 = t2
-        cleanup_counts(toks, fa.lexemes)
-        ms["cleanup_counts"] += clock() - t1
+        counted = fa._count(st, stage.keep_positions)
+        t2 = clock()
+        ms["count"] += t2 - t1
+        fa._done(None)
+        stage._columns(table, counted)
+        ms["columns"] += clock() - t2
     return {k: round(v * 1000, 1) for k, v in ms.items()}
+
+
+def median_ms(fn, repeats: int) -> tuple[float, list[float]]:
+    runs = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        runs.append((time.perf_counter() - t0) * 1000)
+    return sorted(runs)[len(runs) // 2], runs
 
 
 def main(argv=None) -> int:
@@ -60,25 +94,30 @@ def main(argv=None) -> int:
     p.add_argument("--repeats", type=int, default=5)
     args = p.parse_args(argv)
 
-    from alix_ray.analysis import FrenchAnalyzer
-    from alix_ray.stages.analyze import tune_worker_gc
+    from alix_ray.stages.analyze import AnalyzeDocs, tune_worker_gc
     from perfbench.inputs import pages, window_start
 
     start = window_start(args.seed)
     texts = [t or "" for t in
              pages(start, args.pages)["text"].to_pylist()]
+    tables = list(batches(texts))
     tune_worker_gc()
-    fa = FrenchAnalyzer()
+    stage = AnalyzeDocs()
+    fa = stage.analyzer
     n_tokens = sum(len(fa.tokenizer.tokenize(t)) for t in texts)
-    for t in texts:
-        fa.analyze_counts(t)
-    runs = []
-    for _ in range(args.repeats):
-        t0 = time.perf_counter()
+    for t in tables:
+        stage(t)
+
+    def per_text():
         for t in texts:
             fa.analyze_counts(t)
-        runs.append((time.perf_counter() - t0) * 1000)
-    med = sorted(runs)[len(runs) // 2]
+
+    def per_batch():
+        for t in tables:
+            stage(t)
+
+    med, runs = median_ms(per_text, args.repeats)
+    bmed, bruns = median_ms(per_batch, args.repeats)
     print(json.dumps({
         "seed": args.seed,
         "window_start": start,
@@ -87,7 +126,11 @@ def main(argv=None) -> int:
         "window_ms": round(med, 1),
         "window_ms_runs": [round(r, 1) for r in runs],
         "us_per_token": round(med * 1000 / max(n_tokens, 1), 3),
-        "steps_ms": stepwise(fa, texts),
+        "batch_rows": BATCH_ROWS,
+        "batch_ms": round(bmed, 1),
+        "batch_ms_runs": [round(r, 1) for r in bruns],
+        "batch_us_per_token": round(bmed * 1000 / max(n_tokens, 1), 3),
+        "steps_ms": stepwise(stage, tables),
         "cpus": os.cpu_count(),
         "python": sys.version.split()[0],
     }))

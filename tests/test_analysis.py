@@ -595,14 +595,26 @@ class TestLexemeTable:
                 assert (rows, fa.analyze(text)) == self._untabled(fa, text)
 
     def test_bounded(self, monkeypatch):
+        """A table over its bound starts over only between walks: one
+        document, and one batch, hold more surfaces than the bound, and
+        the outputs still equal the unbounded analyzer's."""
         from alix_ray.analysis import filters
+        from alix_ray.stages.analyze import AnalyzeDocs
 
         texts = golden_texts()[:80]
+        batch = _docs(texts)
         want = [FrenchAnalyzer().analyze(s) for s in texts]
+        want_rows = AnalyzeDocs(keep_positions=True)(batch).to_pylist()
         monkeypatch.setattr(filters, "LEXEME_TABLE_MAX", 50)
         fa = FrenchAnalyzer()
+        # crossed inside a document
+        assert max(len(set(s.split())) for s in texts) > 50
         assert [fa.analyze(s) for s in texts] == want
         assert 0 < len(fa.lexemes) <= 50
+        stage = AnalyzeDocs(keep_positions=True)
+        for _ in range(2):  # the second batch starts on a fresh table
+            assert stage(batch).to_pylist() == want_rows
+            assert 0 < len(stage.analyzer.lexemes) <= 50
 
     def test_tables_are_per_instance(self):
         a = FrenchAnalyzer()
@@ -610,3 +622,94 @@ class TestLexemeTable:
         assert a.analyze("la maison") == ([("maison", 1)], 2, 1)
         assert b.analyze("la maison") == ([("le", 0), ("maison", 1)], 2, 2)
         assert a.lexemes is not b.lexemes
+
+
+def _docs(texts):
+    import pyarrow as pa
+
+    return pa.table({"doc_id": pa.array(range(len(texts)), pa.int64()),
+                     "text": pa.array(texts, pa.string())})
+
+
+class TestAnalyzeDocs:
+    """The build's analyze stage: one walk per batch, reduced to the
+    same rows the per-text reducers give."""
+
+    def test_rows_equal_per_text_reducers(self):
+        from alix_ray.corpus import make_page
+        from alix_ray.stages.analyze import AnalyzeDocs
+
+        texts = [make_page(i)["text"] for i in range(0, 700, 7)]
+        texts += ["", "   ", "<p>", "Fin. <p>Paris. Le parce que</p>"]
+        fa = FrenchAnalyzer()
+        rows = AnalyzeDocs(keep_positions=True)(_docs(texts)).to_pylist()
+        assert [r["doc_id"] for r in rows] == list(range(len(texts)))
+        for text, row in zip(texts, rows):
+            counts, width, n = fa.analyze_counts(text)
+            assert (row["terms"], row["tfs"], row["width"], row["tokens"]) \
+                == (list(counts), list(counts.values()), width, n), text
+            emitted, _, _ = fa.analyze(text)
+            assert list(zip(row["pos_terms"], row["positions"])) == emitted
+        assert rows == AnalyzeDocs(keep_positions=True)(
+            _docs(texts)).to_pylist()
+        lean = AnalyzeDocs()(_docs(texts))
+        assert lean.column_names == ["doc_id", "terms", "tfs", "width",
+                                     "tokens"]
+        assert lean.to_pylist() == [
+            {k: r[k] for k in lean.column_names} for r in rows]
+        assert AnalyzeDocs()(_docs([])).schema == lean.schema
+
+    def test_row_terms_in_code_point_order(self):
+        """Terms sort as Python strings: case, accents, ligatures and
+        an astral letter (above every BMP char, unlike UTF-16 order),
+        whatever order the table met them in."""
+        from alix_ray.analysis import resources
+        from alix_ray.stages.analyze import AnalyzeDocs
+
+        stage = AnalyzeDocs()
+        stage.analyzer = FrenchAnalyzer(lexicon={
+            **resources.LEMMA_LEXICON,
+            "fraktur": ("NOUN", "\U0001d504lpha"),  # 𝔄 (not Latin)
+        })
+        texts = [
+            "zoo Zoo zèbre Zèbre abc",
+            "œuvre oeuvre ouvre école ecole Ecole",
+            "\ufb00ort fraktur zoo \U0001df00ba alpha Alpha",
+            "Zoo zoo abc \U0001df00ba école œuvre fraktur \ufb00ort",
+        ]
+        rows = stage(_docs(texts)).to_pylist()
+        for row in rows:
+            assert row["terms"] == sorted(row["terms"])
+        assert rows[3]["terms"] == [
+            "Zoo", "abc", "zoo", "école", "œuvre", "\ufb00ort",
+            "\U0001d504lpha", "\U0001df00ba"]
+
+    def test_count_walk_builds_no_tok(self, monkeypatch):
+        """The build's path stays on arrays: zero ``Tok`` objects over
+        a batch with dotted words, markup, clitics, a tagger word and
+        MWEs."""
+        from alix_ray.analysis import tokenizer
+        from alix_ray.corpus import make_page
+        from alix_ray.stages.analyze import AnalyzeDocs
+
+        texts = [make_page(i)["text"] for i in range(60)] + [
+            "<p>Il est venu à Paris. Le soir, etc. M. Dupont</p><div>x</div>",
+            "l'homme parce que tout à fait. Il porte la porte. FIN.",
+        ]
+        stage = AnalyzeDocs()
+        stage(_docs(texts))  # fill the table first
+        made = []
+        init = tokenizer.Tok.__init__
+
+        def counting(self, *args, **kwargs):
+            made.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(tokenizer.Tok, "__init__", counting)
+        rows = AnalyzeDocs()(_docs(texts)).to_pylist()
+        stage(_docs(texts))
+        assert made == []
+        terms = set(rows[-1]["terms"]) | set(rows[-2]["terms"])
+        assert {"parce_que", "tout_à_fait", "Paris"} <= terms
+        FrenchAnalyzer()._chain(texts[-1])  # the Tok view does build them
+        assert made

@@ -544,6 +544,32 @@ def test_parsed_queries_through_the_word_memo(french_index):
     assert ix._words.memo
 
 
+def test_query_words_reach_the_analyzer_in_one_call():
+    """A query's phrase bodies and bare words go to the analyzer in one
+    ``terms_of`` call (one walk), each analyzed as its own text; words
+    the memo holds are not analyzed again."""
+    from alix_ray.analysis import FrenchAnalyzer
+    from alix_ray.query.parser import WordMemo, parse_query
+
+    fa = FrenchAnalyzer()
+    calls = []
+
+    class Spy:
+        def terms_of(self, texts):
+            calls.append(list(texts))
+            return fa.terms_of(texts)
+
+    q = '"parce que" la maison (porte chat*) x_y maison'
+    memo = WordMemo(Spy(), 8)
+    want = ["parce_que", "maison", "porte", "chats", "x_y", "maison"]
+    assert parse_query(q, memo, lexicon=["chats"]) == want
+    assert calls == [["parce que", "la", "maison", "porte"]]
+    assert parse_query(q + " toit", memo, lexicon=["chats"]) == want + ["toit"]
+    assert calls[1:] == [["toit"]]
+    texts = ["la maison", "", "parce que", "Fin. Début"]
+    assert fa.terms_of(texts) == [fa.terms(t) for t in texts]
+
+
 def test_word_memo_is_bounded_and_per_handle(french_index, monkeypatch):
     from alix_ray.index.engine import BM25Index
     from alix_ray.query.parser import parse_query
